@@ -317,7 +317,7 @@ class ArtinAlgebra:
                     vec = self.actions[v].apply(vec)
             c = self.field.from_int(coeff)
             acc = [a + c * x for a, x in zip(acc, vec)]
-        return tuple(acc)
+        return tuple(self.field.canonical(acc))
 
     def parse_element(self, text):
         return self.element_from_poly(parse_poly(text, self.variables))
@@ -387,7 +387,7 @@ def build_algebra(presentation):
                 for exp, coeff in rel.items():
                     e = tuple(x + y for x, y in zip(exp, shift))
                     row[col_of[e]] = row[col_of[e]] + field.from_int(coeff)
-                rows.append(row)
+                rows.append(field.canonical(row))
         red, pivots = _row_reduce(field, rows, len(order))
         pivset = set(pivots)
         standard = [order[j] for j in range(len(order)) if j not in pivset]
@@ -428,7 +428,7 @@ def _assemble(field, variables, relations, order, red, pivots, standard, present
             c = row[col_of[e]]
             if c:
                 vec[i] = -c
-        normal[pexp] = vec
+        normal[pexp] = field.canonical(vec)
 
     nvars = len(variables)
     actions = []
@@ -557,7 +557,7 @@ class ModuleRep:
         return Submodule(self, Subspace.zero(self.algebra.field, self.dim))
 
     def full_submodule(self):
-        return Submodule(self, Subspace.full(self.algebra.field, self.dim))
+        return Submodule(self, Subspace.full(self.algebra.field, self.dim), check=False)
 
     def describe(self):
         d = {"label": self.label, "dimension": self.dim}

@@ -94,7 +94,7 @@ def _load_algebra(args, inputs):
     if "algebra" not in sections:
         raise TraceLabError("%s: no [algebra] section" % args.ring)
     pres = presentation_from_section(sections["algebra"], source=args.ring)
-    if getattr(args, "cap_dim", None):
+    if args.cap_dim is not None:
         pres.dim_cap = args.cap_dim
     return build_algebra(pres), sections
 
@@ -229,7 +229,7 @@ def cmd_excellent(args, inputs):
     kwargs = {}
     if not algebra.field.is_finite:
         kwargs["seed"] = args.seed
-    if args.cap_enum:
+    if args.cap_enum is not None:
         kwargs["cap"] = args.cap_enum
     inputs.inline("seed", str(args.seed))
     return {
@@ -253,7 +253,7 @@ def cmd_qf(args, inputs):
     algebra, _ = _load_algebra(args, inputs)
     reg = regular_module(algebra)
     kwargs = {} if algebra.field.is_finite else {"seed": args.seed}
-    if args.cap_enum:
+    if args.cap_enum is not None:
         kwargs["cap"] = args.cap_enum
     inputs.inline("seed", str(args.seed))
     return {
@@ -268,7 +268,7 @@ def cmd_semigroup_report(args, inputs):
     inputs.inline("gens", args.gens)
     inputs.inline("max_power", str(args.max_power))
     s = make(gens)
-    report = matlis_report(s, args.max_power) if args.max_power else matlis_report(s)
+    report = matlis_report(s, args.max_power)
     return report.to_json()
 
 

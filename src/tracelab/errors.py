@@ -56,6 +56,10 @@ class NotCoFinite(TraceLabError):
     """Semigroup generators have gcd > 1, so the complement is infinite."""
 
 
+class InvalidArgument(TraceLabError, ValueError):
+    """A numeric argument lies outside the range an operation accepts."""
+
+
 class EmptyGenerators(TraceLabError):
     """A generator list that must be nonempty is empty."""
 

@@ -115,7 +115,7 @@ def _intertwiner_constraints(action_src, action_tgt, dM, dN):
                 if y:
                     idx = bp * dM + c
                     row[idx] = row[idx] - y
-            rows.append(row)
+            rows.append(field.canonical(row))
     return rows
 
 
@@ -217,15 +217,6 @@ class DualModule:
     def __init__(self, rep, primal):
         self.rep = rep
         self.primal = primal
-
-    def pair(self, functional, vector):
-        """The evaluation pairing <functional, vector>."""
-        field = self.rep.algebra.field
-        acc = field.zero
-        for a, b in zip(functional, vector):
-            if a and b:
-                acc = acc + a * b
-        return acc
 
     def __repr__(self):
         return "DualModule(of %r)" % (self.primal,)

@@ -4,7 +4,13 @@ Every higher-level equality in this package (equality of submodules, traces,
 torsion subspaces, ...) reduces to structural equality of canonical subspace
 bases computed here, so all arithmetic is exact.  Over Q scalars are
 arbitrary-precision rationals (gmpy2.mpq when installed, fractions.Fraction
-otherwise); over F_p they are residues with table-driven inverses.
+otherwise); over F_p they are plain Python ints in [0, p).
+
+Scalars use Python's own arithmetic.  Each field owns one normalising hook,
+`canonical(row)`, mapping freshly computed scalars to canonical
+representatives (x % p over F_p, the identity over Q).  Every operation here
+applies it once per row it produces, so every stored entry and every returned
+vector is canonical and structural equality is value equality.
 
 Matrices are dense and immutable.  Subspaces are stored via a basis in
 reduced column echelon form; that form is unique per subspace, so structural
@@ -24,65 +30,6 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
-_INVERSE_TABLE = {
-    2: (0, 1),
-    3: (0, 1, 2),
-    5: (0, 1, 3, 2, 4),
-}
-
-
-class FpValue:
-    """A residue in F_p for a small prime p.
-
-    Values are immutable and only interact with residues of the same p.
-    Truthiness means "nonzero", which is what the elimination loops test.
-    """
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def __add__(self, other):
-        if not isinstance(other, FpValue):
-            return NotImplemented
-        return FpValue(self.p, self.v + other.v)
-
-    def __sub__(self, other):
-        if not isinstance(other, FpValue):
-            return NotImplemented
-        return FpValue(self.p, self.v - other.v)
-
-    def __mul__(self, other):
-        if not isinstance(other, FpValue):
-            return NotImplemented
-        return FpValue(self.p, self.v * other.v)
-
-    def __truediv__(self, other):
-        if not isinstance(other, FpValue):
-            return NotImplemented
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpValue(self.p, self.v * _INVERSE_TABLE[self.p][other.v])
-
-    def __neg__(self):
-        return FpValue(self.p, -self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FpValue):
-            return self.p == other.p and self.v == other.v
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return "%d" % self.v
-
 
 class RationalField:
     """The field Q with exact arbitrary-precision rational scalars."""
@@ -91,10 +38,8 @@ class RationalField:
     order = None
     name = "Q"
     is_finite = False
-
-    def __init__(self):
-        self.zero = _rat(0)
-        self.one = _rat(1)
+    zero = _rat(0)
+    one = _rat(1)
 
     def from_int(self, n):
         return _rat(n)
@@ -121,6 +66,13 @@ class RationalField:
     def elements(self):
         raise FieldNotFinite("Q has infinitely many elements")
 
+    def inverse(self, x):
+        return self.one / x
+
+    def canonical(self, row):
+        """Rationals are canonical as computed: the row itself."""
+        return row
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -132,9 +84,11 @@ class RationalField:
 
 
 class PrimeField:
-    """The prime field F_p for p in {2, 3, 5}."""
+    """The prime field F_p for p in {2, 3, 5}, with scalars the ints 0..p-1."""
 
     is_finite = True
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if p not in SUPPORTED_PRIMES:
@@ -142,30 +96,35 @@ class PrimeField:
         self.char = p
         self.order = p
         self.name = "F%d" % p
-        self._elements = tuple(FpValue(p, i) for i in range(p))
-        self.zero = self._elements[0]
-        self.one = self._elements[1]
 
     def from_int(self, n):
-        return self._elements[n % self.char]
+        return n % self.char
 
     def parse(self, text):
         return self.from_int(int(text.strip()))
 
     def format(self, x):
-        return "%d" % x.v
+        return "%d" % x
 
     def to_json(self, x):
-        return x.v
+        return x
 
     def sort_key(self, x):
-        return (x.v, 1)
+        return (x, 1)
 
     def elements(self):
-        return self._elements
+        return tuple(range(self.char))
+
+    def inverse(self, x):
+        return pow(x, -1, self.char)
+
+    def canonical(self, row):
+        """The residues of a row of ints, as a new list."""
+        p = self.char
+        return [x % p for x in row]
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.char == self.char
+        return type(other) is PrimeField and other.char == self.char
 
     def __hash__(self):
         return hash(("F", self.char))
@@ -256,84 +215,71 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
+        canon = self.field.canonical
         return Matrix(
             self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            [canon([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)],
             ncols=self.ncols,
         )
 
     def __sub__(self, other):
         self._check_same_shape(other)
+        canon = self.field.canonical
         return Matrix(
             self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+            [canon([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)],
             ncols=self.ncols,
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
+        canon = self.field.canonical
+        return Matrix(self.field, [canon([-a for a in r]) for r in self.rows], ncols=self.ncols)
 
     def scale(self, s):
-        return Matrix(self.field, [[s * a for a in r] for r in self.rows], ncols=self.ncols)
+        canon = self.field.canonical
+        return Matrix(self.field, [canon([s * a for a in r]) for r in self.rows], ncols=self.ncols)
 
     def __matmul__(self, other):
+        _check_fields((self, other))
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 "cannot multiply %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
         field = self.field
-        if isinstance(field, PrimeField) and self.nrows * other.ncols > 16:
-            return self._matmul_mod(other)
-        zero = field.zero
-        orows = other.rows
+        zero, canon = field.zero, field.canonical
+        # Only the nonzero entries of the right factor take part.
+        sparse = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
         out = []
         for arow in self.rows:
             acc = [zero] * other.ncols
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = orows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
+            for a, brow in zip(arow, sparse):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(canon(acc))
         return Matrix(field, out, ncols=other.ncols)
-
-    def _matmul_mod(self, other):
-        p = self.field.char
-        conv = self.field._elements
-        brows = [[x.v for x in r] for r in other.rows]
-        out = []
-        for arow in self.rows:
-            acc = [0] * other.ncols
-            for k, a in enumerate(arow):
-                av = a.v
-                if not av:
-                    continue
-                brow = brows[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += av * b
-            out.append([conv[x % p] for x in acc])
-        return Matrix(self.field, out, ncols=other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a length-ncols sequence."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(vec), self.ncols))
         zero = self.field.zero
+        support = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
             acc = zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = acc + a * x
+            for j, x in support:
+                a = row[j]
+                if a:
+                    acc += a * x
             out.append(acc)
-        return tuple(out)
+        return tuple(self.field.canonical(out))
 
     def kron(self, other):
         """Kronecker product, shape (nrows*other.nrows) x (ncols*other.ncols)."""
+        _check_fields((self, other))
         field = self.field
+        zeros = [field.zero] * other.ncols
         out = []
         for arow in self.rows:
             for brow in other.rows:
@@ -342,8 +288,8 @@ class Matrix:
                     if a:
                         row.extend(a * b for b in brow)
                     else:
-                        row.extend([field.zero] * other.ncols)
-                out.append(row)
+                        row.extend(zeros)
+                out.append(field.canonical(row))
         return Matrix(field, out, ncols=self.ncols * other.ncols)
 
     def is_zero(self):
@@ -353,6 +299,7 @@ class Matrix:
         return [list(r) for r in self.rows]
 
     def _check_same_shape(self, other):
+        _check_fields((self, other))
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("shape mismatch")
 
@@ -374,10 +321,18 @@ class Matrix:
         return "Matrix(%s, %dx%d, [%s])" % (self.field, self.nrows, self.ncols, body)
 
 
+def _check_fields(matrices):
+    field = matrices[0].field
+    for m in matrices:
+        if m.field != field:
+            raise DimensionMismatch("matrices over different fields (%s vs %s)" % (field, m.field))
+
+
 def hstack(matrices):
     matrices = list(matrices)
     if not matrices:
         raise ValueError("hstack of nothing")
+    _check_fields(matrices)
     nrows = matrices[0].nrows
     for m in matrices:
         if m.nrows != nrows:
@@ -390,6 +345,7 @@ def vstack(matrices):
     matrices = list(matrices)
     if not matrices:
         raise ValueError("vstack of nothing")
+    _check_fields(matrices)
     ncols = matrices[0].ncols
     for m in matrices:
         if m.ncols != ncols:
@@ -405,103 +361,45 @@ def kron(a, b):
     return a.kron(b)
 
 
-# -- row reduction cores -----------------------------------------------------
-#
-# _row_reduce returns (reduced row lists, pivot column list).  The first
-# len(pivots) rows are the nonzero rows of the reduced echelon form; any
-# remaining rows are zero in the first `pivot_limit` columns (they can be
-# nonzero beyond it, which is exactly what solve() needs for its
-# consistency test).
-
-
-def _row_reduce_generic(rows, ncols, one, pivot_limit):
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_limit):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        if piv != one:
-            inv = one / piv
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            for j in range(c, ncols):
-                v = prow[j]
-                if v:
-                    row[j] = row[j] - f * v
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def _row_reduce_mod(rows, ncols, p, pivot_limit):
-    inv = _INVERSE_TABLE[p]
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_limit):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        if piv != 1:
-            iv = inv[piv]
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * iv % p
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            for j in range(c, ncols):
-                v = prow[j]
-                if v:
-                    row[j] = (row[j] - f * v) % p
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def _row_reduce(field, rows, ncols, pivot_limit=None):
+    """(reduced row lists, pivot column list) by Gauss-Jordan elimination.
+
+    The first len(pivots) rows are the nonzero rows of the reduced echelon
+    form; any remaining rows are zero in the first `pivot_limit` columns (they
+    can be nonzero beyond it, which is exactly what solve() needs for its
+    consistency test).
+    """
     if pivot_limit is None:
         pivot_limit = ncols
-    if isinstance(field, PrimeField):
-        int_rows = [[x.v for x in r] for r in rows]
-        red, pivots = _row_reduce_mod(int_rows, ncols, field.char, pivot_limit)
-        conv = field._elements
-        return [[conv[x] for x in r] for r in red], pivots
-    return _row_reduce_generic(rows, ncols, field.one, pivot_limit)
+    one, canon = field.one, field.canonical
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if prow[c] != one:
+            inv = field.inverse(prow[c])
+            prow[c:] = canon([x * inv if x else x for x in prow[c:]])
+        # Entries left of c are zero in the pivot row.
+        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            for j, v in support:
+                row[j] -= f * v
+            row[c:] = canon(row[c:])
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def reduce(m):
@@ -647,7 +545,7 @@ class Subspace:
                 b = self.basis.rows[q][i]
                 if b:
                     row[p] = -b
-            proj.append(row)
+            proj.append(field.canonical(row))
         section_rows = [[z] * len(nonpivots) for _ in range(n)]
         for t, q in enumerate(nonpivots):
             section_rows[q][t] = o
@@ -660,19 +558,8 @@ class Subspace:
         """All vectors of the subspace; finite fields only (p^dim many)."""
         if not self.field.is_finite:
             raise FieldNotFinite("cannot enumerate a subspace over %s" % self.field.name)
-        cols = self.basis_columns()
-        zero_vec = tuple([self.field.zero] * self.ambient_dim)
-        if not cols:
-            yield zero_vec
-            return
-        for coeffs in itertools.product(self.field.elements(), repeat=len(cols)):
-            acc = list(zero_vec)
-            for c, col in zip(coeffs, cols):
-                if c:
-                    for i, x in enumerate(col):
-                        if x:
-                            acc[i] = acc[i] + c * x
-            yield tuple(acc)
+        for coeffs in itertools.product(self.field.elements(), repeat=self.dim):
+            yield self.basis.apply(coeffs)
 
     def sort_key(self):
         """Deterministic total order key: (dim, flattened basis entries)."""
@@ -713,10 +600,6 @@ def kernel(m):
             x = red[i][f]
             if x:
                 v[p] = -x
-        vecs.append(v)
+        vecs.append(field.canonical(v))
     return Subspace.from_vectors(field, m.ncols, vecs)
 
-
-def column_space(m):
-    """The span of the columns of m as a canonical Subspace."""
-    return Subspace.from_vectors(m.field, m.nrows, m.cols())

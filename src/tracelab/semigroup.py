@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyGenerators, IdealNotIntegral, InternalCheckError, NotCoFinite
+from .errors import EmptyGenerators, IdealNotIntegral, InternalCheckError, InvalidArgument, NotCoFinite
 
 
 class NumericalSemigroup:
@@ -223,7 +223,7 @@ def sumset(e, f):
 def power_m(sgroup, n):
     """The n-th power of the maximal ideal, n >= 1."""
     if n < 1:
-        raise ValueError("powers start at 1")
+        raise InvalidArgument("powers start at 1")
     m = maximal_ideal(sgroup)
     acc = m
     for _ in range(n - 1):
@@ -327,18 +327,6 @@ def is_dvr(sgroup):
     return sgroup.conductor == 0
 
 
-def good_prime_check(sgroup):
-    """The maximal ideal is good exactly when the ring is not a DVR.
-
-    Returns the shared boolean; raises InternalCheckError when the two
-    sides disagree.
-    """
-    good = is_good(maximal_ideal(sgroup), sgroup)
-    if good != (not is_dvr(sgroup)):
-        raise InternalCheckError("goodness of m disagrees with the DVR test")
-    return good
-
-
 def ext1_dim(e, sgroup):
     """dim_k Ext1(R/I, R) = |I^{-1} \\ S| for a monomial ideal I inside S."""
     svs = sgroup.value_set()
@@ -389,7 +377,7 @@ def matlis_report(sgroup, n_max=None):
     if n_max is None:
         n_max = nu + 4
     if n_max < nu + 3:
-        raise ValueError("n_max must be at least nu + 3 = %d" % (nu + 3))
+        raise InvalidArgument("n_max must be at least nu + 3 = %d" % (nu + 3))
     lam_inv = first_neighborhood_inverse(sgroup)
     rows = []
     ok = True

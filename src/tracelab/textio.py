@@ -1,4 +1,4 @@
-"""Flat key/value input files with [algebra], [module], [semigroup] sections.
+"""Flat key/value input files with [algebra] and [module] sections.
 
 UTF-8, '#' starts a comment, blank lines ignored.  Unknown sections or keys
 are errors, not warnings.
@@ -11,9 +11,6 @@ are errors, not warnings.
     [module]
     generators = 2
     presentation = x, y ; 0, x^2   # rows separated by ';', entries by ','
-
-    [semigroup]
-    generators = 3, 4
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from .errors import ParseError
 
 _ALGEBRA_KEYS = {"field", "variables", "relations", "degree_cap", "dim_cap"}
 _MODULE_KEYS = {"generators", "presentation"}
-_SEMIGROUP_KEYS = {"generators"}
 
 
 def parse_sections(text, source="<input>"):
@@ -36,7 +32,7 @@ def parse_sections(text, source="<input>"):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in ("algebra", "module", "semigroup"):
+            if name not in ("algebra", "module"):
                 raise ParseError("%s:%d: unknown section [%s]" % (source, lineno, name))
             if name in sections:
                 raise ParseError("%s:%d: duplicate section [%s]" % (source, lineno, name))
@@ -49,11 +45,7 @@ def parse_sections(text, source="<input>"):
             raise ParseError("%s:%d: key/value outside any section" % (source, lineno))
         key, value = line.split("=", 1)
         key = key.strip()
-        allowed = {
-            "algebra": _ALGEBRA_KEYS,
-            "module": _MODULE_KEYS,
-            "semigroup": _SEMIGROUP_KEYS,
-        }[current]
+        allowed = _ALGEBRA_KEYS if current == "algebra" else _MODULE_KEYS
         if key not in allowed:
             raise ParseError(
                 "%s:%d: unknown key %r in [%s] (allowed: %s)"
@@ -75,10 +67,12 @@ def presentation_from_section(section, source="<input>"):
         if needed not in section:
             raise ParseError("%s: [algebra] section is missing %r" % (source, needed))
     kwargs = {}
-    if "degree_cap" in section:
-        kwargs["degree_cap"] = int(section["degree_cap"])
-    if "dim_cap" in section:
-        kwargs["dim_cap"] = int(section["dim_cap"])
+    for key in ("degree_cap", "dim_cap"):
+        if key in section:
+            try:
+                kwargs[key] = int(section[key])
+            except ValueError:
+                raise ParseError("%s: %s must be an integer" % (source, key)) from None
     return PolynomialPresentation(
         section["field"],
         _split_list(section["variables"]),
@@ -113,15 +107,6 @@ def module_rows_from_section(section, source="<input>"):
             if not entry:
                 raise ParseError("%s: empty presentation entry" % source)
     return rows, n_gens
-
-
-def semigroup_generators_from_section(section, source="<input>"):
-    if "generators" not in section:
-        raise ParseError("%s: [semigroup] section is missing 'generators'" % source)
-    try:
-        return tuple(int(g) for g in _split_list(section["generators"]))
-    except ValueError:
-        raise ParseError("%s: semigroup generators must be integers" % source) from None
 
 
 def parse_int_list(text):

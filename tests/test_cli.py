@@ -167,10 +167,40 @@ def test_parse_error_exits_2(capsys, tmp_path):
 
 def test_unknown_section_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.ring"
-    bad.write_text("[ring]\nfield = Q\n")
-    code, _, err = run_cli(capsys, "algebra-info", "--ring", str(bad))
-    assert code == 2
+    # No command reads a [semigroup] section, so it is unknown too.
+    for text in ("[ring]\nfield = Q\n", FAT_RING + "[semigroup]\ngenerators = 3, 4\n"):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "algebra-info", "--ring", str(bad))
+        assert code == 2
+        assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("key", ["degree_cap", "dim_cap"])
+def test_non_integer_cap_in_ring_file_exits_2(capsys, tmp_path, key):
+    bad = tmp_path / "bad.ring"
+    bad.write_text(FAT_RING + "%s = abc\n" % key)
+    code, out, err = run_cli(capsys, "algebra-info", "--ring", str(bad))
+    assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_semigroup_report_small_window_exits_2(capsys):
+    code, out, err = run_cli(capsys, "semigroup-report", "--gens", "3,4", "--max-power", "2")
+    assert (code, out) == (2, "")
+    assert "nu + 3" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, command, error",
+    [
+        ("--cap-dim", "algebra-info", "DimensionCapExceeded"),
+        ("--cap-enum", "qf", "EnumerationCapExceeded"),
+    ],
+)
+def test_zero_caps_are_enforced(capsys, dual_ring, flag, command, error):
+    code, out, err = run_cli(capsys, command, "--ring", dual_ring, flag, "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
 
 
 def test_unknown_flag_is_an_error(capsys, fat_ring):

@@ -1,5 +1,7 @@
 """Exact linear algebra: frozen examples plus property tests."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,6 @@ from tracelab.linalg import (
     QQ,
     Matrix,
     Subspace,
-    column_space,
     hstack,
     kernel,
     kron,
@@ -198,21 +199,23 @@ def test_kron_shape():
 # -- property tests ----------------------------------------------------------
 
 fields = st.sampled_from([QQ, GF(2), GF(3), GF(5)])
+prime_fields = st.sampled_from([GF(2), GF(3), GF(5)])
+
+
+def int_rows(nrows, ncols):
+    return st.lists(
+        st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
 
 
 @st.composite
-def field_and_matrix(draw, max_dim=4):
-    field = draw(fields)
+def field_and_matrix(draw, max_dim=4, field_strategy=fields):
+    field = draw(field_strategy)
     nrows = draw(st.integers(0, max_dim))
     ncols = draw(st.integers(0, max_dim))
-    rows = draw(
-        st.lists(
-            st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
-            min_size=nrows,
-            max_size=nrows,
-        )
-    )
-    return Matrix.from_int_rows(field, rows, ncols=ncols)
+    return Matrix.from_int_rows(field, draw(int_rows(nrows, ncols)), ncols=ncols)
 
 
 @given(field_and_matrix())
@@ -273,7 +276,7 @@ def test_equality_iff_mutual_containment(pair):
 @given(field_and_matrix(max_dim=3))
 @settings(max_examples=60, deadline=None)
 def test_column_space_dim_is_rank(m):
-    assert column_space(m).dim == rank(m)
+    assert Subspace.from_vectors(m.field, m.nrows, m.cols()).dim == rank(m)
 
 
 def test_subspace_cardinality_over_f3():
@@ -287,3 +290,49 @@ def test_stack_helpers():
     b = mat(QQ, [[3], [4]])
     assert hstack([a, b]) == mat(QQ, [[1, 3], [2, 4]])
     assert vstack([a, b]) == mat(QQ, [[1], [2], [3], [4]])
+
+
+@pytest.mark.parametrize("left, right", [(GF(2), GF(3)), (QQ, GF(5)), (GF(3), QQ)])
+@pytest.mark.parametrize(
+    "op",
+    [
+        operator.add,
+        operator.sub,
+        operator.matmul,
+        kron,
+        lambda a, b: hstack([a, b]),
+        lambda a, b: vstack([a, b]),
+    ],
+    ids=["add", "sub", "matmul", "kron", "hstack", "vstack"],
+)
+def test_mixed_fields_raise(left, right, op):
+    with pytest.raises(DimensionMismatch):
+        op(Matrix.identity(left, 2), Matrix.identity(right, 2))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_entries_stay_canonical_over_prime_fields(data):
+    m = data.draw(field_and_matrix(field_strategy=prime_fields))
+    field = m.field
+    n = Matrix.from_int_rows(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
+    proj, section = kernel(m).quotient_maps()
+    results = [
+        m @ n.transpose(),
+        m + n,
+        m - n,
+        -m,
+        m.scale(field.from_int(-1)),
+        m.kron(n),
+        reduce(m),
+        kernel(m).basis,
+        proj,
+        section,
+        Matrix(field, [n.apply(r) for r in m.rows], ncols=m.nrows),
+    ]
+    x = solve(m, n)
+    if x is not None:
+        results.append(x)
+    for result in results:
+        for row in result.rows:
+            assert all(type(v) is int and 0 <= v < field.char for v in row), result

@@ -14,7 +14,6 @@ from tracelab.semigroup import (
     ext1_dim,
     first_neighborhood,
     first_neighborhood_inverse,
-    good_prime_check,
     ideal,
     inverse,
     is_dvr,
@@ -383,9 +382,11 @@ def test_matlis_report_rejects_small_window():
 
 
 def test_good_prime_checks():
-    assert not good_prime_check(make([1]))
-    for gens in [(2, 3), (3, 4), (3, 5, 7), (5, 6, 9)]:
-        assert good_prime_check(make(gens))
+    for gens in [(1,), (2, 3), (3, 4), (3, 5, 7), (5, 6, 9)]:
+        s = make(gens)
+        good = is_good(maximal_ideal(s), s)
+        assert good == (not is_dvr(s))
+        assert good == (gens != (1,))
 
 
 def test_ext1_dim_examples():
