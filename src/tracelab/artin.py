@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ResidueFieldError,
 )
-from .linalg import FIELDS, Matrix, Subspace, _row_reduce, kernel, vstack
+from .linalg import FIELDS, Matrix, Subspace, _row_reduce, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -132,10 +132,11 @@ def parse_poly(text, variables):
             if t is None or not t.isdigit():
                 raise ParseError("exponent must be a nonnegative integer in %r" % text)
             k = int(t)
-            acc = {one: 1}
-            for _ in range(k):
-                acc = poly_mul(acc, base)
-            return acc
+            if not base:
+                return {} if k else {one: 1}
+            # An atom is a single term, so its power is one term too.
+            ((exp, coeff),) = base.items()
+            return {tuple(k * x for x in exp): coeff ** k}
         return base
 
     def parse_term():
@@ -248,9 +249,9 @@ class ArtinAlgebra:
         "unit",
         "nilpotency_index",
         "presentation",
+        "monomial_steps",
         "_regular",
         "_max_ideal",
-        "_basis_ops",
     )
 
     def __init__(self, field, variables, basis_exponents, actions, nilpotency_index, presentation):
@@ -265,9 +266,18 @@ class ArtinAlgebra:
         self.unit = tuple(unit)
         self.nilpotency_index = nilpotency_index
         self.presentation = presentation
+        # The monomial tree: basis monomial s >= 1 is variable `var` times the
+        # earlier (lower degree) basis monomial `base`.
+        index = {e: i for i, e in enumerate(self.basis_exponents)}
+        steps = []
+        for exp in self.basis_exponents[1:]:
+            var = next(j for j, e in enumerate(exp) if e > 0)
+            rest = list(exp)
+            rest[var] -= 1
+            steps.append((var, index[tuple(rest)]))
+        self.monomial_steps = tuple(steps)
         self._regular = None
         self._max_ideal = None
-        self._basis_ops = None
 
     # The maximal ideal is the span of the non-unit basis monomials.
     def max_ideal_subspace(self):
@@ -290,30 +300,16 @@ class ArtinAlgebra:
             self._max_ideal = Submodule(self.regular_module(), self.max_ideal_subspace())
         return self._max_ideal
 
-    def basis_operator(self, i):
-        """Multiplication operator of the i-th basis monomial on R."""
-        if self._basis_ops is None:
-            ops = [None] * self.dim
-            ops[0] = Matrix.identity(self.field, self.dim)
-            for idx in range(1, self.dim):
-                exp = self.basis_exponents[idx]
-                # Peel one variable; the rest is an earlier (lower degree) monomial.
-                v = next(j for j, e in enumerate(exp) if e > 0)
-                rest = list(exp)
-                rest[v] -= 1
-                rest = tuple(rest)
-                base = self.basis_exponents.index(rest)
-                ops[idx] = self.actions[v] @ ops[base]
-            self._basis_ops = tuple(ops)
-        return self._basis_ops[i]
-
     def element_from_poly(self, poly):
         """Coordinates of a polynomial's residue class."""
         acc = [self.field.zero] * self.dim
         for exp, coeff in sorted(poly.items()):
             vec = self.unit
             for v, e in enumerate(exp):
+                # m is nilpotent, so a huge exponent reaches zero within dim steps.
                 for _ in range(e):
+                    if not any(vec):
+                        break
                     vec = self.actions[v].apply(vec)
             c = self.field.from_int(coeff)
             acc = [a + c * x for a, x in zip(acc, vec)]
@@ -471,6 +467,8 @@ def _evaluate_poly_at(field, poly, mats, dim):
         term = Matrix.identity(field, dim)
         for v, e in enumerate(exp):
             for _ in range(e):
+                if term.is_zero():
+                    break
                 term = mats[v] @ term
         acc = acc + term.scale(field.from_int(coeff))
     return acc
@@ -503,7 +501,7 @@ class ModuleRep:
     ModuleReps are compared through their carriers or dimensions explicitly.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_mono_ops", "presentation")
+    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_mono_ops", "_cover", "presentation")
 
     def __init__(self, algebra, dim, actions, label="M", is_regular=False, presentation=None, check=False):
         self.algebra = algebra
@@ -513,6 +511,7 @@ class ModuleRep:
         self.is_regular = is_regular
         self.presentation = presentation
         self._mono_ops = None
+        self._cover = None
         if check:
             self.certify()
 
@@ -531,27 +530,41 @@ class ModuleRep:
     def monomial_operator(self, i):
         """Action of the i-th algebra basis monomial on this module."""
         if self._mono_ops is None:
-            field = self.algebra.field
-            ops = [None] * self.algebra.dim
-            ops[0] = Matrix.identity(field, self.dim)
-            for idx in range(1, self.algebra.dim):
-                exp = self.algebra.basis_exponents[idx]
-                v = next(j for j, e in enumerate(exp) if e > 0)
-                rest = list(exp)
-                rest[v] -= 1
-                base = self.algebra.basis_exponents.index(tuple(rest))
-                ops[idx] = self.actions[v] @ ops[base]
+            ops = [Matrix.identity(self.algebra.field, self.dim)]
+            for var, base in self.algebra.monomial_steps:
+                ops.append(self.actions[var] @ ops[base])
             self._mono_ops = ops
         return self._mono_ops[i]
+
+    def orbit(self, vec):
+        """[b_s * vec for every algebra basis monomial b_s], in basis order.
+
+        Walks the monomial tree, one action applied per monomial.
+        """
+        out = [tuple(vec)]
+        for var, base in self.algebra.monomial_steps:
+            out.append(self.actions[var].apply(out[base]))
+        return out
 
     def element_action(self, r_vec):
         """Action matrix of the ring element with coordinates r_vec."""
         field = self.algebra.field
-        acc = Matrix.zeros(field, self.dim, self.dim)
-        for i, c in enumerate(r_vec):
-            if c:
-                acc = acc + self.monomial_operator(i).scale(c)
-        return acc
+        terms = [(self.monomial_operator(i).rows, c) for i, c in enumerate(r_vec) if c]
+        rows = []
+        for a in range(self.dim):
+            acc = [field.zero] * self.dim
+            for op_rows, c in terms:
+                for j, x in enumerate(op_rows[a]):
+                    if x:
+                        acc[j] += c * x
+            rows.append(field.canonical(acc))
+        return Matrix(field, rows, ncols=self.dim)
+
+    def free_cover(self):
+        """The module's FreeCover, built and certified on first use."""
+        if self._cover is None:
+            self._cover = FreeCover(self)
+        return self._cover
 
     def zero_submodule(self):
         return Submodule(self, Subspace.zero(self.algebra.field, self.dim))
@@ -640,19 +653,21 @@ def regular_module(algebra):
 
 def free_module(algebra, n):
     """R^n with block-diagonal action."""
-    field = algebra.field
-    d = algebra.dim
+    return power_module(algebra.regular_module(), n)
+
+
+def power_module(module, n):
+    """M^n = M (+) ... (+) M with block-diagonal action."""
+    zero = module.algebra.field.zero
+    d = module.dim
     actions = []
-    for a in algebra.actions:
+    for a in module.actions:
         rows = []
         for i in range(n):
-            for r in range(d):
-                row = [field.zero] * (n * d)
-                for c in range(d):
-                    row[i * d + c] = a.rows[r][c]
-                rows.append(row)
-        actions.append(Matrix(field, rows, ncols=n * d))
-    return ModuleRep(algebra, n * d, actions, label="R^%d" % n)
+            left, right = [zero] * (i * d), [zero] * ((n - 1 - i) * d)
+            rows.extend(left + list(r) + right for r in a.rows)
+        actions.append(Matrix(module.algebra.field, rows, ncols=n * d))
+    return ModuleRep(module.algebra, n * d, actions, label="%s^%d" % (module.label, n))
 
 
 def module_from_presentation(algebra, rows, n_gens=None):
@@ -803,18 +818,57 @@ def radical_core(module):
 
 
 def minimal_generators(module):
-    """(count, lifts): v(M) = dim M/mM with lifted standard-vector basis."""
-    algebra = module.algebra
-    mm = ideal_times_module(algebra.max_ideal(), module)
-    pivset = set(mm.carrier.pivots)
+    """(count, lifts): v(M) = dim M/mM with lifted standard-vector basis.
+
+    The variables generate m, so mM is the column span of their actions.
+    """
+    field = module.algebra.field
+    mm = Subspace.from_vectors(field, module.dim, [c for a in module.actions for c in a.cols()])
+    pivset = set(mm.pivots)
     lifts = []
-    field = algebra.field
     for q in range(module.dim):
         if q not in pivset:
             v = [field.zero] * module.dim
             v[q] = field.one
             lifts.append(tuple(v))
     return len(lifts), lifts
+
+
+class FreeCover:
+    """A free presentation R^v -> M -> 0 built from minimal generators.
+
+    generators: the lifts g_1..g_v from minimal_generators(M);
+    matrix: P, dim M x v*dim R, the map R^v -> M in free_module(R, v)
+        coordinates: column i*dim R + s is b_s * g_i for the s-th basis
+        monomial b_s;
+    section: S with P @ S = I, so column j of S writes the j-th basis vector
+        of M as sum_i r_i g_i, with r_i in rows i*dim R .. (i+1)*dim R;
+    syzygies: minimal generators of K = ker P as a submodule of R^v, each
+        split into its v ring-element coordinates (z_1, ..., z_v).
+
+    Construction checks that the R-span of the syzygies is all of ker P.
+    """
+
+    __slots__ = ("generators", "matrix", "section", "syzygies")
+
+    def __init__(self, module):
+        algebra = module.algebra
+        field, d = algebra.field, algebra.dim
+        v, gens = minimal_generators(module)
+        self.generators = tuple(gens)
+        cols = [w for g in gens for w in module.orbit(g)]
+        self.matrix = Matrix.from_cols(field, cols, nrows=module.dim)
+        self.section = solve(self.matrix, Matrix.identity(field, module.dim))
+        if self.section is None:
+            raise InternalCheckError("minimal generators do not span the module")
+        free = free_module(algebra, v)
+        ker = Submodule(free, kernel(self.matrix), check=False)
+        rep, inclusion = ker.as_module()
+        flat = [inclusion.apply(z) for z in minimal_generators(rep)[1]]
+        span = Subspace.from_vectors(field, free.dim, [w for z in flat for w in free.orbit(z)])
+        if span != ker.carrier:
+            raise InternalCheckError("the syzygies do not generate the kernel of the free cover")
+        self.syzygies = tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)
 
 
 def is_essential(sub, module=None):

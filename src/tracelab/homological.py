@@ -8,11 +8,18 @@ finitely generated R-module M, are
     cotrace(I, M) = intersection of the kernels of all maps M -> dual(I)
                     (Ann(I)M <= cotrace <= M[I]).
 
-Both are computed literally from their definitions via the intertwiner
-solution space of Hom, and every call re-checks its sandwich inclusions
-exactly; higher-level identities (duality exchange, colon route, Ext/Tor
-criteria) are verified by the test suite and the verifier against these
-definitional routes.
+Both are computed literally from their definitions through Hom, and every
+call re-checks its sandwich inclusions exactly; higher-level identities
+(duality exchange, colon route, Ext/Tor criteria) are verified by the test
+suite and the verifier against these definitional routes.
+
+Hom and tensor products start from a free presentation R^v -> M of the
+source (ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism
+spaces between modules over finite dimensional algebras", Experimental
+Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
+constrained by the syzygies, so Hom(M, N) is solved for with v * dim N
+unknowns; M tensor N is N^v modulo the syzygies acting on N.  Neither works
+in a space of size dim M * dim N.
 
 Matlis duality is plain transposition: for an Artinian local k-algebra with
 residue field k the k-linear dual of R is the injective hull of k, so
@@ -36,6 +43,7 @@ from .artin import (
     ideal_times_module,
     ideal_times_subspace,
     minimal_generators,
+    power_module,
     socle,
     span_submodule,
     torsion_submodule,
@@ -47,7 +55,7 @@ from .errors import (
     FieldNotFinite,
     InternalCheckError,
 )
-from .linalg import Matrix, Subspace, kernel, rank, vstack
+from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
 
 
 def _require_same_algebra(ideal, module):
@@ -62,11 +70,14 @@ def _require_same_algebra(ideal, module):
 class HomModule:
     """A basis of Hom_R(M, N) as intertwiner matrices, with its R-structure.
 
-    A map M -> N is an N.dim x M.dim matrix F with F B_i^M = B_i^N F for
-    every generator action; x_i acts on F as B_i^N F, which makes Hom an
-    R-module again (rep).  The basis is canonical (reduced echelon in the
-    vectorized coordinates), so coordinates of a given intertwiner are read
-    off at pivot positions.
+    A map f: M -> N is fixed by its values n_i = f(g_i) on the generators of
+    a free cover R^v -> M, and (n_1..n_v) in N^v gives a map exactly when
+    sum_i z_i n_i = 0 for every syzygy z; so the solution space has v * dim N
+    unknowns.  Each solution becomes its N.dim x M.dim matrix F, which
+    satisfies F B_i^M = B_i^N F for every generator action; x_i acts on F as
+    B_i^N F, which makes Hom an R-module again (rep).  The basis is canonical
+    (reduced echelon in the vectorized coordinates of F), so coordinates of a
+    given intertwiner are read off at pivot positions.
     """
 
     __slots__ = ("source", "target", "basis", "space", "rep")
@@ -94,29 +105,9 @@ class HomModule:
         return "HomModule(dim %d: %r -> %r)" % (self.dim, self.source, self.target)
 
 
-def _intertwiner_constraints(action_src, action_tgt, dM, dN):
-    """Rows of the linear system for F B^M = B^N F, unknowns vec(F)."""
-    field = action_src.field
-    zero = field.zero
-    rows = []
-    src = action_src.rows
-    tgt = action_tgt.rows
-    for a in range(dN):
-        ta = tgt[a]
-        for c in range(dM):
-            row = [zero] * (dN * dM)
-            base = a * dM
-            for b in range(dM):
-                x = src[b][c]
-                if x:
-                    row[base + b] = row[base + b] + x
-            for bp in range(dN):
-                y = ta[bp]
-                if y:
-                    idx = bp * dM + c
-                    row[idx] = row[idx] - y
-            rows.append(field.canonical(row))
-    return rows
+def _syzygy_actions(cover, module):
+    """For each syzygy z of the cover, the actions [z_1, ..., z_v] on module."""
+    return [[module.element_action(zi) for zi in z] for z in cover.syzygies]
 
 
 @lru_cache(maxsize=None)
@@ -126,21 +117,25 @@ def hom_module(source, target):
         raise AlgebraMismatch("hom between modules over different algebras")
     algebra = source.algebra
     field = algebra.field
-    dM, dN = source.dim, target.dim
-    nunk = dN * dM
-    space = Subspace.full(field, nunk)
-    # Intersect the kernels of the intertwining constraints one generator at
-    # a time; restricting to the running solution space keeps the
-    # eliminations small.
-    for a_src, a_tgt in zip(source.actions, target.actions):
-        if space.dim == 0:
-            break
-        rows = _intertwiner_constraints(a_src, a_tgt, dM, dN)
-        constraint = Matrix(field, rows, ncols=nunk)
-        restricted = constraint @ space.basis
-        inner = kernel(restricted)
-        vecs = [space.basis.apply(col) for col in inner.basis_columns()]
-        space = Subspace.from_vectors(field, nunk, vecs)
+    cover = source.free_cover()
+    v, dM, dN = len(cover.generators), source.dim, target.dim
+    rows = []
+    for blocks in _syzygy_actions(cover, target):
+        rows.extend(hstack(blocks).rows)
+    values = kernel(Matrix(field, rows, ncols=v * dN))
+    # f(m) = sum_i r_i n_i for m = sum_i r_i g_i, so each solution n gives
+    # F = C @ S with column (i, s) of C the vector b_s n_i.  The C of all
+    # solutions are stacked to share one product.
+    stacked = []
+    for n in values.basis_columns():
+        cols = [w for i in range(v) for w in target.orbit(n[i * dN : (i + 1) * dN])]
+        stacked.extend(zip(*cols))
+    images = Matrix(field, stacked, ncols=cover.section.nrows) @ cover.section
+    vecs = [
+        tuple(x for row in images.rows[t * dN : (t + 1) * dN] for x in row)
+        for t in range(values.dim)
+    ]
+    space = Subspace.from_vectors(field, dN * dM, vecs)
     basis = []
     for col in space.basis_columns():
         rows = [col[a * dM : (a + 1) * dM] for a in range(dN)]
@@ -342,7 +337,13 @@ def colon_to_hom(sub, ideal):
 
 @dataclass(frozen=True)
 class TensorProduct:
-    """M tensor_R N as a quotient of the Kronecker product space."""
+    """M tensor_R N as a quotient of N^v, v the generator count of M.
+
+    With M = R^v / K, M tensor N = N^v / (K tensor N): the relations are
+    spanned by (z_1 n, ..., z_v n) over the syzygies z of M's free cover and
+    the basis vectors n of N.  rep, proj, section and relations all use the
+    N^v coordinates, block i holding the coefficient of the generator g_i.
+    """
 
     rep: ModuleRep
     proj: Matrix
@@ -356,43 +357,31 @@ class TensorProduct:
 
 @lru_cache(maxsize=None)
 def tensor_product(left, right):
-    """M tensor_R N: Kronecker space modulo span{(x u) o v - u o (x v)}."""
+    """M tensor_R N: N^v modulo the syzygy relations of M's free cover."""
     if left.algebra is not right.algebra:
         raise AlgebraMismatch("tensor product over different algebras")
-    algebra = left.algebra
-    field = algebra.field
-    dm, dn = left.dim, right.dim
-    eye_m = Matrix.identity(field, dm)
-    eye_n = Matrix.identity(field, dn)
-    ambient_actions = [a.kron(eye_n) for a in left.actions]
-    ambient = ModuleRep(algebra, dm * dn, ambient_actions, label="kron")
+    field = left.algebra.field
+    cover = left.free_cover()
+    ambient = power_module(right, len(cover.generators))
     vecs = []
-    for a, b in zip(left.actions, right.actions):
-        diff = a.kron(eye_n) - eye_m.kron(b)
-        vecs.extend(diff.col(j) for j in range(diff.ncols))
-    relations = Submodule(ambient, Subspace.from_vectors(field, dm * dn, vecs), check=False)
+    for blocks in _syzygy_actions(cover, right):
+        vecs.extend(vstack(blocks).cols())
+    relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs), check=False)
     rep, proj, section = relations.quotient()
     rep.label = "%s(x)%s" % (left.label, right.label)
     return TensorProduct(rep, proj, section, relations)
 
 
-def _evaluation_on_kron(module, ideal, left_dim, lift=None):
-    """Matrix of (u o r) |-> r u on the full Kronecker space.
+def _evaluation(module, ideal, generators):
+    """Matrix of (n_1..n_v) |-> sum_i n_i g_i from I^v into M.
 
-    `lift` optionally maps left coordinates into M first (used when the left
-    factor is a quotient of M).  Kills the tensor relations exactly; checked
-    by the callers.
+    The g_i are the left factor's cover generators as vectors of M, and I^v
+    is in TensorProduct coordinates.  Kills the tensor relations exactly;
+    checked by the callers.
     """
     field = module.algebra.field
-    gens = ideal.carrier.basis_columns()
-    ops = [module.element_action(g) for g in gens]
-    cols = []
-    for b in range(left_dim):
-        e_b = [field.zero] * left_dim
-        e_b[b] = field.one
-        x = lift.apply(e_b) if lift is not None else tuple(e_b)
-        for op in ops:
-            cols.append(op.apply(x))
+    ops = [module.element_action(r) for r in ideal.carrier.basis_columns()]
+    cols = [op.apply(g) for g in generators for op in ops]
     return Matrix.from_cols(field, cols, nrows=module.dim)
 
 
@@ -413,7 +402,8 @@ def tensor_eval(module, ideal):
     quotient_rep, _, section = torsion.quotient()
     ideal_rep, _ = ideal.as_module()
     tp = tensor_product(quotient_rep, ideal_rep)
-    full = _evaluation_on_kron(module, ideal, quotient_rep.dim, lift=section)
+    lifts = [section.apply(g) for g in quotient_rep.free_cover().generators]
+    full = _evaluation(module, ideal, lifts)
     if not (full @ tp.relations.carrier.basis).is_zero():
         raise InternalCheckError("tensor evaluation does not kill the tensor relations")
     matrix = full @ tp.section
@@ -478,7 +468,7 @@ def tor1(module, ideal):
     _require_same_algebra(ideal, module)
     ideal_rep, _ = ideal.as_module()
     tp = tensor_product(module, ideal_rep)
-    full = _evaluation_on_kron(module, ideal, module.dim)
+    full = _evaluation(module, ideal, module.free_cover().generators)
     if not (full @ tp.relations.carrier.basis).is_zero():
         raise InternalCheckError("tensor evaluation does not kill the tensor relations")
     evaluation = full @ tp.section
@@ -515,18 +505,12 @@ def embed_into_injective(module):
     checked as an injectivity sample.
     """
     algebra = module.algebra
-    field = algebra.field
     dual = matlis_dual(module).rep
-    n, gens = minimal_generators(dual)
-    free = free_module(algebra, n)
-    cols = []
-    for i in range(n):
-        for s in range(algebra.dim):
-            cols.append(dual.monomial_operator(s).apply(gens[i]))
-    cover = Matrix.from_cols(field, cols, nrows=dual.dim)
-    injective_rep = matlis_dual(free).rep
+    cover = dual.free_cover()
+    n = len(cover.generators)
+    injective_rep = matlis_dual(free_module(algebra, n)).rep
     injective_rep.label = "E^%d" % n
-    inclusion = cover.transpose()
+    inclusion = cover.matrix.transpose()
     if rank(inclusion) != module.dim:
         raise InternalCheckError("dualized free cover is not injective on M")
     for bm, bx in zip(module.actions, injective_rep.actions):

@@ -5,6 +5,7 @@ budgets are asserted where the criterion names one.  Run with `pytest -s
 tests/test_acceptance.py` to see the status lines.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -361,3 +362,6 @@ def test_verify_is_deterministic(capsys):
     out2 = capsys.readouterr().out
     ok = code1 == 0 and code2 == 0 and out1 == out2 and len(out1) > 0
     _report("verify_byte_identical", ok, t0)
+    # The canonical report at the default seed is pinned byte for byte.
+    digest = hashlib.sha256(out1.encode("utf-8")).hexdigest()
+    assert digest == "5c63178d833783eaab84173f0dfb853b1c1ba6bcdd7f029543dcda1bcfd887d4"

@@ -1,6 +1,9 @@
 """Algebra construction and elementary module operations."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracelab.artin import (
     PolynomialPresentation,
@@ -30,7 +33,8 @@ from tracelab.errors import (
     ParseError,
     ResidueFieldError,
 )
-from tracelab.linalg import GF, QQ
+from tracelab.linalg import GF, QQ, Matrix
+from tracelab.verifier import _built, default_catalog, module_pool
 
 
 def algebra(field, variables, relations):
@@ -247,6 +251,70 @@ def test_minimal_generators(fat_point):
     assert minimal_generators(R)[0] == 1
     zero = module_from_presentation(fat_point, [["1"]])
     assert minimal_generators(zero)[0] == 0
+
+
+def catalog_module_pools():
+    """(algebra, module) over every module of the catalog's suite pools."""
+    catalog = default_catalog()
+    for spec in catalog.algebras:
+        algebra = _built(spec)
+        for tag in ("s1", "s3"):
+            for module, _ in module_pool(algebra, catalog, tag):
+                yield algebra, module
+
+
+def test_minimal_generators_match_the_ideal_times_module_route():
+    # The lifts used to be the standard vectors off the pivots of m*M
+    # computed as an ideal product; the column span of the variable actions
+    # must give the same ones.
+    count = 0
+    for algebra, module in catalog_module_pools():
+        pivots = set(ideal_times_module(algebra.max_ideal(), module).carrier.pivots)
+        field = algebra.field
+        expected = [
+            tuple(field.one if i == q else field.zero for i in range(module.dim))
+            for q in range(module.dim)
+            if q not in pivots
+        ]
+        assert minimal_generators(module) == (len(expected), expected)
+        count += 1
+    assert count > 100
+
+
+@lru_cache(maxsize=None)
+def _action_case(field_name, index):
+    field = {"F2": GF(2), "F3": GF(3), "Q": QQ}[field_name]
+    R = algebra(field, ["x", "y"], ["x^3", "x*y^2", "y^3 - x^2*y"] if index else ["x^2", "y^2"])
+    return [regular_module(R), module_from_presentation(R, [["x", "y^2"], ["y", "0"]])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field_name=st.sampled_from(["F2", "F3", "Q"]),
+    index=st.integers(0, 1),
+    which=st.integers(0, 1),
+    data=st.data(),
+)
+def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, which, data):
+    module = _action_case(field_name, index)[which]
+    field = module.algebra.field
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=module.algebra.dim, max_size=module.algebra.dim))
+    r = tuple(field.from_int(c) for c in coeffs)
+    expected = Matrix.zeros(field, module.dim, module.dim)
+    for s, c in enumerate(r):
+        expected = expected + module.monomial_operator(s).scale(c)
+    assert module.element_action(r) == expected
+
+
+def test_huge_exponent_stops_at_zero(fat_point):
+    # x^e is zero for every e >= 2, so the loop must not run e times.
+    assert fat_point.parse_element("x^3000000000") == (0, 0, 0)
+    assert fat_point.parse_element("2*x^1 + y^0") == fat_point.parse_element("1 + 2*x")
+    assert parse_poly("x^4*y^0", ["x", "y"]) == {(4, 0): 1}
+    assert parse_poly("0^0 + 3^2", ["x"]) == {(0,): 10}
+    # A relation with a huge exponent is certified by evaluating it, which
+    # must stop once the power is zero.
+    assert algebra(QQ, ["x", "y"], ["x^2", "y^2", "x^3000000000"]).dim == 4
 
 
 def test_essential_and_small(fat_point):

@@ -1,6 +1,7 @@
 """Command line: report shape, canonical JSON, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -142,6 +143,18 @@ def test_semigroup_good(capsys):
     result = run_json(capsys, "semigroup-good", "--gens", "3,4", "--ideal", "-3")["result"]
     assert result["good"]["value"] is False
     assert result["trace"] == {"below_conductor": [0, 3, 4], "conductor": 6}
+
+
+def test_huge_ideal_exponent_is_bounded(capsys, tmp_path):
+    # x^3 = 0 in k[x,y]/(x^3, y^3); a huge exponent must give the same ideal
+    # without multiplying billions of times.
+    ring = tmp_path / "cube.ring"
+    ring.write_text("[algebra]\nfield = F2\nvariables = x, y\nrelations = x^3, y^3\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    huge = run_json(capsys, "trace", "--ring", str(ring), "--ideal", "x^3000000000")
+    assert time.perf_counter() - t0 < 5.0
+    small = run_json(capsys, "trace", "--ring", str(ring), "--ideal", "x^3")
+    assert huge["result"] == small["result"]
 
 
 def test_reports_are_byte_stable(capsys, fat_ring):

@@ -1,8 +1,9 @@
 """Trace, cotrace, duality, Ext1/Tor1: frozen examples and brute-force oracles.
 
 The brute-force oracles enumerate *all* linear maps over F_2 and filter the
-module homomorphisms by definition, fully independent of the intertwiner
-solver they check.
+module homomorphisms by definition, fully independent of the free-cover
+solver they check.  The differential tests compare Hom and tensor products
+against the dim M * dim N intertwiner system and Kronecker quotient.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from tracelab.artin import (
     free_module,
     ideal_from_elements,
     ideal_times_module,
+    minimal_generators,
     module_from_presentation,
     regular_module,
     socle,
@@ -44,7 +46,8 @@ from tracelab.homological import (
     trace,
     trace_via_colon,
 )
-from tracelab.linalg import GF, QQ, Matrix, Subspace
+from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, kron
+from tracelab.verifier import _built, default_catalog, module_pool
 
 
 def algebra(field, variables, relations):
@@ -512,3 +515,123 @@ def test_colon_to_hom_kernel_formula_on_dual_numbers(qf_ring):
     alpha = colon_to_hom(ix, ix)  # Y = (x) inside X = R
     assert not alpha.injective  # (R :_R (x))[x] = (x) != 0
     assert alpha.domain.dim == 2  # (x) : (x) = R since x*m = 0
+
+
+# -- differential tests: free cover against the dim M * dim N routes ------------------
+
+
+def _intertwiner_constraints(action_src, action_tgt, dM, dN):
+    """Rows of the linear system for F B^M = B^N F, unknowns vec(F)."""
+    field = action_src.field
+    zero = field.zero
+    rows = []
+    src = action_src.rows
+    tgt = action_tgt.rows
+    for a in range(dN):
+        ta = tgt[a]
+        for c in range(dM):
+            row = [zero] * (dN * dM)
+            base = a * dM
+            for b in range(dM):
+                x = src[b][c]
+                if x:
+                    row[base + b] = row[base + b] + x
+            for bp in range(dN):
+                y = ta[bp]
+                if y:
+                    idx = bp * dM + c
+                    row[idx] = row[idx] - y
+            rows.append(field.canonical(row))
+    return rows
+
+
+def intertwiner_space(source, target):
+    """Hom(source, target) as the kernel of the full intertwiner system."""
+    field = source.algebra.field
+    rows = []
+    for a_src, a_tgt in zip(source.actions, target.actions):
+        rows.extend(_intertwiner_constraints(a_src, a_tgt, source.dim, target.dim))
+    return kernel(Matrix(field, rows, ncols=source.dim * target.dim))
+
+
+def kronecker_tensor_dim(left, right):
+    """dim of the Kronecker space modulo span{(x u) o v - u o (x v)}."""
+    field = left.algebra.field
+    eye_m = Matrix.identity(field, left.dim)
+    eye_n = Matrix.identity(field, right.dim)
+    vecs = []
+    for a, b in zip(left.actions, right.actions):
+        vecs.extend((kron(a, eye_n) - kron(eye_m, b)).cols())
+    return left.dim * right.dim - Subspace.from_vectors(field, left.dim * right.dim, vecs).dim
+
+
+def differential_pools():
+    """(algebra, modules) per catalog algebra: the s1 module pool, two more
+    cokernel modules and three ideals as modules, the zero ideal among them."""
+    catalog = default_catalog()
+    for spec in catalog.algebras:
+        algebra = _built(spec)
+        modules = [m for m, _ in module_pool(algebra, catalog, "s1")]
+        modules.append(module_from_presentation(algebra, [["0"]]))
+        if algebra.dim > 1:
+            x = algebra.variables[0]
+            modules.append(module_from_presentation(algebra, [[x, "0"], [algebra.variables[-1], x]]))
+        for gens in ([], list(algebra.variables[:1]), list(algebra.variables)):
+            modules.append(ideal_from_elements(algebra, gens).as_module()[0])
+        yield algebra, modules
+
+
+def test_free_cover_is_exact():
+    zero_modules = 0
+    for algebra, modules in differential_pools():
+        field = algebra.field
+        for M in modules:
+            cover = M.free_cover()
+            assert M.free_cover() is cover
+            v = len(cover.generators)
+            assert v == minimal_generators(M)[0]
+            assert cover.matrix.nrows == M.dim and cover.matrix.ncols == v * algebra.dim
+            assert cover.matrix @ cover.section == Matrix.identity(field, M.dim)
+            for z in cover.syzygies:
+                assert len(z) == v
+                flat = tuple(x for zi in z for x in zi)
+                assert not any(cover.matrix.apply(flat))
+            if M.dim == 0:
+                assert v == 0 and cover.syzygies == ()
+                zero_modules += 1
+    assert zero_modules >= 19
+
+
+def test_hom_space_equals_intertwiner_kernel():
+    fields = set()
+    for algebra, modules in differential_pools():
+        fields.add(algebra.field.name)
+        for M in modules:
+            for N in modules:
+                assert hom_module(M, N).space == intertwiner_space(M, N)
+    assert fields == {"F2", "F3", "Q"}
+
+
+def test_tensor_dim_equals_kronecker_quotient():
+    for algebra, modules in differential_pools():
+        for M in modules:
+            for N in modules:
+                assert tensor_product(M, N).dim == kronecker_tensor_dim(M, N)
+
+
+def test_zero_module_and_zero_ideal_edge_cases(fat_point_f2, qf_ring):
+    for R in (fat_point_f2, qf_ring):
+        reg = regular_module(R)
+        zero = module_from_presentation(R, [["1"]])
+        zero_ideal = ideal_from_elements(R, [])
+        zero_ideal_rep = zero_ideal.as_module()[0]
+        for M in (zero, zero_ideal_rep):
+            assert M.dim == 0
+            assert hom_module(M, reg).dim == 0 and hom_module(reg, M).dim == 0
+            assert tensor_product(M, reg).dim == 0 and tensor_product(reg, M).dim == 0
+        assert tor1(reg, zero_ideal).dim == 0
+        assert tor1(zero, R.max_ideal()).dim == 0
+        assert ext1(zero_ideal, reg).dim == 0
+        assert ext1(R.max_ideal(), zero).dim == 0
+        assert tensor_eval(zero, R.max_ideal()).injective
+        assert trace(zero_ideal, reg).dim == 0 and cotrace(zero_ideal, zero).dim == 0
