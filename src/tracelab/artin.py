@@ -17,6 +17,7 @@ operations are pure.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
 
@@ -34,6 +35,7 @@ from .errors import (
 from .linalg import FIELDS, Matrix, Subspace, _row_reduce, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
+MAX_LITERAL_DIGITS = 1000  # per integer literal, and per numeric power over Q
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -44,7 +46,8 @@ ENUMERATION_CAP = 10 ** 6
 #   term   := factor ('*' factor)*
 #   factor := atom ('^' uint)?
 #   atom   := uint | variable
-# Coefficients are integers; signs come from the leading/binary minus.
+# Coefficients are integers; signs come from the leading/binary minus.  A
+# numeric power c^k is read as pow(c, k, p) in characteristic p.
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
 
@@ -89,8 +92,8 @@ def poly_degree(a):
     return max((sum(e) for e in a), default=0)
 
 
-def parse_poly(text, variables):
-    """Parse the presentation grammar into {exponent tuple: int coeff}."""
+def parse_poly(text, variables, char=0):
+    """Parse the grammar into {exponent tuple: int coeff} in characteristic char."""
     variables = list(variables)
     n = len(variables)
     var_index = {v: i for i, v in enumerate(variables)}
@@ -110,12 +113,18 @@ def parse_poly(text, variables):
 
     one = (0,) * n
 
+    def uint(t):
+        if len(t) > MAX_LITERAL_DIGITS:
+            raise ParseError("literal in %r has over %d digits" % (text[:40], MAX_LITERAL_DIGITS))
+        return int(t)
+
     def parse_atom():
         t = take()
         if t is None:
             raise ParseError("unexpected end of polynomial in %r" % text)
         if t.isdigit():
-            return {one: int(t)} if int(t) else {}
+            c = uint(t)
+            return {one: c} if c else {}
         if t in var_index:
             e = [0] * n
             e[var_index[t]] = 1
@@ -131,12 +140,18 @@ def parse_poly(text, variables):
             t = take()
             if t is None or not t.isdigit():
                 raise ParseError("exponent must be a nonnegative integer in %r" % text)
-            k = int(t)
+            k = uint(t)
             if not base:
                 return {} if k else {one: 1}
             # An atom is a single term, so its power is one term too.
             ((exp, coeff),) = base.items()
-            return {tuple(k * x for x in exp): coeff ** k}
+            if char:
+                coeff = pow(coeff, k, char)
+            elif coeff < 2 or k * math.log10(coeff) <= MAX_LITERAL_DIGITS:
+                coeff **= k
+            else:
+                raise ParseError("power in %r has over %d digits" % (text[:40], MAX_LITERAL_DIGITS))
+            return {tuple(k * x for x in exp): coeff} if coeff else {}
         return base
 
     def parse_term():
@@ -316,7 +331,7 @@ class ArtinAlgebra:
         return tuple(self.field.canonical(acc))
 
     def parse_element(self, text):
-        return self.element_from_poly(parse_poly(text, self.variables))
+        return self.element_from_poly(parse_poly(text, self.variables, self.field.char))
 
     def element_label(self, vec):
         """Readable form of a coordinate vector, e.g. "1 + 2*x"."""
@@ -356,7 +371,7 @@ def build_algebra(presentation):
     field = presentation.field
     variables = presentation.variables
     nvars = len(variables)
-    relations = [parse_poly(r, variables) for r in presentation.relations]
+    relations = [parse_poly(r, variables, field.char) for r in presentation.relations]
     one_exp = (0,) * nvars
     for raw, rel in zip(presentation.relations, relations):
         if rel.get(one_exp):
@@ -523,7 +538,7 @@ class ModuleRep:
                 if self.actions[i] @ self.actions[j] != self.actions[j] @ self.actions[i]:
                     raise InternalCheckError("module actions do not commute")
         for raw in self.algebra.presentation.relations:
-            rel = parse_poly(raw, self.algebra.variables)
+            rel = parse_poly(raw, self.algebra.variables, self.algebra.field.char)
             if not _evaluate_poly_at(self.algebra.field, rel, self.actions, self.dim).is_zero():
                 raise InternalCheckError("algebra relation %r does not vanish on module" % raw)
 

@@ -2,10 +2,11 @@
 
 A 1-dimensional monomial CM ring k[[t^S]] is modeled by its value semigroup
 S; a monomial fractional ideal by the set of exponents it contains.  A value
-set is stored as a finite sorted head plus a conductor c with [c, oo)
-implied, which makes every operation (sums, colons, inverses) exact and
-total: all loops run to bounds derived from the conductors, never to
-heuristic cutoffs.
+set is its least element, an int bitmask of its members below the conductor
+c, and c with [c, oo) implied: sums are ORs of shifted masks, colons ANDs,
+counts popcounts, all exact to bounds derived from the conductors.  A
+semigroup is sieved once into its value set and memoises m, m^2, ...;
+conductors above MAX_CONDUCTOR and windows above MAX_POWER are refused.
 
 The trace of an ideal I in R is I * I^{-1}; an ideal is good exactly when it
 equals its own trace, equivalently when (I : I) = I^{-1}.  The stable value
@@ -17,10 +18,14 @@ element of degree 1, so this union agrees with the classical definition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import EmptyGenerators, IdealNotIntegral, InternalCheckError, InvalidArgument, NotCoFinite
+
+MAX_CONDUCTOR = 4096  # <61,67> (conductor 3,960) reports in well under a second
+MAX_POWER = 1024  # the largest report window n_max
 
 
 class NumericalSemigroup:
@@ -33,7 +38,8 @@ class NumericalSemigroup:
         "conductor",
         "gaps",
         "members_below_conductor",
-        "_member_set",
+        "_values",
+        "_powers",
     )
 
     def __init__(self, generators):
@@ -45,54 +51,30 @@ class NumericalSemigroup:
         if math.gcd(*gens) != 1:
             raise NotCoFinite("generators %r have gcd > 1; the complement is infinite" % (gens,))
         self.generators = tuple(gens)
-        self.multiplicity = gens[0]
-        reachable = self._sieve(gens)
-        self.conductor = reachable
-        members = []
-        gaps = []
-        seen = self._member_set
-        for n in range(self.conductor):
-            (members if n in seen else gaps).append(n)
-        self.members_below_conductor = tuple(members)
-        self.gaps = tuple(gaps)
-        self.frobenius = self.gaps[-1] if self.gaps else -1
-
-    def _sieve(self, gens):
-        """Smallest c with [c, oo) in S, by sieving with a doubling bound.
-
-        A run of `multiplicity` consecutive members certifies the tail, so
-        the loop always terminates for gcd 1.
-        """
-        e = gens[0]
-        bound = 4 * gens[-1]
-        while True:
-            hit = [False] * (bound + 1)
-            hit[0] = True
-            for n in range(1, bound + 1):
-                for g in gens:
-                    if g <= n and hit[n - g]:
-                        hit[n] = True
-                        break
-            run = 0
-            start = None
-            for n in range(bound + 1):
-                run = run + 1 if hit[n] else 0
-                if run >= e:
-                    start = n - e + 1
-                    break
-            if start is not None:
-                full = [False] * (start + e)
-                for n in range(start + e):
-                    full[n] = hit[n]
-                conductor = start
-                while conductor > 0 and full[conductor - 1]:
-                    conductor -= 1
-                self._member_set = frozenset(n for n in range(conductor) if full[n])
-                return conductor
-            bound *= 2
-
-    def contains(self, n):
-        return n >= self.conductor or n in self._member_set
+        self.multiplicity = e = gens[0]
+        # Sieve [0, top) by closing the bitmask {0} under each generator.  As
+        # 1..e-1 are gaps, a conductor within the ceiling has e <= it and a
+        # run of e members above it, which certifies the tail.
+        top = MAX_CONDUCTOR + min(e, MAX_CONDUCTOR + 1)
+        full = (1 << top) - 1
+        bits = 1
+        for g in gens:
+            step = g
+            while step < top:  # k rounds close under 0, g, ..., (2^k - 1)*g
+                bits = (bits | bits << step) & full
+                step *= 2
+        self.conductor = (bits ^ full).bit_length()
+        if self.conductor > MAX_CONDUCTOR:
+            raise InvalidArgument(
+                "generators %r leave the gap %d, past MAX_CONDUCTOR = %d"
+                % (gens, self.conductor - 1, MAX_CONDUCTOR)
+            )
+        self._values = _normal(0, bits, self.conductor)
+        self.frobenius = self.conductor - 1
+        self.members_below_conductor = self._values.members
+        self.gaps = tuple(_set_bits(~self._values.mask & ((1 << self.conductor) - 1)))
+        # m, m^2, ... of the maximal ideal, extended on demand by power_m.
+        self._powers = [_normal(0, self._values.mask & ~1, max(self.conductor, 1))]
 
     @property
     def embedding_dimension(self):
@@ -100,15 +82,15 @@ class NumericalSemigroup:
 
     def value_set(self):
         """S itself as a ValueSet."""
-        return ValueSet(self.conductor, self.members_below_conductor)
+        return self._values
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self.value_set() == other.value_set()
+        return self._values == other._values
 
     def __hash__(self):
-        return hash(self.value_set())
+        return hash(self._values)
 
     def __repr__(self):
         return "NumericalSemigroup<%s>" % (",".join(str(g) for g in self.generators))
@@ -119,31 +101,69 @@ def make(generators):
     return NumericalSemigroup(generators)
 
 
+def _normal(base, mask, conductor):
+    """The ValueSet of base + i (bit i of mask) below conductor, with the top
+    run of ones moved into the tail and the trailing zeros into base."""
+    width = conductor - base
+    if width > 0:
+        full = (1 << width) - 1
+        top = ((mask & full) ^ full).bit_length()  # just above the highest gap
+        conductor = base + top
+        mask &= (1 << top) - 1
+    else:
+        mask = 0
+    if mask:
+        low = (mask & -mask).bit_length() - 1
+        base += low
+        mask >>= low
+    else:
+        base = conductor
+    vs = object.__new__(ValueSet)
+    vs.base, vs.mask, vs.conductor = base, mask, conductor
+    return vs
+
+
+def _set_bits(mask):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
 class ValueSet:
     """A subset of the integers of the form (finite head) + [conductor, oo).
 
-    Normalized so the conductor is minimal; equality of ValueSet values is
-    equality of the sets they denote.
+    The head is `mask`, whose bit i means base + i is a member, with `base`
+    the least element (the conductor when the head is empty).  Normalized so
+    the conductor is minimal; equal ValueSets denote equal sets.
     """
 
-    __slots__ = ("conductor", "members", "_head")
+    __slots__ = ("base", "mask", "conductor")
 
-    def __init__(self, conductor, members):
+    def __new__(cls, conductor, members):
         c = int(conductor)
-        # Members at or above the conductor are implied by the tail.
-        mset = set(int(m) for m in members if m < c)
-        while c - 1 in mset:
-            mset.discard(c - 1)
-            c -= 1
-        self.conductor = c
-        self.members = tuple(sorted(mset))
-        self._head = frozenset(mset)
+        head = [int(m) for m in members if m < c]
+        base = min(head, default=c)
+        return _normal(base, sum(1 << (m - base) for m in set(head)), c)
+
+    @property
+    def members(self):
+        """The members below the conductor, ascending."""
+        return tuple(self.base + i for i in _set_bits(self.mask))
+
+    def bits(self, lo, hi):
+        """The members in [lo, hi) as a bitmask, bit i meaning lo + i."""
+        if hi <= lo:
+            return 0
+        shift = min(self.base, hi) - lo
+        head = self.mask << shift if shift >= 0 else self.mask >> -shift
+        start = min(max(self.conductor, lo), hi)
+        tail = ((1 << (hi - start)) - 1) << (start - lo)
+        return (head | tail) & ((1 << (hi - lo)) - 1)
 
     def contains(self, z):
-        return z >= self.conductor or z in self._head
+        return z >= self.conductor or (z >= self.base and self.mask >> (z - self.base) & 1 == 1)
 
     def min(self):
-        return self.members[0] if self.members else self.conductor
+        return self.base
 
     def elements_below(self, bound):
         """All elements < bound, exactly."""
@@ -152,22 +172,22 @@ class ValueSet:
         return out
 
     def shift(self, z):
-        return ValueSet(self.conductor + z, [m + z for m in self.members])
+        return _normal(self.base + z, self.mask, self.conductor + z)
 
     def union(self, other):
-        bound = min(self.conductor, other.conductor)
-        return ValueSet(bound, set(self.elements_below(bound)) | set(other.elements_below(bound)))
+        lo = min(self.base, other.base)
+        hi = min(self.conductor, other.conductor)
+        return _normal(lo, self.bits(lo, hi) | other.bits(lo, hi), hi)
 
     def intersect(self, other):
-        bound = max(self.conductor, other.conductor)
-        return ValueSet(
-            bound, set(self.elements_below(bound)) & set(other.elements_below(bound))
-        )
+        lo = max(self.base, other.base)
+        hi = max(self.conductor, other.conductor)
+        return _normal(lo, self.bits(lo, hi) & other.bits(lo, hi), hi)
 
     def is_subset_of(self, other):
         if self.conductor < other.conductor:
             return False
-        return all(other.contains(m) for m in self.members)
+        return self.mask & ~other.bits(self.base, self.base + self.mask.bit_length()) == 0
 
     def to_json(self):
         return {"below_conductor": list(self.members), "conductor": self.conductor}
@@ -175,10 +195,10 @@ class ValueSet:
     def __eq__(self, other):
         if not isinstance(other, ValueSet):
             return NotImplemented
-        return self.conductor == other.conductor and self.members == other.members
+        return (self.base, self.mask, self.conductor) == (other.base, other.mask, other.conductor)
 
     def __hash__(self):
-        return hash((self.conductor, self.members))
+        return hash((self.base, self.mask, self.conductor))
 
     def __repr__(self):
         head = ",".join(str(m) for m in self.members)
@@ -191,55 +211,56 @@ def ideal(generators, sgroup):
     if not gens:
         raise EmptyGenerators("an ideal needs at least one generator")
     svs = sgroup.value_set()
-    bound = min(gens) + svs.conductor
-    members = set()
-    for v in gens:
-        members.update(v + s for s in svs.elements_below(bound - v))
-    return ValueSet(bound, members)
+    return functools.reduce(ValueSet.union, [svs.shift(v) for v in gens])
 
 
 def maximal_ideal(sgroup):
     """The maximal ideal: the nonzero members of S."""
-    svs = sgroup.value_set()
-    if svs.conductor == 0:  # S = N; the maximal ideal starts at 1
-        return ValueSet(1, [])
-    return ValueSet(svs.conductor, [m for m in svs.members if m > 0])
+    return sgroup._powers[0]
 
 
 def sumset(e, f):
-    """The ideal product: all pairwise sums, normalized exactly."""
-    bound = e.conductor + f.conductor
-    es = e.elements_below(bound - f.min() + 1)
-    fs = f.elements_below(bound - e.min() + 1)
-    members = set()
-    for x in es:
-        for y in fs:
-            if x + y <= bound:
-                members.add(x + y)
-    members.discard(bound)
-    return ValueSet(bound, members)
+    """The ideal product: all pairwise sums, normalized exactly.
+
+    Each tail plus the other's least element gives [bound, oo); below it only
+    head + head sums remain, an OR of shifts of one head mask.
+    """
+    if e.mask.bit_count() > f.mask.bit_count():
+        e, f = f, e
+    acc = 0
+    for i in _set_bits(e.mask):
+        acc |= f.mask << i
+    bound = min(e.conductor + f.base, f.conductor + e.base)
+    return _normal(e.base + f.base, acc, bound)
 
 
 def power_m(sgroup, n):
-    """The n-th power of the maximal ideal, n >= 1."""
+    """The n-th power of the maximal ideal, n >= 1, memoised on sgroup."""
     if n < 1:
         raise InvalidArgument("powers start at 1")
-    m = maximal_ideal(sgroup)
-    acc = m
-    for _ in range(n - 1):
-        acc = sumset(acc, m)
-    return acc
+    powers = sgroup._powers
+    while len(powers) < n:
+        powers.append(sumset(powers[-1], powers[0]))
+    return powers[n - 1]
 
 
 def colon(e, f):
-    """(E : F) = {z : z + F is contained in E}; exact via conductor bounds."""
-    lo = e.min() - f.min()
-    hi = e.conductor - f.min()
-    members = set()
-    for z in range(lo, hi):
-        if all(e.contains(z + y) for y in f.elements_below(e.conductor - z)):
-            members.add(z)
-    return ValueSet(hi, members)
+    """(E : F) = {z : z + F is contained in E}; exact via conductor bounds.
+
+    Every z >= hi qualifies and no z < lo does; in between, z does when bit
+    z - lo of E >> (y - f.base) is set for every y in F, an AND of shifts
+    of E's mask with its tail ones extended.
+    """
+    lo = e.base - f.base
+    hi = e.conductor - f.base
+    width = hi - lo
+    e_bits = e.bits(e.base, e.base + 2 * width)
+    acc = (1 << width) - 1
+    for d in _set_bits(f.bits(f.base, f.base + width)):
+        acc &= e_bits >> d
+        if not acc:
+            break
+    return _normal(lo, acc, hi)
 
 
 def inverse(e, sgroup):
@@ -273,7 +294,7 @@ def self_colon_eq_inverse(e, sgroup):
 def v_count(e, sgroup):
     """Minimal number of generators: |E \\ (m + E)|."""
     me = sumset(maximal_ideal(sgroup), e)
-    return sum(1 for x in e.elements_below(me.conductor) if not me.contains(x))
+    return (e.bits(e.base, me.conductor) & ~me.bits(e.base, me.conductor)).bit_count()
 
 
 def nu_index(sgroup):
@@ -333,7 +354,7 @@ def ext1_dim(e, sgroup):
     if not e.is_subset_of(svs):
         raise IdealNotIntegral("the ideal must be contained in the semigroup")
     inv = inverse(e, sgroup)
-    return sum(1 for z in inv.elements_below(svs.conductor) if not svs.contains(z))
+    return (inv.bits(inv.base, svs.conductor) & ~svs.bits(inv.base, svs.conductor)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -373,12 +394,15 @@ def matlis_report(sgroup, n_max=None):
     nu <= n <= n_max; when the maximal ideal needs exactly two generators it
     additionally checks nu = e - 1 and that the inverse is m^(e-1).
     """
+    if n_max is not None and n_max > MAX_POWER:
+        raise InvalidArgument("n_max %d exceeds the ceiling MAX_POWER = %d" % (n_max, MAX_POWER))
     nu = nu_index(sgroup)
     if n_max is None:
         n_max = nu + 4
     if n_max < nu + 3:
         raise InvalidArgument("n_max must be at least nu + 3 = %d" % (nu + 3))
-    lam_inv = first_neighborhood_inverse(sgroup)
+    lam = first_neighborhood(sgroup)
+    lam_inv = colon(sgroup.value_set(), lam)
     rows = []
     ok = True
     for n in range(1, n_max + 1):
@@ -398,7 +422,7 @@ def matlis_report(sgroup, n_max=None):
         embedding_dimension=emb,
         nu=nu,
         rows=tuple(rows),
-        neighborhood=first_neighborhood(sgroup),
+        neighborhood=lam,
         neighborhood_inverse=lam_inv,
         stable_trace_ok=ok,
         two_generated_clause=clause,

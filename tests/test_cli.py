@@ -1,5 +1,6 @@
 """Command line: report shape, canonical JSON, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -157,6 +158,30 @@ def test_huge_ideal_exponent_is_bounded(capsys, tmp_path):
     assert huge["result"] == small["result"]
 
 
+def test_numeric_power_reduces_mod_p(capsys, dual_ring):
+    t0 = time.perf_counter()
+    huge = run_json(capsys, "trace", "--ring", dual_ring, "--ideal", "3^3000000000")
+    assert time.perf_counter() - t0 < 5.0
+    unit = run_json(capsys, "trace", "--ring", dual_ring, "--ideal", "1")
+    assert huge["result"] == unit["result"]
+
+
+@pytest.mark.parametrize(
+    "ring, ideal",
+    [
+        ("fat_ring", "3^3000000000*x"),  # over Q the exact power is refused
+        ("dual_ring", "7" * 5000 + "*x"),
+        ("fat_ring", "x^" + "7" * 5000),
+    ],
+)
+def test_oversized_numbers_exit_2(capsys, request, ring, ideal):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "trace", "--ring", request.getfixturevalue(ring), "--ideal", ideal)
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_reports_are_byte_stable(capsys, fat_ring):
     _, out1, _ = run_cli(capsys, "trace", "--ring", fat_ring, "--ideal", "x")
     _, out2, _ = run_cli(capsys, "trace", "--ring", fat_ring, "--ideal", "x")
@@ -201,6 +226,43 @@ def test_semigroup_report_small_window_exits_2(capsys):
     code, out, err = run_cli(capsys, "semigroup-report", "--gens", "3,4", "--max-power", "2")
     assert (code, out) == (2, "")
     assert "nu + 3" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--gens", "101,103"],  # conductor 10,200
+        ["--gens", "10000,10001"],  # multiplicity above the conductor ceiling
+        ["--gens", "3,4", "--max-power", "100000"],
+    ],
+)
+def test_semigroup_ceilings_exit_2(capsys, args):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "semigroup-report", *args)
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InvalidArgument"
+
+
+def test_semigroup_outputs_are_pinned(capsys):
+    # Reports at the default window and at --max-power 6, and goodness of
+    # two fixed ideals, over the catalog semigroups plus two larger ones;
+    # the window 6 is below nu + 3 for the last two, which exit 2.
+    digest = hashlib.sha256()
+    codes = []
+    for gens in ("1", "2,3", "2,5", "3,4", "3,5,7", "4,5,6,7", "5,6,9", "13,17", "17,23,29"):
+        runs = (
+            ["semigroup-report", "--gens", gens],
+            ["semigroup-report", "--gens", gens, "--max-power", "6"],
+            ["semigroup-good", "--gens", gens, "--ideal=-3,5"],
+            ["semigroup-good", "--gens", gens, "--ideal=0,7"],
+        )
+        for argv in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            codes.append(code)
+            digest.update(out.encode("utf-8") + b"\x00")
+    assert codes == [0] * 29 + [2] + [0] * 3 + [2, 0, 0]
+    assert digest.hexdigest() == "b4e0894f2149c6d10dc756ef7778d79765b6f06060633477af0bb64226b06e3d"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,21 @@
-"""Value-set arithmetic against hand computations and a raw-set oracle.
+"""Value-set arithmetic against hand computations and two oracles.
 
-The oracle works on plain clipped integer sets with generous bounds and
-recomputes sums, colons, and traces directly from their definitions; the
-ValueSet machinery must agree with it on a comparison window.
+The raw-set oracle works on plain clipped integer sets with generous bounds
+and recomputes sums, colons, and traces directly from their definitions; the
+ValueSet machinery must agree with it on a comparison window.  The set-based
+oracle is the (conductor, sorted head) representation with pairwise loops
+that the bitmask ValueSet replaced; the two must agree exactly.
 """
 
-import pytest
+import math
 
-from tracelab.errors import EmptyGenerators, IdealNotIntegral, NotCoFinite
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tracelab.errors import EmptyGenerators, IdealNotIntegral, InvalidArgument, NotCoFinite
 from tracelab.semigroup import (
+    MAX_CONDUCTOR,
+    MAX_POWER,
     ValueSet,
     colon,
     ext1_dim,
@@ -402,3 +409,133 @@ def test_ext1_dim_requires_integral_ideal():
     s = make([3, 4])
     with pytest.raises(IdealNotIntegral):
         ext1_dim(ideal([-1], s), s)
+
+
+# -- set-based oracle: the (conductor, sorted head) representation ---------------------
+#
+# A value set is a pair (conductor, head) with head a sorted tuple of the
+# members below the conductor, normalized so the conductor is minimal.
+
+
+def set_normal(conductor, members):
+    c = conductor
+    head = {m for m in members if m < c}
+    while c - 1 in head:
+        head.discard(c - 1)
+        c -= 1
+    return c, tuple(sorted(head))
+
+
+def set_contains(vs, z):
+    c, head = vs
+    return z >= c or z in head
+
+
+def set_min(vs):
+    c, head = vs
+    return head[0] if head else c
+
+
+def set_elements_below(vs, bound):
+    c, head = vs
+    return [m for m in head if m < bound] + list(range(c, max(bound, c)))
+
+
+def set_sumset(e, f):
+    bound = e[0] + f[0]
+    es = set_elements_below(e, bound - set_min(f) + 1)
+    fs = set_elements_below(f, bound - set_min(e) + 1)
+    members = {x + y for x in es for y in fs if x + y < bound}
+    return set_normal(bound, members)
+
+
+def set_colon(e, f):
+    lo = set_min(e) - set_min(f)
+    hi = e[0] - set_min(f)
+    members = set()
+    for z in range(lo, hi):
+        if all(set_contains(e, z + y) for y in set_elements_below(f, e[0] - z)):
+            members.add(z)
+    return set_normal(hi, members)
+
+
+def set_union(e, f):
+    bound = min(e[0], f[0])
+    return set_normal(bound, set(set_elements_below(e, bound)) | set(set_elements_below(f, bound)))
+
+
+def set_intersect(e, f):
+    bound = max(e[0], f[0])
+    return set_normal(bound, set(set_elements_below(e, bound)) & set(set_elements_below(f, bound)))
+
+
+def set_is_subset_of(e, f):
+    return e[0] >= f[0] and all(set_contains(f, m) for m in e[1])
+
+
+@st.composite
+def raw_value_sets(draw):
+    """(conductor, members) with negative members, empty heads, conductors
+    <= 0, members at or above the conductor, and conductors far above the
+    head (depth 150 with at most a dozen members)."""
+    conductor = draw(st.integers(-40, 40))
+    depth = draw(st.sampled_from([0, 3, 12, 40, 150]))
+    members = draw(st.lists(st.integers(conductor - depth, conductor + 4), max_size=12))
+    return conductor, members
+
+
+def as_pair(vs):
+    return vs.conductor, vs.members
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_value_sets(), raw_value_sets(), st.integers(-50, 50))
+def test_bitmask_value_sets_match_set_oracle(a, b, z):
+    e, f = ValueSet(*a), ValueSet(*b)
+    oe, of = set_normal(*a), set_normal(*b)
+    assert as_pair(e) == oe and as_pair(f) == of
+    assert e.to_json() == {"below_conductor": list(oe[1]), "conductor": oe[0]}
+    assert e.min() == set_min(oe)
+    assert ValueSet(e.conductor, e.members) == e and hash(ValueSet(*oe)) == hash(e)
+    assert as_pair(sumset(e, f)) == set_sumset(oe, of)
+    assert as_pair(colon(e, f)) == set_colon(oe, of)
+    assert as_pair(e.union(f)) == set_union(oe, of)
+    assert as_pair(e.intersect(f)) == set_intersect(oe, of)
+    assert e.is_subset_of(f) == set_is_subset_of(oe, of)
+    assert as_pair(e.shift(z)) == set_normal(oe[0] + z, [m + z for m in oe[1]])
+    assert e.elements_below(z) == set_elements_below(oe, z)
+    for y in range(min(set_min(oe), 0) - 3, oe[0] + 3):
+        assert e.contains(y) == set_contains(oe, y)
+    assert (e == f) == (oe == of)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 40), min_size=1, max_size=4).filter(lambda g: math.gcd(*g) == 1))
+def test_bitmask_sieve_matches_raw_oracle(gens):
+    s = make(gens)
+    raw = oracle_semigroup(gens)
+    assert set(s.gaps) & set(range(HI)) == set(range(HI)) - raw
+    assert s.conductor == max(s.gaps, default=-1) + 1 == s.frobenius + 1
+    assert all(s.value_set().contains(n) == (n in raw) for n in range(HI))
+
+
+def test_powers_are_memoised_and_extend():
+    s = make([5, 6, 9])
+    fourth = power_m(s, 4)
+    assert power_m(s, 2) is power_m(s, 2)
+    assert power_m(s, 4) is fourth
+    m = maximal_ideal(s)
+    acc = m
+    for n in range(2, 7):
+        acc = sumset(acc, m)
+        assert power_m(s, n) == acc
+
+
+def test_conductor_and_window_ceilings():
+    assert make([61, 67]).conductor == 3960 <= MAX_CONDUCTOR
+    for gens in ([101, 103], [2, 10 ** 12 + 1], [MAX_CONDUCTOR + 1, MAX_CONDUCTOR + 2]):
+        with pytest.raises(InvalidArgument):
+            make(gens)
+    assert make([1, 10 ** 12]).conductor == 0
+    with pytest.raises(InvalidArgument):
+        matlis_report(make([3, 4]), MAX_POWER + 1)
