@@ -16,10 +16,10 @@ operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from functools import lru_cache
 
 from .errors import (
     AlgebraMismatch,
@@ -36,6 +36,36 @@ from .linalg import FIELDS, Matrix, Subspace, _row_reduce, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
 MAX_LITERAL_DIGITS = 1000  # per integer literal, and per numeric power over Q
+_MISSING = object()
+
+
+def _memoised(owner):
+    """Memoise a function on its argument named `owner`.
+
+    Results live in the owner's lazily created `_memo` dict, keyed by the
+    function and all its arguments (keywords included), so a result is freed
+    with the object it describes.  Exceptions are not memoised.
+    """
+
+    def decorate(fn):
+        at = fn.__code__.co_varnames.index(owner)
+
+        @functools.wraps(fn)
+        def memoised(*args, **kwargs):
+            obj = args[at] if at < len(args) else kwargs[owner]
+            try:
+                memo = obj._memo
+            except AttributeError:
+                memo = obj._memo = {}
+            key = (fn, args, tuple(kwargs.items())) if kwargs else (fn, args)
+            result = memo.get(key, _MISSING)
+            if result is _MISSING:
+                result = memo[key] = fn(*args, **kwargs)
+            return result
+
+        return memoised
+
+    return decorate
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -208,13 +238,6 @@ class PolynomialPresentation:
         self.degree_cap = degree_cap
         self.dim_cap = dim_cap
 
-    def describe(self):
-        return {
-            "field": self.field.name,
-            "variables": list(self.variables),
-            "relations": list(self.relations),
-        }
-
 
 def _monomials_up_to(nvars, degree):
     """All exponent tuples of total degree <= degree, low degree first."""
@@ -265,8 +288,7 @@ class ArtinAlgebra:
         "nilpotency_index",
         "presentation",
         "monomial_steps",
-        "_regular",
-        "_max_ideal",
+        "_memo",
     )
 
     def __init__(self, field, variables, basis_exponents, actions, nilpotency_index, presentation):
@@ -291,8 +313,6 @@ class ArtinAlgebra:
             rest[var] -= 1
             steps.append((var, index[tuple(rest)]))
         self.monomial_steps = tuple(steps)
-        self._regular = None
-        self._max_ideal = None
 
     # The maximal ideal is the span of the non-unit basis monomials.
     def max_ideal_subspace(self):
@@ -303,17 +323,14 @@ class ArtinAlgebra:
             vecs.append(v)
         return Subspace.from_vectors(self.field, self.dim, vecs)
 
+    @_memoised("self")
     def regular_module(self):
-        if self._regular is None:
-            rep = ModuleRep(self, self.dim, self.actions, label="R", is_regular=True)
-            self._regular = rep
-        return self._regular
+        return ModuleRep(self, self.dim, self.actions, label="R", is_regular=True)
 
+    @_memoised("self")
     def max_ideal(self):
         """The maximal ideal as a Submodule of the regular module."""
-        if self._max_ideal is None:
-            self._max_ideal = Submodule(self.regular_module(), self.max_ideal_subspace())
-        return self._max_ideal
+        return Submodule(self.regular_module(), self.max_ideal_subspace())
 
     def element_from_poly(self, poly):
         """Coordinates of a polynomial's residue class."""
@@ -347,11 +364,6 @@ class ArtinAlgebra:
             else:
                 parts.append("%s*%s" % (cs, label))
         return " + ".join(parts) if parts else "0"
-
-    def describe(self):
-        d = self.presentation.describe()
-        d["dimension"] = self.dim
-        return d
 
     def __repr__(self):
         return "ArtinAlgebra(%s[%s], dim %d)" % (
@@ -512,21 +524,20 @@ def _nilpotency_index(field, actions, dim):
 class ModuleRep:
     """A finitely generated R-module as commuting action matrices.
 
-    Identity semantics (no __eq__): caches key off object identity, and two
-    ModuleReps are compared through their carriers or dimensions explicitly.
+    Identity semantics (no __eq__): two ModuleReps are compared through their
+    carriers or dimensions explicitly.  What is computed about a module (its
+    free cover, its trace for an ideal, Hom out of it, ...) is memoised in
+    its own `_memo` and freed with it.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_mono_ops", "_cover", "presentation")
+    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_memo")
 
-    def __init__(self, algebra, dim, actions, label="M", is_regular=False, presentation=None, check=False):
+    def __init__(self, algebra, dim, actions, label="M", is_regular=False, check=False):
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
         self.label = label
         self.is_regular = is_regular
-        self.presentation = presentation
-        self._mono_ops = None
-        self._cover = None
         if check:
             self.certify()
 
@@ -544,12 +555,14 @@ class ModuleRep:
 
     def monomial_operator(self, i):
         """Action of the i-th algebra basis monomial on this module."""
-        if self._mono_ops is None:
-            ops = [Matrix.identity(self.algebra.field, self.dim)]
-            for var, base in self.algebra.monomial_steps:
-                ops.append(self.actions[var] @ ops[base])
-            self._mono_ops = ops
-        return self._mono_ops[i]
+        return self._monomial_operators()[i]
+
+    @_memoised("self")
+    def _monomial_operators(self):
+        ops = [Matrix.identity(self.algebra.field, self.dim)]
+        for var, base in self.algebra.monomial_steps:
+            ops.append(self.actions[var] @ ops[base])
+        return ops
 
     def orbit(self, vec):
         """[b_s * vec for every algebra basis monomial b_s], in basis order.
@@ -564,7 +577,8 @@ class ModuleRep:
     def element_action(self, r_vec):
         """Action matrix of the ring element with coordinates r_vec."""
         field = self.algebra.field
-        terms = [(self.monomial_operator(i).rows, c) for i, c in enumerate(r_vec) if c]
+        ops = self._monomial_operators()
+        terms = [(ops[i].rows, c) for i, c in enumerate(r_vec) if c]
         rows = []
         for a in range(self.dim):
             acc = [field.zero] * self.dim
@@ -575,23 +589,16 @@ class ModuleRep:
             rows.append(field.canonical(acc))
         return Matrix(field, rows, ncols=self.dim)
 
+    @_memoised("self")
     def free_cover(self):
         """The module's FreeCover, built and certified on first use."""
-        if self._cover is None:
-            self._cover = FreeCover(self)
-        return self._cover
+        return FreeCover(self)
 
     def zero_submodule(self):
         return Submodule(self, Subspace.zero(self.algebra.field, self.dim))
 
     def full_submodule(self):
         return Submodule(self, Subspace.full(self.algebra.field, self.dim), check=False)
-
-    def describe(self):
-        d = {"label": self.label, "dimension": self.dim}
-        if self.presentation is not None:
-            d["presentation"] = self.presentation
-        return d
 
     def __repr__(self):
         return "ModuleRep(%s, dim %d over %r)" % (self.label, self.dim, self.algebra)
@@ -600,7 +607,7 @@ class ModuleRep:
 class Submodule:
     """An action-closed subspace of a ModuleRep."""
 
-    __slots__ = ("module", "carrier", "_as_module")
+    __slots__ = ("module", "carrier", "_memo")
 
     def __init__(self, module, carrier, check=True):
         if carrier.ambient_dim != module.dim:
@@ -612,35 +619,31 @@ class Submodule:
                         raise NotSubmodule("carrier is not closed under the module action")
         self.module = module
         self.carrier = carrier
-        self._as_module = None
 
     @property
     def dim(self):
         return self.carrier.dim
 
+    @_memoised("self")
     def as_module(self):
         """(rep, inclusion) with rep the carrier as an abstract module.
 
         The inclusion matrix maps rep coordinates into the ambient module.
-        Cached: repeated calls return the same objects, which lets the
-        hom-space cache fire.
+        Memoised on the submodule: repeated calls return the same rep, so
+        results memoised on that rep (its Hom spaces, ...) are found again.
         """
-        if self._as_module is None:
-            field = self.module.algebra.field
-            basis = self.carrier.basis
-            actions = []
-            for a in self.module.actions:
-                cols = []
-                for col in self.carrier.basis_columns():
-                    image = a.apply(col)
-                    coords = self.carrier.coords_of(image)
-                    if coords is None:
-                        raise NotSubmodule("carrier is not closed under the module action")
-                    cols.append(coords)
-                actions.append(Matrix.from_cols(field, cols, nrows=self.dim))
-            rep = ModuleRep(self.module.algebra, self.dim, actions, label=self.module.label + "-sub")
-            self._as_module = (rep, basis)
-        return self._as_module
+        field = self.module.algebra.field
+        actions = []
+        for a in self.module.actions:
+            cols = []
+            for col in self.carrier.basis_columns():
+                coords = self.carrier.coords_of(a.apply(col))
+                if coords is None:
+                    raise NotSubmodule("carrier is not closed under the module action")
+                cols.append(coords)
+            actions.append(Matrix.from_cols(field, cols, nrows=self.dim))
+        rep = ModuleRep(self.module.algebra, self.dim, actions, label=self.module.label + "-sub")
+        return rep, self.carrier.basis
 
     def quotient(self):
         """(rep, projection, section) presenting module/self."""
@@ -653,9 +656,6 @@ class Submodule:
             label=self.module.label + "-quot",
         )
         return rep, proj, section
-
-    def same_as(self, other):
-        return self.module is other.module and self.carrier == other.carrier
 
     def __repr__(self):
         return "Submodule(dim %d of %r)" % (self.dim, self.module)
@@ -741,7 +741,7 @@ def _require_ideal(ideal, algebra):
         raise AlgebraMismatch("ideal belongs to a different algebra")
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def ideal_times_module(ideal, module):
     """The submodule I*M spanned by g*m over ideal generators g."""
     _require_ideal(ideal, module.algebra)
@@ -765,11 +765,10 @@ def ideal_times_subspace(ideal, module, subspace):
     return Subspace.from_vectors(field, module.dim, vecs)
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def torsion_submodule(module, ideal):
     """M[I] = {x in M : I x = 0}, the I-torsion submodule."""
     _require_ideal(ideal, module.algebra)
-    field = module.algebra.field
     gens = ideal.carrier.basis_columns()
     if not gens:
         return module.full_submodule()
@@ -789,7 +788,7 @@ def colon(sub, ideal):
     return Submodule(module, kernel(stacked), check=False)
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def annihilator(module):
     """Ann_R(M) as an ideal (submodule of the regular module)."""
     algebra = module.algebra
@@ -809,7 +808,7 @@ def annihilator(module):
     return Submodule(algebra.regular_module(), ker, check=False)
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def socle(module):
     """So(M) = M[m], the largest semisimple submodule."""
     return torsion_submodule(module, module.algebra.max_ideal())
@@ -886,19 +885,14 @@ class FreeCover:
         self.syzygies = tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)
 
 
-def is_essential(sub, module=None):
+def is_essential(sub):
     """U is essential in M iff U contains the socle (finite length)."""
-    module = sub.module if module is None else module
-    if module is not sub.module:
-        raise NotSubmodule("submodule belongs to a different module")
-    return sub.carrier.contains(socle(module).carrier)
+    return sub.carrier.contains(socle(sub.module).carrier)
 
 
-def is_small(sub, module=None):
+def is_small(sub):
     """U is small (superfluous) in M iff U is contained in mM."""
-    module = sub.module if module is None else module
-    if module is not sub.module:
-        raise NotSubmodule("submodule belongs to a different module")
+    module = sub.module
     return ideal_times_module(module.algebra.max_ideal(), module).carrier.contains(sub.carrier)
 
 
@@ -925,7 +919,7 @@ def direct_sum(a, b):
     return rep, (ia, ib), (pa, pb)
 
 
-@lru_cache(maxsize=None)
+@_memoised("algebra")
 def enumerate_cyclic_ideals(algebra, cap=ENUMERATION_CAP):
     """All cyclic ideals (r) of R, deduplicated, in a deterministic order.
 
@@ -946,7 +940,7 @@ def enumerate_cyclic_ideals(algebra, cap=ENUMERATION_CAP):
     return tuple(sorted(seen.values(), key=lambda s: s.carrier.sort_key()))
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def enumerate_submodules(module, cap=4096):
     """All submodules of M over a finite field, smallest first.
 

@@ -4,7 +4,8 @@ Every report echoes the command, a content fingerprint of its inputs, the
 tool version, and a result payload.  JSON is canonical: sorted keys, exact
 rationals as "p/q" strings, value sets as {"below_conductor": [...],
 "conductor": c}.  Exit codes: 0 success (even when a predicate is false),
-1 only for `verify` runs that find a counterexample, 2 for input errors.
+1 only for `verify` runs that find a counterexample, 2 for input errors,
+usage errors included, each with a JSON {"error", "message"} on stderr.
 """
 
 from __future__ import annotations
@@ -322,8 +323,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are the CLI's JSON error, exit 2."""
+
+    def error(self, message):
+        self.exit(2, canonical_json({"error": "UsageError", "message": message}))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracelab",
         description="Exact trace/cotrace computations over Artinian local algebras "
         "and numerical semigroup rings.",

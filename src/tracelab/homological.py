@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .artin import (
     ModuleRep,
     Submodule,
+    _memoised,
     _require_ideal,
     annihilator,
     enumerate_cyclic_ideals,
@@ -56,12 +56,6 @@ from .errors import (
     InternalCheckError,
 )
 from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
-
-
-def _require_same_algebra(ideal, module):
-    _require_ideal(ideal, module.algebra)
-    if ideal.module.algebra is not module.algebra:
-        raise AlgebraMismatch("ideal and module live over different algebras")
 
 
 # -- Hom ------------------------------------------------------------------------
@@ -110,7 +104,7 @@ def _syzygy_actions(cover, module):
     return [[module.element_action(zi) for zi in z] for z in cover.syzygies]
 
 
-@lru_cache(maxsize=None)
+@_memoised("source")
 def hom_module(source, target):
     """Hom_R(source, target) as a HomModule."""
     if source.algebra is not target.algebra:
@@ -159,13 +153,13 @@ def hom_module(source, target):
 # -- trace and cotrace -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def trace(ideal, module):
     """The trace of I in M: the sum of the images of all maps I -> M.
 
     The sandwich IM <= trace <= M[Ann I] is re-checked on every call.
     """
-    _require_same_algebra(ideal, module)
+    _require_ideal(ideal, module.algebra)
     field = module.algebra.field
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, module)
@@ -180,13 +174,13 @@ def trace(ideal, module):
     return result
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def cotrace(ideal, module):
     """The cotrace of I in M: the joint kernel of all maps M -> dual(I).
 
     The sandwich Ann(I)M <= cotrace <= M[I] is re-checked on every call.
     """
-    _require_same_algebra(ideal, module)
+    _require_ideal(ideal, module.algebra)
     ideal_rep, _ = ideal.as_module()
     dual_ideal = matlis_dual(ideal_rep).rep
     hom = hom_module(module, dual_ideal)
@@ -217,7 +211,7 @@ class DualModule:
         return "DualModule(of %r)" % (self.primal,)
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def matlis_dual(module):
     """Matlis dual of M, realized as the coordinate dual with transposed
     actions.  Dualizing twice restores the original action matrices."""
@@ -237,7 +231,6 @@ def ann_in_dual(dual, sub):
     """
     if sub.module is not dual.primal:
         raise AlgebraMismatch("submodule does not live in the primal of this dual")
-    field = dual.rep.algebra.field
     if sub.dim == 0:
         result = dual.rep.full_submodule()
     else:
@@ -262,7 +255,7 @@ class HomothetyMap:
 
 def homothety_map(ideal, module):
     """Matrix of x |-> (r |-> r x) from M to Hom(I, IM), with onto flag."""
-    _require_same_algebra(ideal, module)
+    _require_ideal(ideal, module.algebra)
     field = module.algebra.field
     image = ideal_times_module(ideal, module)
     image_rep, _ = image.as_module()
@@ -302,7 +295,7 @@ def colon_to_hom(sub, ideal):
     """Matrix of u |-> (r |-> r u) on (Y :_X I), with injectivity and
     surjectivity flags.  Its kernel equals (Y :_X I)[I]; asserted."""
     ambient = sub.module
-    _require_same_algebra(ideal, ambient)
+    _require_ideal(ideal, ambient.algebra)
     field = ambient.algebra.field
     domain = colon_submodule(sub, ideal)
     sub_rep, _ = sub.as_module()
@@ -355,7 +348,7 @@ class TensorProduct:
         return self.rep.dim
 
 
-@lru_cache(maxsize=None)
+@_memoised("left")
 def tensor_product(left, right):
     """M tensor_R N: N^v modulo the syzygy relations of M's free cover."""
     if left.algebra is not right.algebra:
@@ -397,7 +390,7 @@ class TensorEvalMap:
 
 def tensor_eval(module, ideal):
     """Matrix of (M/M[I]) tensor_R I -> M with injectivity flag."""
-    _require_same_algebra(ideal, module)
+    _require_ideal(ideal, module.algebra)
     torsion = torsion_submodule(module, ideal)
     quotient_rep, _, section = torsion.quotient()
     ideal_rep, _ = ideal.as_module()
@@ -424,13 +417,13 @@ class DerivedFunctor:
         return self.rep.dim
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def ext1(ideal, module):
     """Ext1(R/I, M) as the cokernel of Hom(R, M) -> Hom(I, M).
 
     For cyclic I the dimension is checked against dim M[Ann I] - dim IM.
     """
-    _require_same_algebra(ideal, module)
+    _require_ideal(ideal, module.algebra)
     field = module.algebra.field
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, module)
@@ -459,13 +452,13 @@ def ext1(ideal, module):
     return result
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def tor1(module, ideal):
     """Tor1(M, R/I) as the kernel of M tensor_R I -> M.
 
     For cyclic I the dimension is checked against dim M[I] - dim Ann(I)M.
     """
-    _require_same_algebra(ideal, module)
+    _require_ideal(ideal, module.algebra)
     ideal_rep, _ = ideal.as_module()
     tp = tensor_product(module, ideal_rep)
     full = _evaluation(module, ideal, module.free_cover().generators)
@@ -495,7 +488,7 @@ def is_cyclic_ideal(ideal):
 # -- injective embeddings and the colon route ----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memoised("module")
 def embed_into_injective(module):
     """(X, inclusion): X = dual(R^n) with n = v(dual M), M embedded by
     dualizing a minimal free cover of the dual.
@@ -529,7 +522,7 @@ def trace_via_colon(member, ideal):
     the definitional trace computed on M alone.
     """
     ambient = member.module
-    _require_same_algebra(ideal, ambient)
+    _require_ideal(ideal, ambient.algebra)
     field = ambient.algebra.field
     if ext1(ideal, ambient).dim != 0:
         raise ExtNotVanishing("Ext1(R/I, X) != 0: the colon route does not apply")

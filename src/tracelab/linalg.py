@@ -295,9 +295,6 @@ class Matrix:
     def is_zero(self):
         return not any(any(r) for r in self.rows)
 
-    def to_lists(self):
-        return [list(r) for r in self.rows]
-
     def _check_same_shape(self, other):
         _check_fields((self, other))
         if self.nrows != other.nrows or self.ncols != other.ncols:

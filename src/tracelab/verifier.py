@@ -17,15 +17,16 @@ canonical subspaces, enough to reconstruct the instance exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 
 from .artin import (
     PolynomialPresentation,
     Submodule,
+    _memoised,
     annihilator,
     build_algebra,
     direct_sum,
@@ -90,12 +91,16 @@ from .textio import parse_sections, presentation_from_section
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """A reconstructible algebra description (echoed into failure reports)."""
+    """A reconstructible algebra description (echoed into failure reports).
+
+    `_built` memoises its algebra on it, freed with the spec.
+    """
 
     name: str
     field: str
     variables: tuple
     relations: tuple
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -250,7 +255,7 @@ def default_catalog(seed=20260810):
     return InstanceSpec(algebras=tuple(algebras), semigroups=tuple(semigroups), seed=seed)
 
 
-@lru_cache(maxsize=None)
+@_memoised("spec")
 def _built(spec: AlgebraSpec):
     return build_algebra(PolynomialPresentation(spec.field, spec.variables, spec.relations))
 

@@ -284,6 +284,24 @@ def test_unknown_flag_is_an_error(capsys, fat_ring):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semigroup-good", "--gens", "3,4", "--ideal", "-3,5"],
+        ["algebra-info", "--ring", "x.ring", "--frobnicate"],
+        ["trace", "--ideal", "x"],
+    ],
+    ids=["dash-value", "unknown-flag", "missing-ring"],
+)
+def test_usage_errors_are_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "UsageError" and error["message"]
+
+
 def test_text_format(capsys, dual_ring):
     code, out, _ = run_cli(capsys, "qf", "--ring", dual_ring, "--format", "text")
     assert code == 0

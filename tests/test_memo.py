@@ -1,0 +1,103 @@
+"""Memoisation: results live on the object they describe and die with it."""
+
+import gc
+import pathlib
+import re
+
+import pytest
+
+from tracelab.artin import (
+    ArtinAlgebra,
+    ModuleRep,
+    PolynomialPresentation,
+    Submodule,
+    build_algebra,
+    enumerate_cyclic_ideals,
+    enumerate_submodules,
+    ideal_from_elements,
+    regular_module,
+)
+from tracelab.errors import EnumerationCapExceeded
+from tracelab.homological import cotrace, hom_module, matlis_dual, tensor_product, trace
+from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tracelab"
+
+
+def algebra(field, variables, relations):
+    return build_algebra(PolynomialPresentation(field, variables, relations))
+
+
+def test_repeated_calls_return_the_same_object():
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    reg = regular_module(R)
+    dual = matlis_dual(reg).rep
+    ideal = ideal_from_elements(R, ["x"])
+    rep, _ = ideal.as_module()
+    assert ideal.as_module()[0] is rep
+    assert reg.free_cover() is reg.free_cover()
+    assert trace(ideal, dual) is trace(ideal, dual)
+    assert cotrace(ideal, dual) is cotrace(ideal, dual)
+    assert hom_module(rep, dual) is hom_module(rep, dual)
+    assert tensor_product(dual, rep) is tensor_product(dual, rep)
+    # Different arguments are different entries on the same owner.
+    assert trace(ideal, dual) is not trace(R.max_ideal(), dual)
+
+
+def test_exceptions_are_not_memoised():
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    for _ in range(2):
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_cyclic_ideals(R, 1)
+    ideals = enumerate_cyclic_ideals(R)
+    assert len(ideals) == 5  # 0, (x), (y), (x + y), R
+    assert enumerate_cyclic_ideals(R) is ideals
+
+
+def test_keyword_and_positional_caps_agree():
+    # F2[x]/(x^2) has three submodules of R: 0, (x) and R.
+    reg = regular_module(algebra("F2", ["x"], ["x^2"]))
+    by_keyword = enumerate_submodules(reg, cap=3)
+    by_position = enumerate_submodules(reg, 3)
+    assert [s.dim for s in by_keyword] == [s.dim for s in by_position] == [0, 1, 2]
+    assert [s.carrier for s in by_keyword] == [s.carrier for s in by_position]
+    for call in (lambda: enumerate_submodules(reg, cap=2), lambda: enumerate_submodules(reg, 2)):
+        with pytest.raises(EnumerationCapExceeded):
+            call()
+
+
+def test_nothing_built_in_a_run_outlives_its_spec():
+    kinds = (ArtinAlgebra, ModuleRep, Submodule)
+    before = [o for o in gc.get_objects() if isinstance(o, kinds)]
+    known = {id(o) for o in before}
+    spec = InstanceSpec(
+        algebras=(
+            AlgebraSpec("f2_fat", "F2", ("x", "y"), ("x^2", "x*y", "y^2")),
+            AlgebraSpec("q_jet3", "Q", ("x",), ("x^3",)),
+        ),
+        semigroups=(),
+        duality_samples=3,
+        colon_route_samples=2,
+        random_modules=1,
+        sampled_ideals=2,
+    )
+    assert all(result.passed for result in run_suites(spec))
+    del spec
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, kinds) and id(o) not in known]
+    assert not alive, "%d objects outlived the spec, e.g. %r" % (len(alive), alive[:3])
+
+
+def test_one_memo_policy():
+    # Every memo is an owned `_memo` dict (artin._memoised); a module-level
+    # cache would keep what it holds alive for the life of the process.
+    pattern = re.compile(r"lru_cache|functools\.cache\b|import[^\n]*\bcache\b")
+    offenders = [
+        "%s:%d" % (path.name, n)
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not offenders, offenders
+    helpers = [p.name for p in SRC.glob("*.py") if "def _memoised(" in p.read_text(encoding="utf-8")]
+    assert helpers == ["artin.py"]
