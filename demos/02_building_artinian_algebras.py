@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Building Artinian local algebras and poking at their module theory.
 
-An algebra comes from a polynomial presentation; the builder grows a degree
-bound until the standard monomials stabilize, then certifies the action
-matrices exactly (commutation, relation vanishing, nilpotent maximal ideal).
+An algebra comes from a polynomial presentation.  The builder proves the
+ideal primary to (x1..xn) before it returns: modulo m^(t+1) the relation
+multiples span every monomial of some degree t (so m^t lies in I near the
+origin, by Nakayama), and unreduced they span every monomial of degree D,
+the nilpotency index (so m^D lies in I).  The basis is the standard
+monomials, and the action matrices are re-checked exactly (commutation,
+relation vanishing).
 """
 
 from tracelab.artin import (

@@ -1,13 +1,10 @@
 """Artinian local k-algebras from polynomial presentations, and their modules.
 
-An algebra R = k[x1..xn]/I is built by truncated linear algebra: for growing
-degree bound D, the relation multiples of degree <= D are row reduced inside
-the span of all monomials of degree <= D, and the non-pivot ("standard")
-monomials form the candidate basis.  Once the standard set repeats at two
-consecutive bounds, the action matrices are built and certified exactly
-(pairwise commutation, vanishing of every relation, nilpotency of the
-maximal ideal); certification failure just means "keep growing D", so a
-successful return is proof that the quotient really is the algebra presented.
+An algebra R = k[x1..xn]/I is built only with a certificate that I is
+primary to m = (x1..xn): Nakayama's lemma puts some m^D inside I near the
+origin, and a Macaulay span of the relation multiples puts it inside I
+itself (see build_algebra).  Inputs that are not Artinian at the origin, or
+not local, are rejected in bounded time and told apart.
 
 Modules are always held as commuting action matrices; ideals are submodules
 of the regular module.  All values are immutable after construction and all
@@ -35,6 +32,7 @@ from .errors import (
 from .linalg import FIELDS, Matrix, Subspace, _row_reduce, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
+MONOMIAL_CEILING = 1000  # columns of any one elimination in build_algebra
 MAX_LITERAL_DIGITS = 1000  # per integer literal, and per numeric power over Q
 _MISSING = object()
 
@@ -76,8 +74,9 @@ def _memoised(owner):
 #   term   := factor ('*' factor)*
 #   factor := atom ('^' uint)?
 #   atom   := uint | variable
-# Coefficients are integers; signs come from the leading/binary minus.  A
-# numeric power c^k is read as pow(c, k, p) in characteristic p.
+# Coefficients are integers; signs come from the leading/binary minus.  In
+# characteristic p they are reduced mod p and zero terms dropped, and a
+# numeric power c^k is read as pow(c, k, p).
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
 
@@ -118,12 +117,8 @@ def poly_mul(a, b):
     return out
 
 
-def poly_degree(a):
-    return max((sum(e) for e in a), default=0)
-
-
 def parse_poly(text, variables, char=0):
-    """Parse the grammar into {exponent tuple: int coeff} in characteristic char."""
+    """Parse the grammar into {exponent tuple: nonzero int coeff} in characteristic char."""
     variables = list(variables)
     n = len(variables)
     var_index = {v: i for i, v in enumerate(variables)}
@@ -213,15 +208,18 @@ def parse_poly(text, variables, char=0):
         else:
             raise ParseError("expected '+' or '-', got %r in %r" % (t, text))
         take()
+    if char:
+        acc = {e: c % char for e, c in acc.items() if c % char}
     return acc
 
 
 class PolynomialPresentation:
-    """Input data for an algebra: field, variables, relation polynomials."""
+    """Input data for an algebra: field, variables, relation polynomials,
+    and dim_cap, the largest quotient dimension build_algebra accepts."""
 
-    __slots__ = ("field", "variables", "relations", "degree_cap", "dim_cap")
+    __slots__ = ("field", "variables", "relations", "dim_cap")
 
-    def __init__(self, field, variables, relations, degree_cap=24, dim_cap=512):
+    def __init__(self, field, variables, relations, dim_cap=512):
         if isinstance(field, str):
             if field not in FIELDS:
                 raise ParseError("unknown field %r (expected one of %s)" % (field, sorted(FIELDS)))
@@ -235,26 +233,16 @@ class PolynomialPresentation:
         self.field = field
         self.variables = variables
         self.relations = tuple(relations)
-        self.degree_cap = degree_cap
         self.dim_cap = dim_cap
 
 
 def _monomials_up_to(nvars, degree):
     """All exponent tuples of total degree <= degree, low degree first."""
-    out = []
-    for d in range(degree + 1):
-        out.extend(_monomials_of_degree(nvars, d))
-    return out
-
-
-def _monomials_of_degree(nvars, d):
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-    for head in range(d, -1, -1):
-        for tail in _monomials_of_degree(nvars - 1, d - head):
-            out.append((head,) + tail)
-    return out
+    return [
+        tuple(c.count(v) for v in range(nvars))
+        for d in range(degree + 1)
+        for c in itertools.combinations_with_replacement(range(nvars), d)
+    ]
 
 
 def monomial_label(exp, variables):
@@ -374,148 +362,163 @@ class ArtinAlgebra:
 
 
 def build_algebra(presentation):
-    """Construct the quotient algebra presented by relations.
+    """Construct the local algebra k[x1..xn]/I presented by relations.
+
+    Local step: for t = 0, 1, 2, ... (in steps that grow with t) the relation
+    multiples, cut at degree t, are row reduced inside the monomials of
+    degree <= t, high degree first; the non-pivot ("standard") monomials
+    number h = dim k[x]/(I + m^(t+1)) <= dim R.  Once the span holds every
+    monomial of degree t, m^t lies in I + m^(t+1), so by Nakayama it lies
+    in I localised at the origin, and the basis and the normal forms are
+    read from that elimination; the nilpotency index D <= t of the maximal
+    ideal is read from the action matrices.  Global step: the uncut
+    multiples of degree <= B (B = D, 2D, 4D, ...) must span every monomial
+    of degree D, which shows m^D in I itself, so k[x]/I is that local
+    algebra.  Both steps stop at MONOMIAL_CEILING monomials, so every input
+    is decided in bounded time.
 
     Raises ResidueFieldError when a relation has a nonzero constant term,
-    NotArtinian when no finite local quotient emerges by the degree cap,
-    and DimensionCapExceeded when the quotient dimension grows too big.
+    DimensionCapExceeded as soon as h exceeds dim_cap, and NotArtinian when
+    a step reaches the ceiling: "not Artinian at the origin" from the local
+    step, "not local" from the global one.
     """
     field = presentation.field
     variables = presentation.variables
     nvars = len(variables)
-    relations = [parse_poly(r, variables, field.char) for r in presentation.relations]
-    one_exp = (0,) * nvars
-    for raw, rel in zip(presentation.relations, relations):
-        if rel.get(one_exp):
+    relations = []
+    for raw in presentation.relations:
+        rel = parse_poly(raw, variables, field.char)
+        if rel.get((0,) * nvars):
             raise ResidueFieldError(
                 "relation %r has nonzero constant term; the residue field would "
                 "be larger than the coefficient field" % raw
             )
-    relations = [r for r in relations if r]
+        if rel:
+            relations.append((raw, rel))
+    top_cap = max(t for t in range(MONOMIAL_CEILING) if math.comb(t + nvars, nvars) <= MONOMIAL_CEILING)
 
-    prev_standard = None
-    for bound in range(1, presentation.degree_cap + 1):
-        monos = _monomials_up_to(nvars, bound)
-        # High degree first so elimination prefers to keep low-degree
-        # monomials as the standard complement.
-        order = sorted(monos, key=lambda e: (-sum(e), e))
-        col_of = {e: i for i, e in enumerate(order)}
-        rows = []
-        for rel in relations:
-            shift_cap = bound - poly_degree(rel)
-            if shift_cap < 0:
-                continue
-            for shift in _monomials_up_to(nvars, shift_cap):
-                row = [field.zero] * len(order)
-                for exp, coeff in rel.items():
-                    e = tuple(x + y for x, y in zip(exp, shift))
-                    row[col_of[e]] = row[col_of[e]] + field.from_int(coeff)
-                rows.append(field.canonical(row))
+    top = 0
+    while True:
+        order, rows = _relation_multiples(field, relations, nvars, top, cut=True)
         red, pivots = _row_reduce(field, rows, len(order))
-        pivset = set(pivots)
-        standard = [order[j] for j in range(len(order)) if j not in pivset]
-        if len(standard) > presentation.dim_cap:
+        h = len(order) - len(pivots)
+        if h > presentation.dim_cap:
             raise DimensionCapExceeded(
-                "quotient dimension %d exceeds cap %d" % (len(standard), presentation.dim_cap)
+                "quotient dimension is at least %d, over the cap %d" % (h, presentation.dim_cap)
             )
-        standard_set = frozenset(standard)
-        max_std_deg = max((sum(e) for e in standard), default=0)
-        if prev_standard == standard_set and max_std_deg < bound:
-            algebra = _assemble(field, variables, relations, order, red, pivots, standard, presentation)
-            if algebra is not None:
-                return algebra
-        prev_standard = standard_set
-    raise NotArtinian(
-        "no stabilized finite local quotient up to degree %d; the ideal is "
-        "probably not primary to (x1..xn)" % presentation.degree_cap
-    )
+        if _has_degree(order, red, pivots, top):
+            break
+        if top == top_cap:
+            raise NotArtinian(
+                "m^t is not in I + m^(t+1) at t = %d, the last degree within %d monomials: the "
+                "ideal is not Artinian at the origin, or its algebra is beyond that ceiling"
+                % (top_cap, MONOMIAL_CEILING)
+            )
+        # Steps of one up to t = 4, then of a quarter of t: a rejection at the
+        # ceiling costs a few eliminations near its size, not one per degree.
+        top = min(top + 1 + top // 4, top_cap)
 
-
-def _assemble(field, variables, relations, order, red, pivots, standard, presentation):
-    """Build action matrices from the reduced relation span and certify them.
-
-    Returns None when certification fails (caller keeps growing the bound).
-    """
-    basis = sorted(standard, key=lambda e: (sum(e), e))
+    pivset = set(pivots)
+    basis = sorted((e for j, e in enumerate(order) if j not in pivset), key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(basis)}
     dim = len(basis)
-    # Normal form of each pivot monomial, read off the reduced rows:
-    # pivot + sum(coeff * standard) = 0 in the quotient.
-    normal = {}
-    col_of = {e: i for i, e in enumerate(order)}
-    for row_idx, pec in enumerate(pivots):
-        pexp = order[pec]
+    place = [(j, index[e]) for j, e in enumerate(order) if e in index]
+    # A standard monomial is its basis vector; a pivot monomial is minus the
+    # standard part of its reduced row, because that row is zero in R.
+    normal = {e: [field.one if i == k else field.zero for i in range(dim)] for e, k in index.items()}
+    for row, c in zip(red, pivots):
         vec = [field.zero] * dim
-        row = red[row_idx]
-        for e, i in index.items():
-            c = row[col_of[e]]
-            if c:
-                vec[i] = -c
-        normal[pexp] = field.canonical(vec)
+        for j, i in place:
+            if row[j]:
+                vec[i] = -row[j]
+        normal[order[c]] = field.canonical(vec)
+    actions = [
+        Matrix.from_cols(field, [normal[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in basis], nrows=dim)
+        for v in range(nvars)
+    ]
+    # The unit generates R, so m^d = 0 iff every monomial of degree d kills
+    # it; each monomial is reached once, by raising its last variable.
+    layer, nil = {(0,) * nvars: [field.one] + [field.zero] * (dim - 1)}, 0
+    while layer:
+        if nil == top:
+            raise InternalCheckError("the maximal ideal is not nilpotent of index <= %d" % top)
+        nil += 1
+        layer = {
+            e[:v] + (e[v] + 1,) + e[v + 1 :]: w
+            for e, vec in layer.items()
+            for v in range(max((i for i, x in enumerate(e) if x), default=0), nvars)
+            if any(w := actions[v].apply(vec))
+        }
+    bound = nil
+    while not _spans_degree(field, *_relation_multiples(field, relations, nvars, bound, cut=False), nil):
+        if bound == top_cap:
+            raise NotArtinian(
+                "m^%d lies in the ideal near the origin, but the relation multiples of degree "
+                "<= %d (the last degree within %d monomials) do not span it: the quotient is "
+                "not local, or its certificate is beyond that ceiling" % (nil, top_cap, MONOMIAL_CEILING)
+            )
+        bound = min(2 * bound, top_cap)
+    algebra = ArtinAlgebra(field, variables, basis, actions, nil, presentation)
 
-    nvars = len(variables)
-    actions = []
-    for v in range(nvars):
-        cols = []
-        for e in basis:
-            e2 = list(e)
-            e2[v] += 1
-            e2 = tuple(e2)
-            if e2 in index:
-                col = [field.zero] * dim
-                col[index[e2]] = field.one
-            elif e2 in normal:
-                col = normal[e2]
-            else:
-                return None
-            cols.append(col)
-        actions.append(Matrix.from_cols(field, cols, nrows=dim))
-
-    # Exact certification: commutation, relation vanishing, m nilpotent.
+    # Exact re-checks of what the certificate proves: the actions commute,
+    # and then every relation vanishes on R iff it kills the unit.
     for i in range(nvars):
         for j in range(i + 1, nvars):
             if actions[i] @ actions[j] != actions[j] @ actions[i]:
-                return None
-    for rel in relations:
-        if not _evaluate_poly_at(field, rel, actions, dim).is_zero():
-            return None
-    nil = _nilpotency_index(field, actions, dim)
-    if nil is None:
-        raise NotArtinian(
-            "the quotient is finite-dimensional but not local: the chain of "
-            "powers of (x1..xn) stabilizes at a nonzero ideal"
-        )
-    return ArtinAlgebra(field, variables, basis, actions, nil, presentation)
+                raise InternalCheckError("the action matrices do not commute")
+    for raw, rel in relations:
+        if any(algebra.element_from_poly(rel)):
+            raise InternalCheckError("relation %r does not vanish on the quotient" % raw)
+    return algebra
 
 
-def _evaluate_poly_at(field, poly, mats, dim):
-    acc = Matrix.zeros(field, dim, dim)
-    for exp, coeff in sorted(poly.items()):
-        term = Matrix.identity(field, dim)
-        for v, e in enumerate(exp):
-            for _ in range(e):
-                if term.is_zero():
-                    break
-                term = mats[v] @ term
-        acc = acc + term.scale(field.from_int(coeff))
-    return acc
+def _relation_multiples(field, relations, nvars, top, cut):
+    """(columns, rows): the relation multiples in the monomials of degree <= top.
+
+    Columns run high degree first, so the pivot of a reduced row is its
+    leading monomial for a degree order.  With cut, every multiple is
+    truncated at degree top (its image modulo m^(top+1)), and multiples the
+    cut would zero are never built; without, only the multiples of degree
+    <= top are taken (the Macaulay span).  Zero entries are the int 0, which
+    is exact in every field and cheap to test.
+    """
+    order = sorted(_monomials_up_to(nvars, top), key=lambda e: (-sum(e), e))
+    col_of = {e: i for i, e in enumerate(order)}
+    rows = []
+    for _, rel in relations:
+        terms = [(e, field.from_int(c)) for e, c in rel.items()]
+        degrees = [sum(e) for e in rel]
+        for shift in _monomials_up_to(nvars, top - (min(degrees) if cut else max(degrees))):
+            row = [0] * len(order)
+            for exp, coeff in terms:
+                j = col_of.get(tuple(x + y for x, y in zip(exp, shift)))
+                if j is not None:
+                    row[j] = coeff
+            rows.append(row)
+    # Sparsest first, since _row_reduce pivots on the first row it finds:
+    # short rows (the cut leaves many single monomials) make little fill-in
+    # and keep the fractions over Q small.
+    rows.sort(key=lambda row: sum(1 for x in row if x))
+    return order, rows
 
 
-def _nilpotency_index(field, actions, dim):
-    """Least N with m^N = 0, or None when the chain stops above zero."""
-    current = Subspace.full(field, dim)
-    for n in range(1, dim + 2):
-        image_vecs = []
-        for a in actions:
-            for col in current.basis_columns():
-                image_vecs.append(a.apply(col))
-        nxt = Subspace.from_vectors(field, dim, image_vecs)
-        if nxt.dim == 0:
-            return n
-        if nxt == current:
-            return None
-        current = nxt
-    return None
+def _spans_degree(field, order, rows, degree):
+    """Whether the rows span every monomial of the given degree.
+
+    In a row echelon form the rows with a pivot of degree <= `degree` span
+    every combination of degree <= `degree`, so only they are fully reduced.
+    """
+    red, pivots = _row_reduce(field, rows, len(order), echelon=True)
+    first = next(j for j, e in enumerate(order) if sum(e) <= degree)
+    low = [row[first:] for row, c in zip(red, pivots) if c >= first]
+    return _has_degree(order[first:], *_row_reduce(field, low, len(order) - first), degree)
+
+
+def _has_degree(order, red, pivots, degree):
+    """Whether a reduced row echelon form spans every monomial of the degree:
+    each must be a pivot whose reduced row is that monomial alone."""
+    units = {c for row, c in zip(red, pivots) if sum(1 for x in row if x) == 1}
+    return all(j in units for j, e in enumerate(order) if sum(e) == degree)
 
 
 # -- modules -------------------------------------------------------------------
@@ -532,26 +535,12 @@ class ModuleRep:
 
     __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_memo")
 
-    def __init__(self, algebra, dim, actions, label="M", is_regular=False, check=False):
+    def __init__(self, algebra, dim, actions, label="M", is_regular=False):
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
         self.label = label
         self.is_regular = is_regular
-        if check:
-            self.certify()
-
-    def certify(self):
-        """Exact check that the action matrices present an R-module."""
-        n = len(self.actions)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.actions[i] @ self.actions[j] != self.actions[j] @ self.actions[i]:
-                    raise InternalCheckError("module actions do not commute")
-        for raw in self.algebra.presentation.relations:
-            rel = parse_poly(raw, self.algebra.variables, self.algebra.field.char)
-            if not _evaluate_poly_at(self.algebra.field, rel, self.actions, self.dim).is_zero():
-                raise InternalCheckError("algebra relation %r does not vanish on module" % raw)
 
     def monomial_operator(self, i):
         """Action of the i-th algebra basis monomial on this module."""

@@ -26,7 +26,7 @@ from .artin import (
     socle,
     torsion_submodule,
 )
-from .errors import TraceLabError
+from .errors import ParseError, TraceLabError
 from .homological import (
     annihilator,
     coexcellence_verdict,
@@ -96,6 +96,8 @@ def _load_algebra(args, inputs):
         raise TraceLabError("%s: no [algebra] section" % args.ring)
     pres = presentation_from_section(sections["algebra"], source=args.ring)
     if args.cap_dim is not None:
+        if args.cap_dim < 0:
+            raise ParseError("--cap-dim must be nonnegative, got %d" % args.cap_dim)
         pres.dim_cap = args.cap_dim
     return build_algebra(pres), sections
 

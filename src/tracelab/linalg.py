@@ -358,17 +358,18 @@ def kron(a, b):
     return a.kron(b)
 
 
-def _row_reduce(field, rows, ncols, pivot_limit=None):
+def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
     """(reduced row lists, pivot column list) by Gauss-Jordan elimination.
 
     The first len(pivots) rows are the nonzero rows of the reduced echelon
     form; any remaining rows are zero in the first `pivot_limit` columns (they
     can be nonzero beyond it, which is exactly what solve() needs for its
-    consistency test).
+    consistency test).  With echelon, only the rows below each pivot are
+    cleared, which leaves a row echelon form without back substitution.
     """
     if pivot_limit is None:
         pivot_limit = ncols
-    one, canon = field.one, field.canonical
+    one, canon, p = field.one, field.canonical, field.char
     rows = [list(r) for r in rows]
     nrows = len(rows)
     pivots = []
@@ -386,14 +387,18 @@ def _row_reduce(field, rows, ncols, pivot_limit=None):
             prow[c:] = canon([x * inv if x else x for x in prow[c:]])
         # Entries left of c are zero in the pivot row.
         support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
+        for i in range(r + 1 if echelon else 0, nrows):
             row = rows[i]
             f = row[c]
             if not f or i == r:
                 continue
-            for j, v in support:
-                row[j] -= f * v
-            row[c:] = canon(row[c:])
+            # Only the entries on the pivot row's support change.
+            if p:
+                for j, v in support:
+                    row[j] = (row[j] - f * v) % p
+            else:
+                for j, v in support:
+                    row[j] -= f * v
         pivots.append(c)
         r += 1
     return rows, pivots

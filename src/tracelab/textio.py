@@ -18,7 +18,7 @@ from __future__ import annotations
 from .artin import PolynomialPresentation
 from .errors import ParseError
 
-_ALGEBRA_KEYS = {"field", "variables", "relations", "degree_cap", "dim_cap"}
+_ALGEBRA_KEYS = {"field", "variables", "relations", "dim_cap"}
 _MODULE_KEYS = {"generators", "presentation"}
 
 
@@ -67,12 +67,13 @@ def presentation_from_section(section, source="<input>"):
         if needed not in section:
             raise ParseError("%s: [algebra] section is missing %r" % (source, needed))
     kwargs = {}
-    for key in ("degree_cap", "dim_cap"):
-        if key in section:
-            try:
-                kwargs[key] = int(section[key])
-            except ValueError:
-                raise ParseError("%s: %s must be an integer" % (source, key)) from None
+    if "dim_cap" in section:
+        try:
+            kwargs["dim_cap"] = int(section["dim_cap"])
+        except ValueError:
+            raise ParseError("%s: dim_cap must be an integer" % source) from None
+        if kwargs["dim_cap"] < 0:
+            raise ParseError("%s: dim_cap must be nonnegative" % source)
     return PolynomialPresentation(
         section["field"],
         _split_list(section["variables"]),

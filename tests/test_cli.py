@@ -213,13 +213,62 @@ def test_unknown_section_exits_2(capsys, tmp_path):
         assert json.loads(err)["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("key", ["degree_cap", "dim_cap"])
+@pytest.mark.parametrize("key", ["dim_cap"])
 def test_non_integer_cap_in_ring_file_exits_2(capsys, tmp_path, key):
     bad = tmp_path / "bad.ring"
     bad.write_text(FAT_RING + "%s = abc\n" % key)
     code, out, err = run_cli(capsys, "algebra-info", "--ring", str(bad))
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_degree_cap_is_an_unknown_key(capsys, tmp_path):
+    bad = tmp_path / "bad.ring"
+    bad.write_text(FAT_RING + "degree_cap = 30\n")
+    code, out, err = run_cli(capsys, "algebra-info", "--ring", str(bad))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert "unknown key 'degree_cap'" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "extra_line, argv, name",
+    [
+        ("dim_cap = -1\n", [], "dim_cap"),
+        ("", ["--cap-dim", "-1"], "--cap-dim"),
+    ],
+)
+def test_negative_dim_cap_exits_2(capsys, tmp_path, extra_line, argv, name):
+    ring = tmp_path / "fat.ring"
+    ring.write_text(FAT_RING + extra_line)
+    code, out, err = run_cli(capsys, "algebra-info", "--ring", str(ring), *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert name in error["message"]
+
+
+@pytest.mark.parametrize(
+    "variables, relations, message",
+    [
+        ("x, y", "x*y", "not Artinian at the origin"),
+        ("x", "x^2 - x", "not local"),
+    ],
+)
+def test_non_artinian_and_non_local_rings_exit_2_quickly(capsys, tmp_path, variables, relations, message):
+    ring = tmp_path / "bad.ring"
+    ring.write_text(
+        "[algebra]\nfield = Q\nvariables = %s\nrelations = %s\ndim_cap = 100000\n"
+        % (variables, relations)
+    )
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "algebra-info", "--ring", str(ring))
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "NotArtinian"
+    assert message in error["message"]
 
 
 def test_semigroup_report_small_window_exits_2(capsys):
