@@ -779,21 +779,16 @@ def colon(sub, ideal):
 
 @_memoised("module")
 def annihilator(module):
-    """Ann_R(M) as an ideal (submodule of the regular module)."""
+    """Ann_R(M) as an ideal (submodule of the regular module).
+
+    r = sum_s r_s b_s kills M iff r g = sum_s r_s (b_s g) = 0 for each
+    minimal generator g, so Ann is the kernel of the orbits of the generators.
+    """
     algebra = module.algebra
-    field = algebra.field
-    d = algebra.dim
     rows = []
-    # Unknown ring element r = sum r_s * (s-th basis monomial); the action
-    # of r on M vanishes iff all entries of sum r_s * op_s are 0.
-    ops = [module.monomial_operator(s) for s in range(d)]
-    for i in range(module.dim):
-        for j in range(module.dim):
-            row = [ops[s].rows[i][j] for s in range(d)]
-            rows.append(row)
-    if not rows:
-        return algebra.regular_module().full_submodule()
-    ker = kernel(Matrix(field, rows, ncols=d))
+    for g in minimal_generators(module)[1]:
+        rows.extend(zip(*module.orbit(g)))
+    ker = kernel(Matrix(algebra.field, rows, ncols=algebra.dim))
     return Submodule(algebra.regular_module(), ker, check=False)
 
 

@@ -226,15 +226,21 @@ def cmd_dual(args, inputs):
     }
 
 
+def _verdict_kwargs(args, algebra, inputs):
+    """The seed (over Q) and the --cap-enum cap of an all-ideals verdict."""
+    kwargs = {} if algebra.field.is_finite else {"seed": args.seed}
+    if args.cap_enum is not None:
+        if args.cap_enum < 0:
+            raise ParseError("--cap-enum must be nonnegative, got %d" % args.cap_enum)
+        kwargs["cap"] = args.cap_enum
+    inputs.inline("seed", str(args.seed))
+    return kwargs
+
+
 def cmd_excellent(args, inputs):
     algebra, ring_sections = _load_algebra(args, inputs)
     module = _load_module(args, algebra, inputs, ring_sections)
-    kwargs = {}
-    if not algebra.field.is_finite:
-        kwargs["seed"] = args.seed
-    if args.cap_enum is not None:
-        kwargs["cap"] = args.cap_enum
-    inputs.inline("seed", str(args.seed))
+    kwargs = _verdict_kwargs(args, algebra, inputs)
     return {
         "excellent": _verdict_json(excellence_verdict(module, **kwargs)),
         "coexcellent": _verdict_json(coexcellence_verdict(module, **kwargs)),
@@ -255,10 +261,7 @@ def cmd_good(args, inputs):
 def cmd_qf(args, inputs):
     algebra, _ = _load_algebra(args, inputs)
     reg = regular_module(algebra)
-    kwargs = {} if algebra.field.is_finite else {"seed": args.seed}
-    if args.cap_enum is not None:
-        kwargs["cap"] = args.cap_enum
-    inputs.inline("seed", str(args.seed))
+    kwargs = _verdict_kwargs(args, algebra, inputs)
     return {
         "quasi_frobenius": {"value": is_quasi_frobenius(algebra), "evidence": "formula"},
         "socle_dim": socle(reg).dim,

@@ -17,9 +17,14 @@ Hom and tensor products start from a free presentation R^v -> M of the
 source (ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism
 spaces between modules over finite dimensional algebras", Experimental
 Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
-constrained by the syzygies, so Hom(M, N) is solved for with v * dim N
-unknowns; M tensor N is N^v modulo the syzygies acting on N.  Neither works
-in a space of size dim M * dim N.
+constrained by the syzygies, and Hom(M, N) is kept in those generator
+coordinates, a subspace of N^v: the trace is the span of the values, and
+Ext1 and the maps x |-> (r |-> r x) read their coordinates from the values
+g_i x.  M tensor N is N^v modulo the syzygies acting on N.  Dense
+dim N x dim M matrices of maps are built only where the maps themselves are
+needed (the cotrace's joint kernel, commutativity of endomorphisms), and
+only HomModule.dense_space, for the verifier's deliberately broken trace,
+works in a space of size dim M * dim N.
 
 Matlis duality is plain transposition: for an Artinian local k-algebra with
 residue field k the k-linear dual of R is the injective hull of k, so
@@ -28,6 +33,7 @@ dualizing a module means transposing its action matrices.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -62,38 +68,68 @@ from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
 
 
 class HomModule:
-    """A basis of Hom_R(M, N) as intertwiner matrices, with its R-structure.
+    """Hom_R(M, N) in generator coordinates, with its R-structure.
 
-    A map f: M -> N is fixed by its values n_i = f(g_i) on the generators of
-    a free cover R^v -> M, and (n_1..n_v) in N^v gives a map exactly when
-    sum_i z_i n_i = 0 for every syzygy z; so the solution space has v * dim N
-    unknowns.  Each solution becomes its N.dim x M.dim matrix F, which
-    satisfies F B_i^M = B_i^N F for every generator action; x_i acts on F as
-    B_i^N F, which makes Hom an R-module again (rep).  The basis is canonical
-    (reduced echelon in the vectorized coordinates of F), so coordinates of a
-    given intertwiner are read off at pivot positions.
+    A map f: M -> N is fixed by its values n_i = f(g_i) on the generators
+    g_1..g_v of the source's free cover, and (n_1..n_v) in N^v gives a map
+    exactly when sum_i z_i n_i = 0 for every syzygy z.  `values` is that
+    solution space, a canonical subspace of N^v with block i holding n_i, so
+    Hom is solved for and held with v * dim N coordinates.  x_j acts on f
+    through its values, (x_j f)(g_i) = x_j n_i, so rep is built blockwise in
+    N^v, and the coordinates of a map are those of its values in `values`.
+
+    The dense dim N x dim M matrices are built only on demand: maps() for a
+    joint kernel or a composition, dense_space() for the canonical basis of
+    the intertwiner space.
     """
 
-    __slots__ = ("source", "target", "basis", "space", "rep")
+    __slots__ = ("source", "target", "values", "rep")
 
-    def __init__(self, source, target, basis, space, rep):
+    def __init__(self, source, target, values, rep):
         self.source = source
         self.target = target
-        self.basis = basis
-        self.space = space
+        self.values = values
         self.rep = rep
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.values.dim
 
-    def coords_of_map(self, mat):
-        """Coordinates of an intertwiner in the canonical hom basis."""
-        flat = tuple(x for row in mat.rows for x in row)
-        coords = self.space.coords_of(flat)
-        if coords is None:
-            raise InternalCheckError("matrix is not in the intertwiner space")
-        return coords
+    def maps(self, tuples):
+        """The dim N x dim M matrix of the map with each given value tuple.
+
+        f(m) = sum_i r_i n_i for m = sum_i r_i g_i, so F = C @ S with column
+        (i, s) of C the vector b_s n_i; the C of all tuples are stacked to
+        share one product with the cover's section S.
+        """
+        field, dN = self.target.algebra.field, self.target.dim
+        cover = self.source.free_cover()
+        v = len(cover.generators)
+        stacked = []
+        for n in tuples:
+            cols = [w for i in range(v) for w in self.target.orbit(n[i * dN : (i + 1) * dN])]
+            stacked.extend(zip(*cols))
+        images = Matrix(field, stacked, ncols=cover.section.nrows) @ cover.section
+        return [
+            Matrix(field, images.rows[t * dN : (t + 1) * dN], ncols=self.source.dim)
+            for t in range(len(tuples))
+        ]
+
+    def generator_maps(self):
+        """The maps of minimal generators of Hom as an R-module.
+
+        A map f = sum_j r_j f_j kills m, or commutes with maps, when the f_j
+        do, so these suffice for joint kernels and for commutativity.
+        """
+        return self.maps([self.values.basis.apply(c) for c in minimal_generators(self.rep)[1]])
+
+    def dense_space(self):
+        """The maps of the basis, flattened row-major, as the canonical
+        subspace of k^(dim N * dim M): the intertwiner space."""
+        maps = self.maps(self.values.basis_columns())
+        vecs = [tuple(x for row in f.rows for x in row) for f in maps]
+        field = self.target.algebra.field
+        return Subspace.from_vectors(field, self.target.dim * self.source.dim, vecs)
 
     def __repr__(self):
         return "HomModule(dim %d: %r -> %r)" % (self.dim, self.source, self.target)
@@ -104,6 +140,18 @@ def _syzygy_actions(cover, module):
     return [[module.element_action(zi) for zi in z] for z in cover.syzygies]
 
 
+def _coords(space, mat, message):
+    """Coordinates of the columns of mat in the canonical basis of space.
+
+    They are the entries at the pivot rows; a column outside the space
+    fails the exact reconstruction and raises InternalCheckError(message).
+    """
+    coords = Matrix(mat.field, [mat.rows[p] for p in space.pivots], ncols=mat.ncols)
+    if space.basis @ coords != mat:
+        raise InternalCheckError(message)
+    return coords
+
+
 @_memoised("source")
 def hom_module(source, target):
     """Hom_R(source, target) as a HomModule."""
@@ -112,42 +160,17 @@ def hom_module(source, target):
     algebra = source.algebra
     field = algebra.field
     cover = source.free_cover()
-    v, dM, dN = len(cover.generators), source.dim, target.dim
+    v, dN = len(cover.generators), target.dim
     rows = []
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
     values = kernel(Matrix(field, rows, ncols=v * dN))
-    # f(m) = sum_i r_i n_i for m = sum_i r_i g_i, so each solution n gives
-    # F = C @ S with column (i, s) of C the vector b_s n_i.  The C of all
-    # solutions are stacked to share one product.
-    stacked = []
-    for n in values.basis_columns():
-        cols = [w for i in range(v) for w in target.orbit(n[i * dN : (i + 1) * dN])]
-        stacked.extend(zip(*cols))
-    images = Matrix(field, stacked, ncols=cover.section.nrows) @ cover.section
-    vecs = [
-        tuple(x for row in images.rows[t * dN : (t + 1) * dN] for x in row)
-        for t in range(values.dim)
+    actions = [
+        _coords(values, a @ values.basis, "hom space is not closed under the action")
+        for a in power_module(target, v).actions
     ]
-    space = Subspace.from_vectors(field, dN * dM, vecs)
-    basis = []
-    for col in space.basis_columns():
-        rows = [col[a * dM : (a + 1) * dM] for a in range(dN)]
-        basis.append(Matrix(field, rows, ncols=dM))
-    basis = tuple(basis)
-    actions = []
-    for a_tgt in target.actions:
-        cols = []
-        for f in basis:
-            g = a_tgt @ f
-            flat = tuple(x for row in g.rows for x in row)
-            coords = space.coords_of(flat)
-            if coords is None:
-                raise InternalCheckError("hom space is not closed under the action")
-            cols.append(coords)
-        actions.append(Matrix.from_cols(field, cols, nrows=len(basis)))
-    rep = ModuleRep(algebra, len(basis), actions, label="Hom(%s,%s)" % (source.label, target.label))
-    return HomModule(source, target, basis, space, rep)
+    rep = ModuleRep(algebra, values.dim, actions, label="Hom(%s,%s)" % (source.label, target.label))
+    return HomModule(source, target, values, rep)
 
 
 # -- trace and cotrace -----------------------------------------------------------
@@ -157,16 +180,17 @@ def hom_module(source, target):
 def trace(ideal, module):
     """The trace of I in M: the sum of the images of all maps I -> M.
 
+    It is the k-span of the values n_i over a basis of Hom(I, M): Hom is an
+    R-module and (r f)(g_i) = r n_i, so every f(sum_i r_i g_i) lies in it.
     The sandwich IM <= trace <= M[Ann I] is re-checked on every call.
     """
     _require_ideal(ideal, module.algebra)
     field = module.algebra.field
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, module)
-    vecs = []
-    for f in hom.basis:
-        vecs.extend(f.col(j) for j in range(f.ncols))
-    result = Submodule(module, Subspace.from_vectors(field, module.dim, vecs), check=False)
+    d = module.dim
+    vecs = [n[i : i + d] for n in hom.values.basis_columns() for i in range(0, len(n), d)]
+    result = Submodule(module, Subspace.from_vectors(field, d, vecs), check=False)
     lower = ideal_times_module(ideal, module)
     upper = torsion_submodule(module, annihilator(ideal_rep))
     if not result.carrier.contains(lower.carrier) or not upper.carrier.contains(result.carrier):
@@ -187,7 +211,7 @@ def cotrace(ideal, module):
     if hom.dim == 0:
         result = module.full_submodule()
     else:
-        result = Submodule(module, kernel(vstack(hom.basis)), check=False)
+        result = Submodule(module, kernel(vstack(hom.generator_maps())), check=False)
     lower = ideal_times_module(annihilator(ideal_rep), module)
     upper = torsion_submodule(module, ideal)
     if not result.carrier.contains(lower.carrier) or not upper.carrier.contains(result.carrier):
@@ -253,30 +277,34 @@ class HomothetyMap:
     image: Submodule
 
 
+def _multiplication_coords(hom, ideal, module, vectors, target=None):
+    """Coordinates in hom = Hom(I, -) of r |-> r x for each column x of vectors.
+
+    The map's values on the ideal's cover generators g_i are the g_i x in
+    module, read in the coordinates of its submodule target when given.  A
+    tuple outside hom.values breaks a syzygy, so it is no homomorphism.
+    """
+    ideal_rep, inclusion = ideal.as_module()
+    blocks = []
+    for g in ideal_rep.free_cover().generators:
+        images = module.element_action(inclusion.apply(g)) @ vectors
+        if target is not None:
+            images = _coords(target.carrier, images, "I x escaped the target of the hom")
+        blocks.append(images)
+    if not blocks:
+        return Matrix.zeros(module.algebra.field, 0, vectors.ncols)
+    return _coords(hom.values, vstack(blocks), "r |-> r x is not a homomorphism on the generators")
+
+
 def homothety_map(ideal, module):
     """Matrix of x |-> (r |-> r x) from M to Hom(I, IM), with onto flag."""
     _require_ideal(ideal, module.algebra)
-    field = module.algebra.field
     image = ideal_times_module(ideal, module)
     image_rep, _ = image.as_module()
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, image_rep)
-    gens = ideal.carrier.basis_columns()
-    ops = [module.element_action(g) for g in gens]
-    cols = []
-    for b in range(module.dim):
-        e_b = [field.zero] * module.dim
-        e_b[b] = field.one
-        tcols = []
-        for op in ops:
-            v = op.apply(e_b)
-            coords = image.carrier.coords_of(v)
-            if coords is None:
-                raise InternalCheckError("I*x escaped IM")
-            tcols.append(coords)
-        t = Matrix.from_cols(field, tcols, nrows=image.dim)
-        cols.append(hom.coords_of_map(t))
-    matrix = Matrix.from_cols(field, cols, nrows=hom.dim)
+    identity = Matrix.identity(module.algebra.field, module.dim)
+    matrix = _multiplication_coords(hom, ideal, module, identity, target=image)
     return HomothetyMap(matrix, rank(matrix) == hom.dim, hom, image)
 
 
@@ -301,20 +329,7 @@ def colon_to_hom(sub, ideal):
     sub_rep, _ = sub.as_module()
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, sub_rep)
-    gens = ideal.carrier.basis_columns()
-    ops = [ambient.element_action(g) for g in gens]
-    cols = []
-    for u in domain.carrier.basis_columns():
-        tcols = []
-        for op in ops:
-            v = op.apply(u)
-            coords = sub.carrier.coords_of(v)
-            if coords is None:
-                raise InternalCheckError("I*(Y :_X I) escaped Y")
-            tcols.append(coords)
-        t = Matrix.from_cols(field, tcols, nrows=sub.dim)
-        cols.append(hom.coords_of_map(t))
-    matrix = Matrix.from_cols(field, cols, nrows=hom.dim)
+    matrix = _multiplication_coords(hom, ideal, ambient, domain.carrier.basis, target=sub)
     ker = kernel(matrix)
     lifted = Subspace.from_vectors(
         field, ambient.dim, [domain.carrier.basis.apply(c) for c in ker.basis_columns()]
@@ -427,15 +442,8 @@ def ext1(ideal, module):
     field = module.algebra.field
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, module)
-    gens = ideal.carrier.basis_columns()
-    ops = [module.element_action(g) for g in gens]
-    cols = []
-    for b in range(module.dim):
-        e_b = [field.zero] * module.dim
-        e_b[b] = field.one
-        t = Matrix.from_cols(field, [op.apply(e_b) for op in ops], nrows=module.dim)
-        cols.append(hom.coords_of_map(t))
-    restriction = Matrix.from_cols(field, cols, nrows=hom.dim)
+    identity = Matrix.identity(field, module.dim)
+    restriction = _multiplication_coords(hom, ideal, module, identity)
     image = Submodule(
         hom.rep,
         Subspace.from_vectors(field, hom.dim, restriction.cols()),
@@ -562,15 +570,10 @@ def is_quasi_frobenius(algebra):
 
 
 def has_commutative_endomorphisms(ideal):
-    """Whether End_R(I) is commutative."""
+    """Whether End_R(I) is commutative, tested on R-module generators."""
     rep, _ = ideal.as_module()
-    hom = hom_module(rep, rep)
-    basis = hom.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if basis[i] @ basis[j] != basis[j] @ basis[i]:
-                return False
-    return True
+    gens = hom_module(rep, rep).generator_maps()
+    return all(f @ g == g @ f for f, g in itertools.combinations(gens, 2))
 
 
 @dataclass(frozen=True)

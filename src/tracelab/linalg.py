@@ -275,23 +275,6 @@ class Matrix:
             out.append(acc)
         return tuple(self.field.canonical(out))
 
-    def kron(self, other):
-        """Kronecker product, shape (nrows*other.nrows) x (ncols*other.ncols)."""
-        _check_fields((self, other))
-        field = self.field
-        zeros = [field.zero] * other.ncols
-        out = []
-        for arow in self.rows:
-            for brow in other.rows:
-                row = []
-                for a in arow:
-                    if a:
-                        row.extend(a * b for b in brow)
-                    else:
-                        row.extend(zeros)
-                out.append(field.canonical(row))
-        return Matrix(field, out, ncols=self.ncols * other.ncols)
-
     def is_zero(self):
         return not any(any(r) for r in self.rows)
 
@@ -351,11 +334,6 @@ def vstack(matrices):
     for m in matrices:
         rows.extend(m.rows)
     return Matrix(matrices[0].field, rows, ncols=ncols)
-
-
-def kron(a, b):
-    """Kronecker product of two matrices over the same field."""
-    return a.kron(b)
 
 
 def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):

@@ -959,16 +959,16 @@ def suite_section3(spec):
 
 
 def corrupted_trace(ideal_sub, module):
-    """A deliberately broken trace (drops the last hom basis element).
+    """A deliberately broken trace (drops the last element of the canonical
+    basis of dense hom maps).
 
     Used by the harness self-test: the suites must flag it with a witness.
     """
     rep, _ = ideal_sub.as_module()
-    hom = hom_module(rep, module)
-    basis = hom.basis[:-1]
+    d = rep.dim
     vecs = []
-    for f in basis:
-        vecs.extend(f.col(j) for j in range(f.ncols))
+    for flat in hom_module(rep, module).dense_space().basis_columns()[:-1]:
+        vecs.extend(flat[j::d] for j in range(d))
     return Submodule(
         module,
         Subspace.from_vectors(module.algebra.field, module.dim, vecs),

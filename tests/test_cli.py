@@ -249,6 +249,19 @@ def test_negative_dim_cap_exits_2(capsys, tmp_path, extra_line, argv, name):
     assert name in error["message"]
 
 
+@pytest.mark.parametrize("ring", ["fat_ring", "dual_ring"])
+@pytest.mark.parametrize("command", ["excellent", "qf"])
+def test_negative_cap_enum_exits_2(capsys, request, ring, command):
+    # Over F2 the cap bounds the enumeration, over Q the verdict is sampled;
+    # a negative cap is refused in both.
+    ring_path = request.getfixturevalue(ring)
+    code, out, err = run_cli(capsys, command, "--ring", ring_path, "--cap-enum", "-1")
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert "--cap-enum" in error["message"]
+
+
 @pytest.mark.parametrize(
     "variables, relations, message",
     [

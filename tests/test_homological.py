@@ -3,15 +3,18 @@
 The brute-force oracles enumerate *all* linear maps over F_2 and filter the
 module homomorphisms by definition, fully independent of the free-cover
 solver they check.  The differential tests compare Hom and tensor products
-against the dim M * dim N intertwiner system and Kronecker quotient.
+against the dim M * dim N intertwiner system and Kronecker quotient, and the
+functors that read Hom in generator coordinates against the dense maps.
 """
 
 import itertools
 
 import pytest
 
+import tracelab.linalg
 from tracelab.artin import (
     PolynomialPresentation,
+    annihilator,
     build_algebra,
     free_module,
     ideal_from_elements,
@@ -24,6 +27,7 @@ from tracelab.artin import (
 )
 from tracelab.errors import ExtNotVanishing, FieldNotFinite
 from tracelab.homological import (
+    _multiplication_coords,
     ann_in_dual,
     coexcellence_verdict,
     colon_to_hom,
@@ -46,7 +50,7 @@ from tracelab.homological import (
     trace,
     trace_via_colon,
 )
-from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, kron
+from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, rank
 from tracelab.verifier import _built, default_catalog, module_pool
 
 
@@ -554,6 +558,26 @@ def intertwiner_space(source, target):
     return kernel(Matrix(field, rows, ncols=source.dim * target.dim))
 
 
+def kron(a, b):
+    """Kronecker product, shape (a.nrows * b.nrows) x (a.ncols * b.ncols)."""
+    field = a.field
+    rows = [field.canonical([x * y for x in arow for y in brow]) for arow in a.rows for brow in b.rows]
+    return Matrix(field, rows, ncols=a.ncols * b.ncols)
+
+
+def test_kron_oracle():
+    i2 = Matrix.identity(QQ, 2)
+    assert kron(i2, i2) == Matrix.identity(QQ, 4)
+    a = Matrix.from_int_rows(QQ, [[1, 2], [3, 4]])
+    assert kron(a, Matrix.zeros(QQ, 2, 2)).is_zero()
+    assert kron(Matrix.from_int_rows(QQ, [[2]]), i2) == Matrix.from_int_rows(QQ, [[2, 0], [0, 2]])
+    k = kron(Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 4, 5))
+    assert (k.nrows, k.ncols) == (8, 15)
+    f3 = GF(3)
+    b = Matrix.from_int_rows(f3, [[1, 2]])
+    assert kron(b, b) == Matrix.from_int_rows(f3, [[1, 2, 2, 1]])
+
+
 def kronecker_tensor_dim(left, right):
     """dim of the Kronecker space modulo span{(x u) o v - u o (x v)}."""
     field = left.algebra.field
@@ -608,8 +632,108 @@ def test_hom_space_equals_intertwiner_kernel():
         fields.add(algebra.field.name)
         for M in modules:
             for N in modules:
-                assert hom_module(M, N).space == intertwiner_space(M, N)
+                assert hom_module(M, N).dense_space() == intertwiner_space(M, N)
     assert fields == {"F2", "F3", "Q"}
+
+
+def annihilator_by_operators(module):
+    """Ann(M) as the kernel of all dim R monomial operators on M, entrywise."""
+    algebra = module.algebra
+    ops = [module.monomial_operator(s) for s in range(algebra.dim)]
+    rows = [[op.rows[i][j] for op in ops] for i in range(module.dim) for j in range(module.dim)]
+    return kernel(Matrix(algebra.field, rows, ncols=algebra.dim))
+
+
+def dense_multiplication_coords(hom, ideal, module, vectors, target=None):
+    """Coordinates of r |-> r x, for each x in vectors, in the canonical dense
+    basis of hom: the dim N x dim I matrix of the map, flattened."""
+    field = module.algebra.field
+    space = hom.dense_space()
+    ops = [module.element_action(g) for g in ideal.carrier.basis_columns()]
+    cols = []
+    for x in vectors:
+        images = [op.apply(x) for op in ops]
+        if target is not None:
+            images = [target.carrier.coords_of(y) for y in images]
+        t = Matrix.from_cols(field, images, nrows=hom.target.dim)
+        coords = space.coords_of(tuple(e for row in t.rows for e in row))
+        assert coords is not None
+        cols.append(coords)
+    return Matrix.from_cols(field, cols, nrows=space.dim)
+
+
+def assert_same_rank_and_kernel(got, dense):
+    assert rank(got) == rank(dense)
+    assert kernel(got) == kernel(dense)
+
+
+def differential_ideals(algebra):
+    return [ideal_from_elements(algebra, gens) for gens in ([], algebra.variables[:1], algebra.variables)]
+
+
+def test_trace_from_values_equals_span_of_dense_maps():
+    for algebra, modules in differential_pools():
+        for ideal in differential_ideals(algebra):
+            rep, _ = ideal.as_module()
+            for M in modules:
+                hom = hom_module(rep, M)
+                cols = [c for f in hom.maps(hom.values.basis_columns()) for c in f.cols()]
+                assert trace(ideal, M).carrier == Subspace.from_vectors(algebra.field, M.dim, cols)
+
+
+def test_annihilator_from_generator_orbits_equals_operator_kernel():
+    fields = set()
+    for algebra, modules in differential_pools():
+        fields.add(algebra.field.name)
+        for M in modules + [matlis_dual(M).rep for M in modules]:
+            assert annihilator(M).carrier == annihilator_by_operators(M)
+    assert fields == {"F2", "F3", "Q"}
+
+
+def test_multiplication_maps_agree_with_the_dense_route():
+    for algebra, modules in differential_pools():
+        for ideal in differential_ideals(algebra):
+            rep, _ = ideal.as_module()
+            for M in modules:
+                identity = Matrix.identity(algebra.field, M.dim)
+                basis = identity.cols()
+                homothety = homothety_map(ideal, M)
+                dense = dense_multiplication_coords(homothety.hom, ideal, M, basis, target=homothety.image)
+                assert_same_rank_and_kernel(homothety.matrix, dense)
+                hom = hom_module(rep, M)
+                restriction = _multiplication_coords(hom, ideal, M, identity)
+                assert_same_rank_and_kernel(restriction, dense_multiplication_coords(hom, ideal, M, basis))
+                for sub in (M.full_submodule(), ideal_times_module(algebra.max_ideal(), M)):
+                    alpha = colon_to_hom(sub, ideal)
+                    dense = dense_multiplication_coords(
+                        alpha.hom, ideal, M, alpha.domain.carrier.basis_columns(), target=sub
+                    )
+                    assert_same_rank_and_kernel(alpha.matrix, dense)
+
+
+@pytest.mark.parametrize("field", [GF(2), QQ])
+def test_functors_never_row_reduce_the_dense_hom_space(monkeypatch, field):
+    # Hom(I, N) is held in N^v coordinates, v = 2 generators of I = (x, y^2),
+    # so no elimination may reach dim I * dim N columns.
+    R = algebra(field, ["x", "y"], ["x^5", "y^5"])
+    reg = regular_module(R)
+    ideal = ideal_from_elements(R, ["x", "y^2"])
+    rep, _ = ideal.as_module()
+    image_rep, _ = ideal_times_module(ideal, reg).as_module()
+    widths = []
+    row_reduce = tracelab.linalg._row_reduce
+
+    def recording(field, rows, ncols, *args, **kwargs):
+        widths.append(ncols)
+        return row_reduce(field, rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(tracelab.linalg, "_row_reduce", recording)
+    trace(ideal, reg)
+    ext1(ideal, reg)
+    tor1(reg, ideal)
+    homothety_map(ideal, reg)
+    assert widths
+    assert max(widths) < min(rep.dim * reg.dim, rep.dim * image_rep.dim)
 
 
 def test_tensor_dim_equals_kronecker_quotient():

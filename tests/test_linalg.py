@@ -13,7 +13,6 @@ from tracelab.linalg import (
     Subspace,
     hstack,
     kernel,
-    kron,
     rank,
     reduce,
     solve,
@@ -170,32 +169,6 @@ def test_solve_verifies_exactly():
     assert m @ x == rhs
 
 
-# -- kron ----------------------------------------------------------------
-
-
-def test_kron_identities():
-    i2 = Matrix.identity(QQ, 2)
-    assert kron(i2, i2) == Matrix.identity(QQ, 4)
-
-
-def test_kron_with_zero():
-    a = mat(QQ, [[1, 2], [3, 4]])
-    z = Matrix.zeros(QQ, 2, 2)
-    assert kron(a, z).is_zero()
-
-
-def test_kron_scalar_blowup():
-    a = mat(QQ, [[2]])
-    assert kron(a, Matrix.identity(QQ, 2)) == mat(QQ, [[2, 0], [0, 2]])
-
-
-def test_kron_shape():
-    a = Matrix.zeros(QQ, 2, 3)
-    b = Matrix.zeros(QQ, 4, 5)
-    k = kron(a, b)
-    assert (k.nrows, k.ncols) == (8, 15)
-
-
 # -- property tests ----------------------------------------------------------
 
 fields = st.sampled_from([QQ, GF(2), GF(3), GF(5)])
@@ -299,11 +272,10 @@ def test_stack_helpers():
         operator.add,
         operator.sub,
         operator.matmul,
-        kron,
         lambda a, b: hstack([a, b]),
         lambda a, b: vstack([a, b]),
     ],
-    ids=["add", "sub", "matmul", "kron", "hstack", "vstack"],
+    ids=["add", "sub", "matmul", "hstack", "vstack"],
 )
 def test_mixed_fields_raise(left, right, op):
     with pytest.raises(DimensionMismatch):
@@ -323,7 +295,6 @@ def test_entries_stay_canonical_over_prime_fields(data):
         m - n,
         -m,
         m.scale(field.from_int(-1)),
-        m.kron(n),
         reduce(m),
         kernel(m).basis,
         proj,
