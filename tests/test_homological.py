@@ -565,19 +565,6 @@ def kron(a, b):
     return Matrix(field, rows, ncols=a.ncols * b.ncols)
 
 
-def test_kron_oracle():
-    i2 = Matrix.identity(QQ, 2)
-    assert kron(i2, i2) == Matrix.identity(QQ, 4)
-    a = Matrix.from_int_rows(QQ, [[1, 2], [3, 4]])
-    assert kron(a, Matrix.zeros(QQ, 2, 2)).is_zero()
-    assert kron(Matrix.from_int_rows(QQ, [[2]]), i2) == Matrix.from_int_rows(QQ, [[2, 0], [0, 2]])
-    k = kron(Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 4, 5))
-    assert (k.nrows, k.ncols) == (8, 15)
-    f3 = GF(3)
-    b = Matrix.from_int_rows(f3, [[1, 2]])
-    assert kron(b, b) == Matrix.from_int_rows(f3, [[1, 2, 2, 1]])
-
-
 def kronecker_tensor_dim(left, right):
     """dim of the Kronecker space modulo span{(x u) o v - u o (x v)}."""
     field = left.algebra.field

@@ -18,6 +18,7 @@ from tracelab.linalg import (
     solve,
     vstack,
 )
+from test_homological import kron
 
 
 def mat(field, rows, ncols=None):
@@ -167,6 +168,39 @@ def test_solve_verifies_exactly():
     rhs = mat(QQ, [[3], [2], [5]])
     x = solve(m, rhs)
     assert m @ x == rhs
+
+
+# -- kron ----------------------------------------------------------------
+# The library has no Kronecker product; these pin the oracle that
+# test_homological builds the Kronecker tensor quotient with.
+
+
+def test_kron_identities():
+    i2 = Matrix.identity(QQ, 2)
+    assert kron(i2, i2) == Matrix.identity(QQ, 4)
+
+
+def test_kron_with_zero():
+    a = mat(QQ, [[1, 2], [3, 4]])
+    z = Matrix.zeros(QQ, 2, 2)
+    assert kron(a, z).is_zero()
+
+
+def test_kron_scalar_blowup():
+    a = mat(QQ, [[2]])
+    assert kron(a, Matrix.identity(QQ, 2)) == mat(QQ, [[2, 0], [0, 2]])
+
+
+def test_kron_shape():
+    a = Matrix.zeros(QQ, 2, 3)
+    b = Matrix.zeros(QQ, 4, 5)
+    k = kron(a, b)
+    assert (k.nrows, k.ncols) == (8, 15)
+
+
+def test_kron_entries_canonical_over_prime_field():
+    b = mat(GF(3), [[1, 2]])
+    assert kron(b, b) == mat(GF(3), [[1, 2, 2, 1]])
 
 
 # -- property tests ----------------------------------------------------------
