@@ -7,8 +7,9 @@ itself (see build_algebra).  Inputs that are not Artinian at the origin, or
 not local, are rejected in bounded time and told apart.
 
 Modules are always held as commuting action matrices; ideals are submodules
-of the regular module.  All values are immutable after construction and all
-operations are pure.
+of the regular module, and act through their minimal generators
+(ideal_generators), one action per generator, never one per k-basis vector.
+All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -41,8 +42,11 @@ def _memoised(owner):
     """Memoise a function on its argument named `owner`.
 
     Results live in the owner's lazily created `_memo` dict, keyed by the
-    function and all its arguments (keywords included), so a result is freed
-    with the object it describes.  Exceptions are not memoised.
+    function and its other arguments (keywords included), so a result is
+    freed with the object it describes.  The owner is left out of its own
+    keys: an entry whose result does not point back at it makes no reference
+    cycle, and is freed without waiting for the cyclic garbage collector.
+    Exceptions are not memoised.
     """
 
     def decorate(fn):
@@ -55,7 +59,8 @@ def _memoised(owner):
                 memo = obj._memo
             except AttributeError:
                 memo = obj._memo = {}
-            key = (fn, args, tuple(kwargs.items())) if kwargs else (fn, args)
+            rest = args[:at] + args[at + 1 :]
+            key = (fn, rest, tuple(kwargs.items())) if kwargs else (fn, rest)
             result = memo.get(key, _MISSING)
             if result is _MISSING:
                 result = memo[key] = fn(*args, **kwargs)
@@ -542,10 +547,6 @@ class ModuleRep:
         self.label = label
         self.is_regular = is_regular
 
-    def monomial_operator(self, i):
-        """Action of the i-th algebra basis monomial on this module."""
-        return self._monomial_operators()[i]
-
     @_memoised("self")
     def _monomial_operators(self):
         ops = [Matrix.identity(self.algebra.field, self.dim)]
@@ -730,35 +731,43 @@ def _require_ideal(ideal, algebra):
         raise AlgebraMismatch("ideal belongs to a different algebra")
 
 
+@_memoised("ideal")
+def ideal_generators(ideal):
+    """The ideal's minimal generators g_1..g_v as ring elements.
+
+    They are the inclusions into R of the cover generators of the ideal as a
+    module, so a map out of I is read on the same g_i.  Every action of I
+    goes through them: r = sum_i s_i g_i gives r x = sum_i s_i (g_i x).
+    """
+    rep, inclusion = ideal.as_module()
+    return tuple(inclusion.apply(g) for g in minimal_generators(rep)[1])
+
+
 @_memoised("module")
 def ideal_times_module(ideal, module):
-    """The submodule I*M spanned by g*m over ideal generators g."""
+    """IM = g_1 M + ... + g_v M over the ideal generators g_i."""
     _require_ideal(ideal, module.algebra)
-    field = module.algebra.field
-    vecs = []
-    for g in ideal.carrier.basis_columns():
-        op = module.element_action(g)
-        vecs.extend(op.col(j) for j in range(op.ncols))
-    return Submodule(module, Subspace.from_vectors(field, module.dim, vecs), check=False)
+    vecs = [c for g in ideal_generators(ideal) for c in module.element_action(g).cols()]
+    return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, vecs), check=False)
 
 
-def ideal_times_subspace(ideal, module, subspace):
-    """Span of g*v over ideal generators g and v in the subspace."""
+def ideal_times_submodule(ideal, sub):
+    """IU, the span of g*u over ideal generators g and u in a basis of U.
+
+    This is all of IU because U is a submodule: s*g*u lies in g*U.
+    """
+    module = sub.module
     _require_ideal(ideal, module.algebra)
-    field = module.algebra.field
-    vecs = []
-    for g in ideal.carrier.basis_columns():
-        op = module.element_action(g)
-        for col in subspace.basis_columns():
-            vecs.append(op.apply(col))
-    return Subspace.from_vectors(field, module.dim, vecs)
+    basis = sub.carrier.basis
+    vecs = [c for g in ideal_generators(ideal) for c in (module.element_action(g) @ basis).cols()]
+    return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, vecs), check=False)
 
 
 @_memoised("module")
 def torsion_submodule(module, ideal):
-    """M[I] = {x in M : I x = 0}, the I-torsion submodule."""
+    """M[I] = {x in M : I x = 0}, the joint kernel of the ideal generators."""
     _require_ideal(ideal, module.algebra)
-    gens = ideal.carrier.basis_columns()
+    gens = ideal_generators(ideal)
     if not gens:
         return module.full_submodule()
     stacked = vstack([module.element_action(g) for g in gens])
@@ -766,10 +775,14 @@ def torsion_submodule(module, ideal):
 
 
 def colon(sub, ideal):
-    """(N :_M I) = {x in M : I x is contained in N}."""
+    """(N :_M I) = {x in M : g x in N for each ideal generator g}.
+
+    That is all of (N :_M I) because N is a submodule: g x in N gives
+    s g x in N.
+    """
     module = sub.module
     _require_ideal(ideal, module.algebra)
-    gens = ideal.carrier.basis_columns()
+    gens = ideal_generators(ideal)
     if not gens:
         return module.full_submodule()
     proj, _ = sub.carrier.quotient_maps()
@@ -804,15 +817,14 @@ def radical_core(module):
     Over an Artinian algebra the chain always reaches a fixed point within
     dim M steps (here in fact 0, since m is nilpotent).
     """
-    algebra = module.algebra
-    current = Subspace.full(algebra.field, module.dim)
-    m = algebra.max_ideal()
+    current = module.full_submodule()
+    m = module.algebra.max_ideal()
     for _ in range(module.dim + 1):
-        nxt = ideal_times_subspace(m, module, current)
-        if nxt == current:
+        nxt = ideal_times_submodule(m, current)
+        if nxt.carrier == current.carrier:
             break
         current = nxt
-    return Submodule(module, current, check=False)
+    return current
 
 
 def minimal_generators(module):

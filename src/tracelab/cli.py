@@ -363,8 +363,8 @@ def build_parser():
                 p.add_argument("--ideal", default="", help="ideal generators, e.g. 'x, y^2'")
             if name in ("excellent", "qf"):
                 p.add_argument("--seed", type=int, default=20260810)
+                p.add_argument("--cap-enum", type=int, default=None)
             p.add_argument("--cap-dim", type=int, default=None)
-            p.add_argument("--cap-enum", type=int, default=None)
     return parser
 
 

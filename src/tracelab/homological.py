@@ -46,8 +46,9 @@ from .artin import (
     enumerate_cyclic_ideals,
     free_module,
     ideal_from_elements,
+    ideal_generators,
     ideal_times_module,
-    ideal_times_subspace,
+    ideal_times_submodule,
     minimal_generators,
     power_module,
     socle,
@@ -280,14 +281,14 @@ class HomothetyMap:
 def _multiplication_coords(hom, ideal, module, vectors, target=None):
     """Coordinates in hom = Hom(I, -) of r |-> r x for each column x of vectors.
 
-    The map's values on the ideal's cover generators g_i are the g_i x in
-    module, read in the coordinates of its submodule target when given.  A
-    tuple outside hom.values breaks a syzygy, so it is no homomorphism.
+    The map's values on the ideal's generators g_i (its cover generators)
+    are the g_i x in module, read in the coordinates of its submodule target
+    when given.  A tuple outside hom.values breaks a syzygy, so it is no
+    homomorphism.
     """
-    ideal_rep, inclusion = ideal.as_module()
     blocks = []
-    for g in ideal_rep.free_cover().generators:
-        images = module.element_action(inclusion.apply(g)) @ vectors
+    for g in ideal_generators(ideal):
+        images = module.element_action(g) @ vectors
         if target is not None:
             images = _coords(target.carrier, images, "I x escaped the target of the hom")
         blocks.append(images)
@@ -384,13 +385,13 @@ def _evaluation(module, ideal, generators):
     """Matrix of (n_1..n_v) |-> sum_i n_i g_i from I^v into M.
 
     The g_i are the left factor's cover generators as vectors of M, and I^v
-    is in TensorProduct coordinates.  Kills the tensor relations exactly;
-    checked by the callers.
+    is in TensorProduct coordinates, so block i is the orbit matrix of g_i
+    (column s is b_s g_i) times the k-basis of I.  Kills the tensor
+    relations exactly; checked by the callers.
     """
-    field = module.algebra.field
-    ops = [module.element_action(r) for r in ideal.carrier.basis_columns()]
-    cols = [op.apply(g) for g in generators for op in ops]
-    return Matrix.from_cols(field, cols, nrows=module.dim)
+    field, basis = module.algebra.field, ideal.carrier.basis
+    blocks = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) @ basis for g in generators]
+    return hstack(blocks) if blocks else Matrix.zeros(field, module.dim, 0)
 
 
 @dataclass(frozen=True)
@@ -487,10 +488,7 @@ def tor1(module, ideal):
 
 def is_cyclic_ideal(ideal):
     """Whether the ideal is generated by one element (v(I) <= 1)."""
-    if ideal.dim == 0:
-        return True
-    rep, _ = ideal.as_module()
-    return minimal_generators(rep)[0] <= 1
+    return len(ideal_generators(ideal)) <= 1
 
 
 # -- injective embeddings and the colon route ----------------------------------------
@@ -535,7 +533,7 @@ def trace_via_colon(member, ideal):
     if ext1(ideal, ambient).dim != 0:
         raise ExtNotVanishing("Ext1(R/I, X) != 0: the colon route does not apply")
     inside = colon_submodule(member, ideal)
-    result = Submodule(ambient, ideal_times_subspace(ideal, ambient, inside.carrier), check=False)
+    result = ideal_times_submodule(ideal, inside)
     member_rep, incl = member.as_module()
     definitional = trace(ideal, member_rep)
     mapped = Subspace.from_vectors(

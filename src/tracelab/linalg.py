@@ -44,14 +44,6 @@ class RationalField:
     def from_int(self, n):
         return _rat(n)
 
-    def parse(self, text):
-        """Parse "p/q" or "p" into an exact rational."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return _rat(int(num), int(den))
-        return _rat(int(text))
-
     def format(self, x):
         """Render a scalar as "p" or "p/q" with den > 0 and gcd(p, q) = 1."""
         n, d = x.numerator, x.denominator
@@ -99,9 +91,6 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.char
-
-    def parse(self, text):
-        return self.from_int(int(text.strip()))
 
     def format(self, x):
         return "%d" % x

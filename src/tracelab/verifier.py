@@ -35,7 +35,7 @@ from .artin import (
     free_module,
     ideal_from_elements,
     ideal_times_module,
-    ideal_times_subspace,
+    ideal_times_submodule,
     is_essential,
     is_small,
     minimal_generators,
@@ -831,9 +831,7 @@ def suite_section3(spec):
             b_sub = span_submodule(free, [vec])
             inst = dict(base, **idesc, module={"label": "R^2 / <random vector>"})
             quotient_rep, proj, _ = b_sub.quotient()
-            ib = Submodule(
-                free, ideal_times_subspace(ideal_sub, free, b_sub.carrier), check=False
-            )
+            ib = ideal_times_submodule(ideal_sub, b_sub)
             big_colon = colon_submodule(ib, ideal_sub)
             mapped = Subspace.from_vectors(
                 algebra.field,
@@ -911,11 +909,7 @@ def suite_section3(spec):
                 stabilized = False
                 power = ideal_sub
                 for _ in range(module.dim + 1):
-                    power = Submodule(
-                        reg,
-                        ideal_times_subspace(power, reg, ideal_sub.carrier),
-                        check=False,
-                    )
+                    power = ideal_times_submodule(ideal_sub, power)
                     nxt = torsion_submodule(module, power)
                     if nxt.carrier == chain.carrier:
                         stabilized = True

@@ -15,7 +15,9 @@ from tracelab.artin import (
     enumerate_submodules,
     free_module,
     ideal_from_elements,
+    ideal_generators,
     ideal_times_module,
+    ideal_times_submodule,
     is_essential,
     is_small,
     minimal_generators,
@@ -33,8 +35,10 @@ from tracelab.errors import (
     ParseError,
     ResidueFieldError,
 )
-from tracelab.linalg import GF, QQ, Matrix
+from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, vstack
 from tracelab.verifier import _built, default_catalog, module_pool
+
+from test_homological import monomial_operators
 
 
 def algebra(field, variables, relations):
@@ -300,10 +304,64 @@ def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, w
     field = module.algebra.field
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=module.algebra.dim, max_size=module.algebra.dim))
     r = tuple(field.from_int(c) for c in coeffs)
-    expected = Matrix.zeros(field, module.dim, module.dim)
-    for s, c in enumerate(r):
-        expected = expected + module.monomial_operator(s).scale(c)
-    assert module.element_action(r) == expected
+    assert module.element_action(r) == operator_of(module, r)
+
+
+def operator_of(module, r):
+    """The action of r on module as the sum of its scaled monomial operators."""
+    total = Matrix.zeros(module.algebra.field, module.dim, module.dim)
+    for op, c in zip(monomial_operators(module), r):
+        total = total + op.scale(c)
+    return total
+
+
+def kbasis_ideal_times(ideal, module, vectors):
+    """Span of r*v over a k-basis r of the ideal and the given vectors."""
+    ops = [operator_of(module, r) for r in ideal.carrier.basis_columns()]
+    vecs = [op.apply(v) for op in ops for v in vectors]
+    return Subspace.from_vectors(module.algebra.field, module.dim, vecs)
+
+
+def kbasis_joint_kernel(ideal, module, proj=None):
+    """Joint kernel over a k-basis r of the ideal of r, or of proj @ r."""
+    ops = [operator_of(module, r) for r in ideal.carrier.basis_columns()]
+    if not ops:
+        return Subspace.full(module.algebra.field, module.dim)
+    return kernel(vstack([op if proj is None else proj @ op for op in ops]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field_name=st.sampled_from(["F2", "F3", "Q"]),
+    index=st.integers(0, 1),
+    which=st.integers(0, 1),
+    data=st.data(),
+)
+def test_ideal_actions_through_generators_equal_kbasis_actions(field_name, index, which, data):
+    module = _action_case(field_name, index)[which]
+    R = module.algebra
+    field = R.field
+    coeffs = st.lists(st.integers(-4, 4), min_size=R.dim - 1, max_size=R.dim - 1)
+    elements = data.draw(st.lists(coeffs, min_size=1, max_size=3))
+    ideal = ideal_from_elements(R, [tuple(field.from_int(c) for c in [0] + e) for e in elements])
+    vec = data.draw(st.lists(st.integers(-4, 4), min_size=module.dim, max_size=module.dim))
+    sub = span_submodule(module, [tuple(field.from_int(c) for c in vec)])
+
+    standard = Matrix.identity(field, module.dim).cols()
+    assert ideal_times_module(ideal, module).carrier == kbasis_ideal_times(ideal, module, standard)
+    assert torsion_submodule(module, ideal).carrier == kbasis_joint_kernel(ideal, module)
+    proj, _ = sub.carrier.quotient_maps()
+    assert colon(sub, ideal).carrier == kbasis_joint_kernel(ideal, module, proj)
+    product = ideal_times_submodule(ideal, sub)
+    assert product.module is module
+    assert product.carrier == kbasis_ideal_times(ideal, module, sub.carrier.basis_columns())
+
+    gens = ideal_generators(ideal)
+    reg = R.regular_module()
+    m_ideal = kbasis_ideal_times(R.max_ideal(), reg, ideal.carrier.basis_columns())
+    assert len(gens) == ideal.dim - m_ideal.dim
+    rep, inclusion = ideal.as_module()
+    assert gens == tuple(inclusion.apply(g) for g in rep.free_cover().generators)
 
 
 def test_huge_exponent_stops_at_zero(fat_point):

@@ -340,6 +340,20 @@ def test_zero_caps_are_enforced(capsys, dual_ring, flag, command, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("command", ["algebra-info", "trace", "cotrace", "ext1", "tor1", "dual", "good"])
+def test_cap_enum_is_only_for_enumerating_commands(capsys, fat_ring, command):
+    # Only excellent and qf enumerate ideals, so only they take the cap.
+    argv = [command, "--ring", fat_ring, "--cap-enum", "5"]
+    if command in ("trace", "cotrace", "ext1", "tor1", "good"):
+        argv += ["--ideal", "x"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "UsageError" and "--cap-enum" in error["message"]
+
+
 def test_unknown_flag_is_an_error(capsys, fat_ring):
     with pytest.raises(SystemExit) as exc:
         main(["algebra-info", "--ring", fat_ring, "--frobnicate"])

@@ -623,10 +623,18 @@ def test_hom_space_equals_intertwiner_kernel():
     assert fields == {"F2", "F3", "Q"}
 
 
+def monomial_operators(module):
+    """The action on module of each algebra basis monomial, in basis order."""
+    ops = [Matrix.identity(module.algebra.field, module.dim)]
+    for var, base in module.algebra.monomial_steps:
+        ops.append(module.actions[var] @ ops[base])
+    return ops
+
+
 def annihilator_by_operators(module):
     """Ann(M) as the kernel of all dim R monomial operators on M, entrywise."""
     algebra = module.algebra
-    ops = [module.monomial_operator(s) for s in range(algebra.dim)]
+    ops = monomial_operators(module)
     rows = [[op.rows[i][j] for op in ops] for i in range(module.dim) for j in range(module.dim)]
     return kernel(Matrix(algebra.field, rows, ncols=algebra.dim))
 

@@ -15,6 +15,7 @@ from tracelab.artin import (
     enumerate_cyclic_ideals,
     enumerate_submodules,
     ideal_from_elements,
+    ideal_generators,
     regular_module,
 )
 from tracelab.errors import EnumerationCapExceeded
@@ -42,6 +43,23 @@ def test_repeated_calls_return_the_same_object():
     assert tensor_product(dual, rep) is tensor_product(dual, rep)
     # Different arguments are different entries on the same owner.
     assert trace(ideal, dual) is not trace(R.max_ideal(), dual)
+
+
+def test_an_ideal_with_memoised_generators_is_freed_without_the_collector():
+    # The owner is not part of its own memo keys, so the rep and generators
+    # memoised on an ideal make no cycle through it.
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    gc.collect()
+    gc.disable()
+    try:
+        ideal = ideal_from_elements(R, ["x", "y"])
+        assert len(ideal_generators(ideal)) == 2
+        assert ideal.as_module()[0].dim == 2
+        marker = id(ideal)
+        del ideal
+        assert not [o for o in gc.get_objects() if id(o) == marker and isinstance(o, Submodule)]
+    finally:
+        gc.enable()
 
 
 def test_exceptions_are_not_memoised():
