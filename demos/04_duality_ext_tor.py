@@ -56,7 +56,7 @@ print("tensor evaluation injective on k?", tensor_eval(k, ix).injective)
 X, incl = embed_into_injective(k)
 member = Submodule(
     X,
-    Subspace.from_vectors(QQ, X.dim, [incl.col(j) for j in range(incl.ncols)]),
+    Subspace.from_vectors(QQ, X.dim, incl.cols()),
     check=False,
 )
 routed = trace_via_colon(member, ix)

@@ -549,10 +549,19 @@ class ModuleRep:
 
     @_memoised("self")
     def _monomial_operators(self):
-        ops = [Matrix.identity(self.algebra.field, self.dim)]
-        for var, base in self.algebra.monomial_steps:
-            ops.append(self.actions[var] @ ops[base])
-        return ops
+        """The operators of basis monomials built so far, by index."""
+        return {0: Matrix.identity(self.algebra.field, self.dim)}
+
+    def _monomial_operator(self, s):
+        """The action of basis monomial s, built on first use along its
+        monomial-tree path, in a loop: the path can be dim R - 1 steps long."""
+        ops, steps, path = self._monomial_operators(), self.algebra.monomial_steps, [s]
+        while path[-1] not in ops:
+            path.append(steps[path[-1] - 1][1])
+        for t in reversed(path[:-1]):
+            var, base = steps[t - 1]
+            ops[t] = self.actions[var] @ ops[base]
+        return ops[s]
 
     def orbit(self, vec):
         """[b_s * vec for every algebra basis monomial b_s], in basis order.
@@ -565,10 +574,9 @@ class ModuleRep:
         return out
 
     def element_action(self, r_vec):
-        """Action matrix of the ring element with coordinates r_vec."""
+        """Action matrix of r_vec, from the operators of the basis monomials in its support."""
         field = self.algebra.field
-        ops = self._monomial_operators()
-        terms = [(ops[i].rows, c) for i, c in enumerate(r_vec) if c]
+        terms = [(self._monomial_operator(i).rows, c) for i, c in enumerate(r_vec) if c]
         rows = []
         for a in range(self.dim):
             acc = [field.zero] * self.dim
@@ -576,8 +584,8 @@ class ModuleRep:
                 for j, x in enumerate(op_rows[a]):
                     if x:
                         acc[j] += c * x
-            rows.append(field.canonical(acc))
-        return Matrix(field, rows, ncols=self.dim)
+            rows.append(tuple(field.canonical(acc)))
+        return Matrix._of(field, tuple(rows), self.dim)
 
     @_memoised("self")
     def free_cover(self):
@@ -663,15 +671,11 @@ def free_module(algebra, n):
 
 def power_module(module, n):
     """M^n = M (+) ... (+) M with block-diagonal action."""
-    zero = module.algebra.field.zero
-    d = module.dim
+    z, d = (module.algebra.field.zero,), module.dim
     actions = []
     for a in module.actions:
-        rows = []
-        for i in range(n):
-            left, right = [zero] * (i * d), [zero] * ((n - 1 - i) * d)
-            rows.extend(left + list(r) + right for r in a.rows)
-        actions.append(Matrix(module.algebra.field, rows, ncols=n * d))
+        rows = tuple(z * (i * d) + r + z * ((n - 1 - i) * d) for i in range(n) for r in a.rows)
+        actions.append(Matrix._of(module.algebra.field, rows, n * d))
     return ModuleRep(module.algebra, n * d, actions, label="%s^%d" % (module.label, n))
 
 
@@ -801,7 +805,7 @@ def annihilator(module):
     rows = []
     for g in minimal_generators(module)[1]:
         rows.extend(zip(*module.orbit(g)))
-    ker = kernel(Matrix(algebra.field, rows, ncols=algebra.dim))
+    ker = kernel(Matrix._of(algebra.field, tuple(rows), algebra.dim))
     return Submodule(algebra.regular_module(), ker, check=False)
 
 
@@ -898,13 +902,10 @@ def direct_sum(a, b):
         raise AlgebraMismatch("direct sum over different algebras")
     field = a.algebra.field
     actions = []
+    za, zb = (field.zero,) * a.dim, (field.zero,) * b.dim
     for ma, mb in zip(a.actions, b.actions):
-        rows = []
-        for i, r in enumerate(ma.rows):
-            rows.append(list(r) + [field.zero] * b.dim)
-        for i, r in enumerate(mb.rows):
-            rows.append([field.zero] * a.dim + list(r))
-        actions.append(Matrix(field, rows, ncols=a.dim + b.dim))
+        rows = tuple(r + zb for r in ma.rows) + tuple(za + r for r in mb.rows)
+        actions.append(Matrix._of(field, rows, a.dim + b.dim))
     rep = ModuleRep(a.algebra, a.dim + b.dim, actions, label="%s(+)%s" % (a.label, b.label))
     z_ab = Matrix.zeros(field, a.dim, b.dim)
     z_ba = Matrix.zeros(field, b.dim, a.dim)
@@ -919,8 +920,10 @@ def direct_sum(a, b):
 def enumerate_cyclic_ideals(algebra, cap=ENUMERATION_CAP):
     """All cyclic ideals (r) of R, deduplicated, in a deterministic order.
 
-    Requires a finite coefficient field and p^dim <= cap candidate
-    generators.
+    Requires a finite coefficient field and p^dim <= cap ring elements.
+    Units generate R and (r) = (c r) for scalars c != 0, so besides R only
+    0 and the elements of m with first nonzero coordinate 1 are taken, and
+    (r) is the span of the orbit of r.
     """
     field = algebra.field
     if not field.is_finite:
@@ -928,11 +931,18 @@ def enumerate_cyclic_ideals(algebra, cap=ENUMERATION_CAP):
     count = field.order ** algebra.dim
     if count > cap:
         raise EnumerationCapExceeded("would enumerate %d ring elements (cap %d)" % (count, cap))
-    reg = algebra.regular_module()
-    seen = {}
-    for coords in itertools.product(field.elements(), repeat=algebra.dim):
-        ideal = span_submodule(reg, [coords])
-        seen.setdefault(ideal.carrier, ideal)
+    reg, n, zero = algebra.regular_module(), algebra.dim, field.zero
+    full = reg.full_submodule()
+    seen = {full.carrier: full}
+    normalised = (
+        (zero,) * k + (field.one,) + tail
+        for k in range(1, n)
+        for tail in itertools.product(field.elements(), repeat=n - 1 - k)
+    )
+    for r in itertools.chain([(zero,) * n], normalised):
+        carrier = Subspace.from_vectors(field, n, reg.orbit(r))
+        if carrier not in seen:
+            seen[carrier] = Submodule(reg, carrier, check=False)
     return tuple(sorted(seen.values(), key=lambda s: s.carrier.sort_key()))
 
 

@@ -110,9 +110,9 @@ class HomModule:
         for n in tuples:
             cols = [w for i in range(v) for w in self.target.orbit(n[i * dN : (i + 1) * dN])]
             stacked.extend(zip(*cols))
-        images = Matrix(field, stacked, ncols=cover.section.nrows) @ cover.section
+        images = Matrix._of(field, tuple(stacked), cover.section.nrows) @ cover.section
         return [
-            Matrix(field, images.rows[t * dN : (t + 1) * dN], ncols=self.source.dim)
+            Matrix._of(field, images.rows[t * dN : (t + 1) * dN], self.source.dim)
             for t in range(len(tuples))
         ]
 
@@ -122,7 +122,7 @@ class HomModule:
         A map f = sum_j r_j f_j kills m, or commutes with maps, when the f_j
         do, so these suffice for joint kernels and for commutativity.
         """
-        return self.maps([self.values.basis.apply(c) for c in minimal_generators(self.rep)[1]])
+        return self.maps([self.values.vector(c) for c in minimal_generators(self.rep)[1]])
 
     def dense_space(self):
         """The maps of the basis, flattened row-major, as the canonical
@@ -147,7 +147,7 @@ def _coords(space, mat, message):
     They are the entries at the pivot rows; a column outside the space
     fails the exact reconstruction and raises InternalCheckError(message).
     """
-    coords = Matrix(mat.field, [mat.rows[p] for p in space.pivots], ncols=mat.ncols)
+    coords = Matrix._of(mat.field, tuple(mat.rows[p] for p in space.pivots), mat.ncols)
     if space.basis @ coords != mat:
         raise InternalCheckError(message)
     return coords
@@ -165,9 +165,10 @@ def hom_module(source, target):
     rows = []
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
-    values = kernel(Matrix(field, rows, ncols=v * dN))
+    values = kernel(Matrix._of(field, tuple(rows), v * dN))
+    basis = values.basis
     actions = [
-        _coords(values, a @ values.basis, "hom space is not closed under the action")
+        _coords(values, a @ basis, "hom space is not closed under the action")
         for a in power_module(target, v).actions
     ]
     rep = ModuleRep(algebra, values.dim, actions, label="Hom(%s,%s)" % (source.label, target.label))
@@ -259,7 +260,8 @@ def ann_in_dual(dual, sub):
     if sub.dim == 0:
         result = dual.rep.full_submodule()
     else:
-        result = Submodule(dual.rep, kernel(sub.carrier.basis.transpose()), check=False)
+        rows = Matrix._of(sub.carrier.field, sub.carrier.rows, sub.carrier.ambient_dim)
+        result = Submodule(dual.rep, kernel(rows), check=False)
     if result.dim != dual.primal.dim - sub.dim:
         raise InternalCheckError("annihilator in dual has wrong dimension")
     return result
@@ -332,9 +334,7 @@ def colon_to_hom(sub, ideal):
     hom = hom_module(ideal_rep, sub_rep)
     matrix = _multiplication_coords(hom, ideal, ambient, domain.carrier.basis, target=sub)
     ker = kernel(matrix)
-    lifted = Subspace.from_vectors(
-        field, ambient.dim, [domain.carrier.basis.apply(c) for c in ker.basis_columns()]
-    )
+    lifted = Subspace.from_vectors(field, ambient.dim, [domain.carrier.vector(c) for c in ker.rows])
     expected = domain.carrier.intersect(torsion_submodule(ambient, ideal).carrier)
     if lifted != expected:
         raise InternalCheckError("kernel of the colon-to-hom map is not (Y :_X I)[I]")

@@ -12,9 +12,14 @@ representatives (x % p over F_p, the identity over Q).  Every operation here
 applies it once per row it produces, so every stored entry and every returned
 vector is canonical and structural equality is value equality.
 
-Matrices are dense and immutable.  Subspaces are stored via a basis in
-reduced column echelon form; that form is unique per subspace, so structural
-equality of Subspace values decides equality of subspaces.
+Everything is row-major.  Matrices are dense and immutable tuples of row
+tuples; the public constructor validates its input, and every result computed
+here takes the trusted path Matrix._of, which stores rows that are already
+a tuple of equal-length canonical tuples.  A Subspace holds the rows of its
+reduced row echelon basis, exactly as the elimination returns them; that
+form is unique per subspace, so structural equality of Subspace values
+decides equality of subspaces, and the column basis matrix is only built on
+demand.
 """
 
 from __future__ import annotations
@@ -162,71 +167,63 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _of(cls, field, rows, ncols):
+        """Trusted constructor: rows is a tuple of length-ncols canonical tuples."""
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
+        return m
+
+    @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(field, ((field.zero,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
         """Build a matrix from a sequence of column vectors."""
         cols = [tuple(c) for c in cols]
-        if cols:
-            if nrows is None:
-                nrows = len(cols[0])
-            for c in cols:
-                if len(c) != nrows:
-                    raise DimensionMismatch("ragged columns")
-            if nrows == 0:
-                return cls(field, [], ncols=len(cols))
-            return cls(field, [[c[i] for c in cols] for i in range(nrows)])
         if nrows is None:
-            nrows = 0
-        return cls(field, [[] for _ in range(nrows)], ncols=0)
+            nrows = len(cols[0]) if cols else 0
+        if any(len(c) != nrows for c in cols):
+            raise DimensionMismatch("ragged columns")
+        return cls._of(field, _transposed(cols, nrows), len(cols))
 
     @classmethod
     def from_int_rows(cls, field, rows, ncols=None):
         conv = field.from_int
         return cls(field, [[conv(x) for x in r] for r in rows], ncols=ncols)
 
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return list(_transposed(self.rows, self.ncols))
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix._of(self.field, _transposed(self.rows, self.ncols), self.nrows)
 
     def __add__(self, other):
         self._check_same_shape(other)
         canon = self.field.canonical
-        return Matrix(
-            self.field,
-            [canon([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        rows = [canon([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)]
+        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
 
     def __sub__(self, other):
         self._check_same_shape(other)
         canon = self.field.canonical
-        return Matrix(
-            self.field,
-            [canon([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        rows = [canon([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)]
+        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
 
     def __neg__(self):
         canon = self.field.canonical
-        return Matrix(self.field, [canon([-a for a in r]) for r in self.rows], ncols=self.ncols)
+        rows = [canon([-a for a in r]) for r in self.rows]
+        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
 
     def scale(self, s):
         canon = self.field.canonical
-        return Matrix(self.field, [canon([s * a for a in r]) for r in self.rows], ncols=self.ncols)
+        rows = [canon([s * a for a in r]) for r in self.rows]
+        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
 
     def __matmul__(self, other):
         _check_fields((self, other))
@@ -245,8 +242,8 @@ class Matrix:
                 if a:
                     for j, b in brow:
                         acc[j] += a * b
-            out.append(canon(acc))
-        return Matrix(field, out, ncols=other.ncols)
+            out.append(tuple(canon(acc)))
+        return Matrix._of(field, tuple(out), other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a length-ncols sequence."""
@@ -306,8 +303,8 @@ def hstack(matrices):
     for m in matrices:
         if m.nrows != nrows:
             raise DimensionMismatch("hstack row counts differ")
-    rows = [tuple(itertools.chain.from_iterable(m.rows[i] for m in matrices)) for i in range(nrows)]
-    return Matrix(matrices[0].field, rows, ncols=sum(m.ncols for m in matrices))
+    rows = tuple(tuple(itertools.chain.from_iterable(m.rows[i] for m in matrices)) for i in range(nrows))
+    return Matrix._of(matrices[0].field, rows, sum(m.ncols for m in matrices))
 
 
 def vstack(matrices):
@@ -319,10 +316,13 @@ def vstack(matrices):
     for m in matrices:
         if m.ncols != ncols:
             raise DimensionMismatch("vstack column counts differ")
-    rows = []
-    for m in matrices:
-        rows.extend(m.rows)
-    return Matrix(matrices[0].field, rows, ncols=ncols)
+    rows = tuple(itertools.chain.from_iterable(m.rows for m in matrices))
+    return Matrix._of(matrices[0].field, rows, ncols)
+
+
+def _transposed(rows, ncols):
+    """The columns of length-ncols rows, as a tuple of tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * ncols
 
 
 def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
@@ -374,7 +374,7 @@ def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
 def reduce(m):
     """Unique reduced row echelon form of a matrix; rank = pivot count."""
     red, _ = _row_reduce(m.field, m.rows, m.ncols)
-    return Matrix(m.field, red, ncols=m.ncols)
+    return Matrix._of(m.field, tuple(map(tuple, red)), m.ncols)
 
 
 def rank(m):
@@ -392,48 +392,47 @@ def solve(m, rhs):
     if m.nrows != rhs.nrows:
         raise DimensionMismatch("rhs has %d rows, matrix has %d" % (rhs.nrows, m.nrows))
     field = m.field
-    aug = [list(r) + list(s) for r, s in zip(m.rows, rhs.rows)]
+    aug = [r + s for r, s in zip(m.rows, rhs.rows)]
     if not aug:
         return Matrix.zeros(field, m.ncols, rhs.ncols)
     red, pivots = _row_reduce(field, aug, m.ncols + rhs.ncols, pivot_limit=m.ncols)
     for i in range(len(pivots), len(red)):
         if any(red[i][m.ncols:]):
             return None
-    zero = field.zero
-    out = [[zero] * rhs.ncols for _ in range(m.ncols)]
+    out = [(field.zero,) * rhs.ncols] * m.ncols
     for i, c in enumerate(pivots):
-        out[c] = red[i][m.ncols:]
-    return Matrix(field, out, ncols=rhs.ncols)
+        out[c] = tuple(red[i][m.ncols :])
+    return Matrix._of(field, tuple(out), rhs.ncols)
 
 
 class Subspace:
     """A linear subspace of k^n held as a canonical reduced basis.
 
-    The basis matrix is n x dim with columns in reduced column echelon form
-    (pivot rows strictly increasing, pivot entries 1, pivot rows zero in the
-    other columns).  That form is unique, so `a == b` iff the subspaces are
-    equal; this is the equality every submodule comparison bottoms out in.
+    rows are the nonzero rows of the reduced row echelon form of any spanning
+    set (pivot columns strictly increasing, pivot entries 1, pivot columns
+    zero in the other rows), and they are the basis vectors.  That form is
+    unique, so `a == b` iff the subspaces are equal; this is the equality
+    every submodule comparison bottoms out in.  `basis` is the n x dim matrix
+    with those vectors as columns, built on each access.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, field, ambient_dim, basis, pivots):
+    def __init__(self, field, ambient_dim, rows, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
         """Canonical subspace spanned by the given length-n vectors."""
-        vectors = [tuple(v) for v in vectors]
+        vectors = list(vectors)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length %d != ambient %d" % (len(v), ambient_dim))
         red, pivots = _row_reduce(field, vectors, ambient_dim)
-        basis_rows = red[: len(pivots)]
-        basis = Matrix(field, basis_rows, ncols=ambient_dim).transpose()
-        return cls(field, ambient_dim, basis, pivots)
+        return cls(field, ambient_dim, tuple(map(tuple, red[: len(pivots)])), pivots)
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -441,31 +440,42 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(
-            field, ambient_dim, Matrix.identity(field, ambient_dim), range(ambient_dim)
-        )
+        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows, range(ambient_dim))
 
     @property
     def dim(self):
         return len(self.pivots)
 
+    @property
+    def basis(self):
+        return Matrix._of(self.field, _transposed(self.rows, self.ambient_dim), len(self.rows))
+
     def basis_columns(self):
-        return [self.basis.col(j) for j in range(self.dim)]
+        return list(self.rows)
+
+    def vector(self, coords):
+        """The vector with the given coordinates in the canonical basis."""
+        field = self.field
+        acc = [field.zero] * self.ambient_dim
+        for c, row in zip(coords, self.rows):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        acc[j] += c * x
+        return tuple(field.canonical(acc))
 
     def coords_of(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside.
 
-        With a reduced column echelon basis the candidate coordinates are
-        just the entries of vec at the pivot rows; membership is decided by
-        exact reconstruction (equivalent to the residual rank test).
+        With a reduced echelon basis the candidate coordinates are just the
+        entries of vec at the pivots; membership is decided by exact
+        reconstruction (equivalent to the residual rank test).
         """
         vec = tuple(vec)
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector length %d != ambient %d" % (len(vec), self.ambient_dim))
         coords = tuple(vec[p] for p in self.pivots)
-        if self.basis.apply(coords) != vec:
-            return None
-        return coords
+        return coords if self.vector(coords) == vec else None
 
     def contains_vector(self, vec):
         return self.coords_of(vec) is not None
@@ -473,24 +483,19 @@ class Subspace:
     def contains(self, other):
         """Whether other is a subspace of self (same ambient space)."""
         self._check_ambient(other)
-        return all(self.contains_vector(c) for c in other.basis_columns())
+        return all(self.contains_vector(c) for c in other.rows)
 
     def sum(self, other):
         self._check_ambient(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim, self.basis_columns() + other.basis_columns()
-        )
+        return Subspace.from_vectors(self.field, self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other):
-        """Intersection via the kernel of [A | B]."""
+        """Intersection via the kernel of [A | B], A and B the two bases."""
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        stacked = hstack([self.basis, other.basis])
-        ker = kernel(stacked)
-        vecs = []
-        for col in ker.basis_columns():
-            vecs.append(self.basis.apply(col[: self.dim]))
+        stacked = Matrix._of(self.field, tuple(zip(*self.rows, *other.rows)), self.dim + other.dim)
+        vecs = [self.vector(col[: self.dim]) for col in kernel(stacked).rows]
         return Subspace.from_vectors(self.field, self.ambient_dim, vecs)
 
     def quotient_maps(self):
@@ -499,7 +504,7 @@ class Subspace:
         proj is (n-dim) x n, section is n x (n-dim); proj @ section is the
         identity and proj kills the subspace.  The section lifts quotient
         basis vectors to the ambient standard basis vectors at non-pivot
-        rows.
+        columns.
         """
         field = self.field
         n = self.ambient_dim
@@ -510,30 +515,24 @@ class Subspace:
         for q in nonpivots:
             row = [z] * n
             row[q] = o
-            for i, p in enumerate(self.pivots):
-                b = self.basis.rows[q][i]
-                if b:
-                    row[p] = -b
-            proj.append(field.canonical(row))
-        section_rows = [[z] * len(nonpivots) for _ in range(n)]
-        for t, q in enumerate(nonpivots):
-            section_rows[q][t] = o
-        return (
-            Matrix(field, proj, ncols=n),
-            Matrix(field, section_rows, ncols=len(nonpivots)),
-        )
+            for p, prow in zip(self.pivots, self.rows):
+                if prow[q]:
+                    row[p] = -prow[q]
+            proj.append(tuple(field.canonical(row)))
+        section = tuple(tuple(o if q == t else z for t in nonpivots) for q in range(n))
+        return Matrix._of(field, tuple(proj), n), Matrix._of(field, section, len(nonpivots))
 
     def vectors(self):
         """All vectors of the subspace; finite fields only (p^dim many)."""
         if not self.field.is_finite:
             raise FieldNotFinite("cannot enumerate a subspace over %s" % self.field.name)
         for coeffs in itertools.product(self.field.elements(), repeat=self.dim):
-            yield self.basis.apply(coeffs)
+            yield self.vector(coeffs)
 
     def sort_key(self):
-        """Deterministic total order key: (dim, flattened basis entries)."""
+        """Deterministic total order key: (dim, basis entries in ambient-index-major order)."""
         sk = self.field.sort_key
-        return (self.dim, tuple(sk(x) for row in self.basis.rows for x in row))
+        return (self.dim, tuple(sk(x) for col in zip(*self.rows) for x in col))
 
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
@@ -545,10 +544,11 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        same_space = self.ambient_dim == other.ambient_dim and self.field == other.field
+        return same_space and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.rows))
 
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)

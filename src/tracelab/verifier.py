@@ -685,9 +685,8 @@ def suite_section2(spec):
 
 def _member_of(module, incl):
     """Wrap an inclusion matrix as a Submodule of its target module."""
-    cols = [incl.col(j) for j in range(incl.ncols)]
     return Submodule(
-        module, Subspace.from_vectors(module.algebra.field, module.dim, cols), check=False
+        module, Subspace.from_vectors(module.algebra.field, module.dim, incl.cols()), check=False
     )
 
 

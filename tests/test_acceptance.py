@@ -317,7 +317,7 @@ def test_two_route_trace_agreement():
                 member = Submodule(
                     injective,
                     Subspace.from_vectors(
-                        algebra.field, injective.dim, [incl.col(j) for j in range(incl.ncols)]
+                        algebra.field, injective.dim, incl.cols()
                     ),
                     check=False,
                 )

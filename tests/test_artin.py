@@ -1,5 +1,8 @@
 """Algebra construction and elementary module operations."""
 
+import inspect
+import itertools
+import sys
 from functools import lru_cache
 
 import pytest
@@ -23,6 +26,7 @@ from tracelab.artin import (
     minimal_generators,
     module_from_presentation,
     parse_poly,
+    power_module,
     radical_core,
     regular_module,
     socle,
@@ -39,6 +43,7 @@ from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, vstack
 from tracelab.verifier import _built, default_catalog, module_pool
 
 from test_homological import monomial_operators
+from test_linalg import assert_trusted
 
 
 def algebra(field, variables, relations):
@@ -307,6 +312,35 @@ def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, w
     assert module.element_action(r) == operator_of(module, r)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    field_name=st.sampled_from(["F2", "F3", "Q"]),
+    index=st.integers(0, 1),
+    which=st.integers(0, 1),
+    data=st.data(),
+)
+def test_element_and_power_actions_are_trusted_rows(field_name, index, which, data):
+    module = _action_case(field_name, index)[which]
+    field = module.algebra.field
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=module.algebra.dim, max_size=module.algebra.dim))
+    assert_trusted(module.element_action(tuple(field.from_int(c) for c in coeffs)))
+    for action in power_module(module, data.draw(st.integers(0, 3))).actions:
+        assert_trusted(action)
+
+
+def test_deep_monomial_operators_are_built_without_recursion():
+    # x^119 in k[x]/(x^120) is 119 steps down the monomial tree; building its
+    # operator must not take a stack frame per step.
+    module = regular_module(algebra(GF(2), ["x"], ["x^120"]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        action = module.element_action(tuple(int(i == 119) for i in range(120)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert action.rows[119][0] == 1 and sum(map(sum, action.rows)) == 1
+
+
 def operator_of(module, r):
     """The action of r on module as the sum of its scaled monomial operators."""
     total = Matrix.zeros(module.algebra.field, module.dim, module.dim)
@@ -412,6 +446,33 @@ def test_cyclic_ideals_fat_point_f2():
     # 0, the p+1 = 3 lines inside the socle span{x,y}, and R itself.
     assert len(ideals) == 5
     assert sorted(i.dim for i in ideals) == [0, 1, 1, 1, 3]
+
+
+def all_elements_cyclic_ideals(R):
+    """The cyclic ideals by their definition: (r) spanned for every element r."""
+    reg = regular_module(R)
+    seen = {}
+    for coords in itertools.product(R.field.elements(), repeat=R.dim):
+        ideal = span_submodule(reg, [coords])
+        seen.setdefault(ideal.carrier, ideal)
+    return [i.carrier for i in sorted(seen.values(), key=lambda s: s.carrier.sort_key())]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "variables, relations",
+    [
+        (["x"], ["x^4"]),
+        (["x", "y"], ["x^2", "x*y", "y^2"]),
+        (["x", "y"], ["x^2", "y^2"]),
+        (["x", "y"], ["x^3", "x*y", "y^2"]),
+    ],
+)
+def test_cyclic_ideals_equal_the_all_elements_definition(p, variables, relations):
+    # Same set and order; over F3, (x + y) and (x + 2y) are different ideals
+    # of the fat point, so a lost scalar class shows here.
+    R = algebra(GF(p), variables, relations)
+    assert [i.carrier for i in enumerate_cyclic_ideals(R)] == all_elements_cyclic_ideals(R)
 
 
 def test_cyclic_ideals_need_finite_field(fat_point):

@@ -1,10 +1,13 @@
 """Command line: report shape, canonical JSON, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracelab.cli import main
 
@@ -388,3 +391,65 @@ def test_verify_small_suite(capsys):
     report = run_json(capsys, "verify", "--suite", "2", "--seed", "7")
     assert report["result"]["passed"] is True
     assert report["result"]["suites"][0]["suite"] == "section2"
+
+
+# -- fuzzing the exit-code contract --------------------------------------------
+
+
+@st.composite
+def polynomials(draw, variables):
+    """A polynomial string of 1-3 terms with small coefficients and exponents."""
+    text = ""
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.integers(-3, 3))
+        factors = [str(abs(coeff))] if abs(coeff) != 1 else []
+        for v in variables:
+            e = draw(st.integers(0, 3))
+            factors += [v] if e == 1 else ["%s^%d" % (v, e)] if e else []
+        term = "*".join(factors) or "1"
+        text += ("-" if coeff < 0 else "+" if text else "") + term
+    return text
+
+
+@st.composite
+def cli_cases(draw):
+    """(ring file text, argv without --ring) over 1-2 variables."""
+    variables = ["x", "y"][: draw(st.integers(1, 2))]
+    relations = draw(st.lists(polynomials(variables), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        relations += ["%s^%d" % (v, draw(st.integers(1, 4))) for v in variables]
+    field = draw(st.sampled_from(["F2", "F3", "F5", "Q"]))
+    ring = "[algebra]\nfield = %s\nvariables = %s\nrelations = %s\n" % (
+        field, ", ".join(variables), ", ".join(relations))
+    command = draw(st.sampled_from(
+        ["algebra-info", "trace", "cotrace", "ext1", "tor1", "good", "dual", "excellent", "qf"]))
+    argv = [command]
+    if command in ("trace", "cotrace", "ext1", "tor1", "good"):
+        ideal = ", ".join(draw(st.lists(polynomials(variables), max_size=2)))
+        argv += draw(st.sampled_from([["--ideal", ideal], ["--ideal=" + ideal]]))
+    if command in ("excellent", "qf"):
+        argv += ["--cap-enum", "300"]
+    return ring, argv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cli_cases())
+def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
+    # Exit 0, 1 or 2; on 2, stderr is one JSON error and nothing else.  A
+    # leading minus in `--ideal -x` is read as a flag: a usage error, exit 2.
+    ring, argv = case
+    path = tmp_path_factory.mktemp("fuzz") / "case.ring"
+    path.write_text(ring, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--ring", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (ring, argv, err.getvalue())
+    if code == 2:
+        error = json.loads(err.getvalue())
+        assert set(error) == {"error", "message"} and out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+    else:
+        json.loads(out.getvalue())

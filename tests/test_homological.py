@@ -103,7 +103,7 @@ def brute_force_trace(ideal, module):
     rep, _ = ideal.as_module()
     vecs = []
     for f in enumerate_module_maps(rep, module):
-        vecs.extend(f.col(j) for j in range(f.ncols))
+        vecs.extend(f.cols())
     return Subspace.from_vectors(module.algebra.field, module.dim, vecs)
 
 
@@ -426,7 +426,7 @@ def test_trace_via_colon_matches_trace(fat_point, qf_ring):
         X, incl = embed_into_injective(M)
         member = Submodule(
             X,
-            _S.from_vectors(R.field, X.dim, [incl.col(j) for j in range(incl.ncols)]),
+            _S.from_vectors(R.field, X.dim, incl.cols()),
             check=False,
         )
         routed = trace_via_colon(member, ideal)

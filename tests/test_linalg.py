@@ -341,3 +341,73 @@ def test_entries_stay_canonical_over_prime_fields(data):
     for result in results:
         for row in result.rows:
             assert all(type(v) is int and 0 <= v < field.char for v in row), result
+
+
+# -- the trusted constructor and the row-major subspace ------------------------
+
+trusted_fields = st.sampled_from([QQ, GF(2), GF(3)])
+
+
+def assert_trusted(result):
+    """result is a tuple of canonical length-ncols tuples, as Matrix() would build it."""
+    field = result.field
+    assert type(result.rows) is tuple and result.nrows == len(result.rows)
+    for row in result.rows:
+        assert type(row) is tuple and len(row) == result.ncols
+        assert all(type(x) is type(field.zero) for x in row)
+        assert list(field.canonical(list(row))) == list(row)
+    assert result == Matrix(field, result.rows, ncols=result.ncols)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_internal_results_are_trusted_rows(data):
+    m = data.draw(field_and_matrix(field_strategy=trusted_fields))
+    field = m.field
+    n = Matrix.from_int_rows(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
+    k = data.draw(st.integers(0, 4))
+    results = [
+        m @ n.transpose(),
+        m + n,
+        m - n,
+        -m,
+        m.scale(field.from_int(data.draw(st.integers(-4, 4)))),
+        m.transpose(),
+        Matrix.identity(field, k),
+        Matrix.zeros(field, m.nrows, k),
+        Matrix.from_cols(field, m.rows, nrows=m.ncols),
+        hstack([m, n]),
+        vstack([m, n]),
+        reduce(m),
+        kernel(m).basis,
+        *kernel(m).quotient_maps(),
+    ]
+    x = solve(m, n)
+    if x is not None:
+        results.append(x)
+    for result in results:
+        assert_trusted(result)
+
+
+def column_echelon_oracle(field, n, vectors):
+    """(basis, sort key) as the subspace used to build them: the nonzero rows
+    of the reduced row echelon form, written as the columns of an n x dim
+    matrix."""
+    red = [r for r in reduce(Matrix(field, vectors, ncols=n)).rows if any(r)]
+    basis = Matrix(field, [[r[i] for r in red] for i in range(n)], ncols=len(red))
+    return basis, (len(red), tuple(field.sort_key(x) for row in basis.rows for x in row))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_rows_match_the_column_echelon_basis(data):
+    field = data.draw(fields)
+    n = data.draw(st.integers(0, 5))
+    vectors = [vec(field, r) for r in data.draw(int_rows(data.draw(st.integers(0, 5)), n))]
+    space = Subspace.from_vectors(field, n, vectors)
+    basis, key = column_echelon_oracle(field, n, vectors)
+    assert space.basis == basis
+    assert space.sort_key() == key
+    assert space.basis_columns() == basis.cols()
+    for v in vectors:
+        assert space.vector(space.coords_of(v)) == v
