@@ -21,7 +21,6 @@ from .artin import (
     is_small,
     minimal_generators,
     module_from_presentation,
-    radical_core,
     regular_module,
     socle,
     span_submodule,

@@ -685,10 +685,16 @@ def module_from_presentation(algebra, rows, n_gens=None):
     `rows` is the presentation matrix as a list of rows of polynomial
     strings (or parsed polynomials); row count is the number of free
     generators n, columns are the relations.  An empty row list presents
-    the free module R^n (pass n_gens explicitly in that case).
+    the free module R^n (pass n_gens explicitly in that case).  R^n is
+    refused above the algebra's dim_cap, before it is built.
     """
     if n_gens is None:
         n_gens = len(rows)
+    cap = algebra.presentation.dim_cap
+    if n_gens * algebra.dim > cap:
+        raise DimensionCapExceeded(
+            "R^%d has dimension %d, over the cap %d" % (n_gens, n_gens * algebra.dim, cap)
+        )
     if rows and len(rows) != n_gens:
         raise ParseError("presentation has %d rows but %d generators" % (len(rows), n_gens))
     ncols = len(rows[0]) if rows else 0
@@ -813,22 +819,6 @@ def annihilator(module):
 def socle(module):
     """So(M) = M[m], the largest semisimple submodule."""
     return torsion_submodule(module, module.algebra.max_ideal())
-
-
-def radical_core(module):
-    """The intersection of the chain M, mM, m^2 M, ...
-
-    Over an Artinian algebra the chain always reaches a fixed point within
-    dim M steps (here in fact 0, since m is nilpotent).
-    """
-    current = module.full_submodule()
-    m = module.algebra.max_ideal()
-    for _ in range(module.dim + 1):
-        nxt = ideal_times_submodule(m, current)
-        if nxt.carrier == current.carrier:
-            break
-        current = nxt
-    return current
 
 
 def minimal_generators(module):

@@ -422,20 +422,9 @@ def tensor_eval(module, ideal):
 # -- Ext1 and Tor1 -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivedFunctor:
-    """Ext1(R/I, M) or Tor1(M, R/I) as an explicit module."""
-
-    rep: ModuleRep
-
-    @property
-    def dim(self):
-        return self.rep.dim
-
-
 @_memoised("module")
 def ext1(ideal, module):
-    """Ext1(R/I, M) as the cokernel of Hom(R, M) -> Hom(I, M).
+    """Ext1(R/I, M), labelled "Ext1": the cokernel of Hom(R, M) -> Hom(I, M).
 
     For cyclic I the dimension is checked against dim M[Ann I] - dim IM.
     """
@@ -452,18 +441,17 @@ def ext1(ideal, module):
     )
     rep, _, _ = image.quotient()
     rep.label = "Ext1"
-    result = DerivedFunctor(rep)
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, annihilator(ideal_rep))
         lower = ideal_times_module(ideal, module)
-        if result.dim != upper.dim - lower.dim:
+        if rep.dim != upper.dim - lower.dim:
             raise InternalCheckError("cyclic Ext1 dimension disagrees with M[Ann I]/IM")
-    return result
+    return rep
 
 
 @_memoised("module")
 def tor1(module, ideal):
-    """Tor1(M, R/I) as the kernel of M tensor_R I -> M.
+    """Tor1(M, R/I), labelled "Tor1": the kernel of M tensor_R I -> M.
 
     For cyclic I the dimension is checked against dim M[I] - dim Ann(I)M.
     """
@@ -477,13 +465,12 @@ def tor1(module, ideal):
     ker = Submodule(tp.rep, kernel(evaluation), check=False)
     rep, _ = ker.as_module()
     rep.label = "Tor1"
-    result = DerivedFunctor(rep)
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, ideal)
         lower = ideal_times_module(annihilator(ideal_rep), module)
-        if result.dim != upper.dim - lower.dim:
+        if rep.dim != upper.dim - lower.dim:
             raise InternalCheckError("cyclic Tor1 dimension disagrees with M[I]/Ann(I)M")
-    return result
+    return rep
 
 
 def is_cyclic_ideal(ideal):
@@ -529,17 +516,13 @@ def trace_via_colon(member, ideal):
     """
     ambient = member.module
     _require_ideal(ideal, ambient.algebra)
-    field = ambient.algebra.field
     if ext1(ideal, ambient).dim != 0:
         raise ExtNotVanishing("Ext1(R/I, X) != 0: the colon route does not apply")
     inside = colon_submodule(member, ideal)
     result = ideal_times_submodule(ideal, inside)
     member_rep, incl = member.as_module()
     definitional = trace(ideal, member_rep)
-    mapped = Subspace.from_vectors(
-        field, ambient.dim, [incl.apply(c) for c in definitional.carrier.basis_columns()]
-    )
-    if mapped != result.carrier:
+    if definitional.carrier.image(incl) != result.carrier:
         raise InternalCheckError("colon route disagrees with the definitional trace")
     return result
 

@@ -3,8 +3,7 @@
 Every higher-level equality in this package (equality of submodules, traces,
 torsion subspaces, ...) reduces to structural equality of canonical subspace
 bases computed here, so all arithmetic is exact.  Over Q scalars are
-arbitrary-precision rationals (gmpy2.mpq when installed, fractions.Fraction
-otherwise); over F_p they are plain Python ints in [0, p).
+fractions.Fraction values; over F_p they are plain Python ints in [0, p).
 
 Scalars use Python's own arithmetic.  Each field owns one normalising hook,
 `canonical(row)`, mapping freshly computed scalars to canonical
@@ -25,13 +24,9 @@ demand.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import DimensionMismatch, FieldNotFinite
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as _rat
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -43,11 +38,11 @@ class RationalField:
     order = None
     name = "Q"
     is_finite = False
-    zero = _rat(0)
-    one = _rat(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
-        return _rat(n)
+        return Fraction(n)
 
     def format(self, x):
         """Render a scalar as "p" or "p/q" with den > 0 and gcd(p, q) = 1."""
@@ -452,6 +447,10 @@ class Subspace:
 
     def basis_columns(self):
         return list(self.rows)
+
+    def image(self, m):
+        """The canonical subspace m(self) of k^(m.nrows)."""
+        return Subspace.from_vectors(self.field, m.nrows, [m.apply(row) for row in self.rows])
 
     def vector(self, coords):
         """The vector with the given coordinates in the canonical basis."""

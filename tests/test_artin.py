@@ -27,7 +27,6 @@ from tracelab.artin import (
     module_from_presentation,
     parse_poly,
     power_module,
-    radical_core,
     regular_module,
     socle,
     span_submodule,
@@ -245,11 +244,6 @@ def test_annihilator(dual_numbers):
     assert annihilator(R).dim == 0  # regular module is faithful
     k = module_from_presentation(dual_numbers, [["x"]])
     assert annihilator(k).dim == 1  # Ann(k) = m
-
-
-def test_radical_core_vanishes(fat_point):
-    for M in (regular_module(fat_point), free_module(fat_point, 2)):
-        assert radical_core(M).dim == 0
 
 
 def test_minimal_generators(fat_point):
@@ -495,6 +489,13 @@ def test_dimension_cap_enforced():
 
     with pytest.raises(DimensionCapExceeded):
         build_algebra(PolynomialPresentation(QQ, ["x"], ["x^6"], dim_cap=4))
+    # The cap also bounds the free module R^n a presentation starts from.
+    R = build_algebra(PolynomialPresentation(QQ, ["x"], ["x^2"], dim_cap=6))
+    assert module_from_presentation(R, [], n_gens=3).dim == 6
+    with pytest.raises(DimensionCapExceeded, match="R\\^4 has dimension 8"):
+        module_from_presentation(R, [], n_gens=4)
+    with pytest.raises(DimensionCapExceeded):
+        module_from_presentation(R, [], n_gens=10**12)
 
 
 def test_enumeration_cap_enforced():

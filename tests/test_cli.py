@@ -149,6 +149,23 @@ def test_semigroup_good(capsys):
     assert result["trace"] == {"below_conductor": [0, 3, 4], "conductor": 6}
 
 
+@pytest.mark.parametrize("command", ["trace", "cotrace", "ext1", "tor1", "dual", "excellent"])
+def test_huge_free_module_exits_2_before_it_is_built(capsys, fat_ring, tmp_path, command):
+    # 40 bytes asking for R^1000000: refused at the dim cap, not allocated.
+    path = tmp_path / "huge.module"
+    path.write_text("# big R^n\n[module]\ngenerators = 1000000\n", encoding="utf-8")
+    assert path.stat().st_size == 40
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--ring", fat_ring, "--module", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DimensionCapExceeded"
+    # --cap-dim raises the bound: R^2 over a dim-3 ring is dim 6.
+    path.write_text("[module]\ngenerators = 2\n", encoding="utf-8")
+    assert run_cli(capsys, command, "--ring", fat_ring, "--module", str(path), "--cap-dim", "5")[0] == 2
+    assert run_cli(capsys, command, "--ring", fat_ring, "--module", str(path), "--cap-dim", "6")[0] == 0
+
+
 def test_huge_ideal_exponent_is_bounded(capsys, tmp_path):
     # x^3 = 0 in k[x,y]/(x^3, y^3); a huge exponent must give the same ideal
     # without multiplying billions of times.
@@ -432,20 +449,69 @@ def cli_cases(draw):
     return ring, argv
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(cli_cases())
-def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
-    # Exit 0, 1 or 2; on 2, stderr is one JSON error and nothing else.  A
-    # leading minus in `--ideal -x` is read as a flag: a usage error, exit 2.
-    ring, argv = case
-    path = tmp_path_factory.mktemp("fuzz") / "case.ring"
-    path.write_text(ring, encoding="utf-8")
+# Small rings for the module fuzz, so its cases stay cheap.
+FUZZ_RINGS = [
+    ("F2", ["x"], ["x^2"]),
+    ("F3", ["x", "y"], ["x^2", "y^2"]),
+    ("F5", ["x"], ["x^3"]),
+    ("Q", ["x", "y"], ["x^2", "x*y", "y^2"]),
+]
+
+
+@st.composite
+def module_cases(draw, command):
+    """(ring file text, argv without --ring) running command on a drawn
+    --module file.
+
+    The [module] section has 0-3 generators or a huge count, a presentation
+    whose row count may disagree with it, and rows that may be ragged or
+    hold empty entries.
+    """
+    field, variables, relations = draw(st.sampled_from(FUZZ_RINGS))
+    ring = "[algebra]\nfield = %s\nvariables = %s\nrelations = %s\n" % (
+        field, ", ".join(variables), ", ".join(relations))
+    n_gens = draw(st.sampled_from([0, 1, 2, 3, 1000000]))
+    shape = draw(st.sampled_from(["matching", "row count", "ragged", "empty entry"]))
+    n_rows = n_gens if n_gens <= 3 else 0
+    if shape == "row count":
+        n_rows = (n_rows + 1) % 4
+    elif shape == "ragged":
+        n_rows = max(n_rows, 2)
+    width = draw(st.integers(1, 2))
+    entry = st.one_of(polynomials(variables), st.just("0"))
+    rows = [[draw(entry) for _ in range(width + (shape == "ragged" and i % 2))] for i in range(n_rows)]
+    if rows and shape == "empty entry":
+        rows[-1][draw(st.integers(0, width - 1))] = ""
+    module = "[module]\ngenerators = %d\n" % n_gens
+    if rows:
+        module += "presentation = %s\n" % " ; ".join(", ".join(r) for r in rows)
+    argv = [command, "--module", module]
+    if command in ("trace", "cotrace", "ext1", "tor1"):
+        argv += ["--ideal=" + ", ".join(draw(st.lists(polynomials(variables), max_size=2)))]
+    if command == "excellent":
+        argv += ["--cap-enum", "300"]
+    return ring, argv
+
+
+def _check_contract(tmp_path, ring, argv, seconds):
+    """Run one case: exit 0, 1 or 2 within `seconds`; on 2, stderr is one
+    JSON error and nothing else.  The value after --module is the text of
+    the module file, written out first."""
+    (tmp_path / "case.ring").write_text(ring, encoding="utf-8")
+    argv = argv + ["--ring", str(tmp_path / "case.ring")]
+    if "--module" in argv:
+        at = argv.index("--module") + 1
+        (tmp_path / "case.module").write_text(argv[at], encoding="utf-8")
+        argv[at] = str(tmp_path / "case.module")
     out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv + ["--ring", str(path)])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    elapsed = time.perf_counter() - started
+    assert elapsed < seconds, (ring, argv, elapsed)
     assert code in (0, 1, 2), (ring, argv, err.getvalue())
     if code == 2:
         error = json.loads(err.getvalue())
@@ -453,3 +519,19 @@ def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
         assert "Traceback" not in err.getvalue()
     else:
         json.loads(out.getvalue())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cli_cases())
+def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
+    # A leading minus in `--ideal -x` is read as a flag: a usage error, exit 2.
+    ring, argv = case
+    _check_contract(tmp_path_factory.mktemp("fuzz"), ring, argv, seconds=30)
+
+
+@pytest.mark.parametrize("command", ["trace", "cotrace", "ext1", "tor1", "dual", "excellent"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_keeps_its_exit_code_contract_on_module_files(tmp_path_factory, command, data):
+    ring, argv = data.draw(module_cases(command))
+    _check_contract(tmp_path_factory.mktemp("fuzz"), ring, argv, seconds=10)

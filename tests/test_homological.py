@@ -371,6 +371,15 @@ def test_tor1_of_residue_field(fat_point):
     assert tor1(k, ix).dim == 1
 
 
+def test_ext1_and_tor1_are_labelled_modules(fat_point):
+    reg = regular_module(fat_point)
+    k = module_from_presentation(fat_point, [["x", "y"]])
+    ix = ideal_from_elements(fat_point, ["x"])
+    e, t = ext1(ix, reg), tor1(k, ix)
+    assert (e.label, e.dim, t.label, t.dim) == ("Ext1", 1, "Tor1", 1)
+    assert all(a.nrows == a.ncols == 1 for a in e.actions + t.actions)
+
+
 def test_tor1_matches_ext1_of_dual(fat_point, qf_ring):
     for R, gens, pres in (
         (fat_point, ["x"], [["x", "y"]]),

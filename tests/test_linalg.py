@@ -411,3 +411,15 @@ def test_subspace_rows_match_the_column_echelon_basis(data):
     assert space.basis_columns() == basis.cols()
     for v in vectors:
         assert space.vector(space.coords_of(v)) == v
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_image_is_the_span_of_the_mapped_basis(data):
+    field = data.draw(fields)
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    m = Matrix.from_int_rows(field, data.draw(int_rows(k, n)), ncols=n)
+    vectors = [vec(field, r) for r in data.draw(int_rows(data.draw(st.integers(0, 3)), n))]
+    space = Subspace.from_vectors(field, n, vectors)
+    assert space.image(m) == Subspace.from_vectors(field, k, (m @ space.basis).cols())
+    assert Subspace.full(field, n).image(m).dim == rank(m)

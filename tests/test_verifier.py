@@ -5,9 +5,13 @@ import json
 
 import pytest
 
+from tracelab.artin import annihilator, ideal_from_elements, ideal_times_module, torsion_submodule
+from tracelab.homological import cotrace, trace
 from tracelab.verifier import (
     AlgebraSpec,
     InstanceSpec,
+    _built,
+    canonical_modules,
     corrupted_trace,
     default_catalog,
     run_suites,
@@ -98,3 +102,50 @@ def test_sampled_qf_check_needs_no_witness(seed):
     spec = dataclasses.replace(spec, algebras=tuple(a for a in spec.algebras if a.name == "q_fat"))
     result = suite_section1(spec)
     assert result.passed, result.failures[:2]
+
+
+# Each check on excellent and coexcellent modules compares two subspaces that
+# agree on every module its hypothesis covers; on f2_fat, which is not QF,
+# each pair differs on a module outside the hypothesis.  m = (x, y), Ann(x) = m.
+def _excellent_for_max_ideal(m, x, ann_x, modules):
+    # m maps onto k = R/m, so trace(m, k) = k, while mk = 0.
+    k = modules["R/m"]
+    return trace(m, k).carrier, ideal_times_module(m, k).carrier
+
+
+def _excellent_principal_image_is_annihilator_torsion(m, x, ann_x, modules):
+    # xR is one-dimensional, R[Ann x] = R[m] is the two-dimensional socle.
+    R = modules["R"]
+    return ideal_times_module(x, R).carrier, torsion_submodule(R, ann_x).carrier
+
+
+def _coexcellent_for_ideal(m, x, ann_x, modules):
+    # k embeds into dual(m), so cotrace(m, k) = 0, while k[m] = k.
+    k = modules["R/m"]
+    return cotrace(m, k).carrier, torsion_submodule(k, m).carrier
+
+
+def _coexcellent_principal_torsion_is_annihilator_image(m, x, ann_x, modules):
+    # k[x] = k, while Ann(x)k = mk = 0.
+    k = modules["R/m"]
+    return torsion_submodule(k, x).carrier, ideal_times_module(ann_x, k).carrier
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [
+        _excellent_for_max_ideal,
+        _excellent_principal_image_is_annihilator_torsion,
+        _coexcellent_for_ideal,
+        _coexcellent_principal_torsion_is_annihilator_image,
+    ],
+    ids=lambda f: f.__name__[1:],
+)
+def test_excellence_checks_fail_outside_their_hypothesis(sides):
+    algebra = _built(SMALL.algebras[1])
+    modules = {desc["label"]: module for module, desc in canonical_modules(algebra)}
+    x = ideal_from_elements(algebra, ["x"])
+    ann_x = annihilator(x.as_module()[0])
+    assert ann_x.carrier == algebra.max_ideal().carrier
+    left, right = sides(algebra.max_ideal(), x, ann_x, modules)
+    assert left != right
