@@ -22,8 +22,8 @@ print("solution:      ", x)
 print("reconstructs:  ", lhs @ x == rhs)
 print("inconsistent:  ", solve(Matrix.from_int_rows(QQ, [[0]]), Matrix.from_int_rows(QQ, [[1]])))
 
-# Subspaces are stored in reduced column echelon form, a unique normal form,
-# so structural equality decides subspace equality.
+# Subspaces are stored as the rows of their reduced row echelon form, a unique
+# normal form, so structural equality decides subspace equality.
 gens1 = [(QQ.from_int(1), QQ.from_int(2), QQ.from_int(0))]
 gens2 = [(QQ.from_int(3), QQ.from_int(6), QQ.from_int(0))]
 a = Subspace.from_vectors(QQ, 3, gens1)

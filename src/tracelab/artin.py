@@ -547,22 +547,6 @@ class ModuleRep:
         self.label = label
         self.is_regular = is_regular
 
-    @_memoised("self")
-    def _monomial_operators(self):
-        """The operators of basis monomials built so far, by index."""
-        return {0: Matrix.identity(self.algebra.field, self.dim)}
-
-    def _monomial_operator(self, s):
-        """The action of basis monomial s, built on first use along its
-        monomial-tree path, in a loop: the path can be dim R - 1 steps long."""
-        ops, steps, path = self._monomial_operators(), self.algebra.monomial_steps, [s]
-        while path[-1] not in ops:
-            path.append(steps[path[-1] - 1][1])
-        for t in reversed(path[:-1]):
-            var, base = steps[t - 1]
-            ops[t] = self.actions[var] @ ops[base]
-        return ops[s]
-
     def orbit(self, vec):
         """[b_s * vec for every algebra basis monomial b_s], in basis order.
 
@@ -574,18 +558,18 @@ class ModuleRep:
         return out
 
     def element_action(self, r_vec):
-        """Action matrix of r_vec, from the operators of the basis monomials in its support."""
-        field = self.algebra.field
-        terms = [(self._monomial_operator(i).rows, c) for i, c in enumerate(r_vec) if c]
-        rows = []
-        for a in range(self.dim):
-            acc = [field.zero] * self.dim
-            for op_rows, c in terms:
-                for j, x in enumerate(op_rows[a]):
-                    if x:
-                        acc[j] += c * x
-            rows.append(tuple(field.canonical(acc)))
-        return Matrix._of(field, tuple(rows), self.dim)
+        """Action matrix of the ring element with coordinates r_vec."""
+        return self._element_action(tuple(r_vec))
+
+    @_memoised("self")
+    def _element_action(self, r):
+        """Multiplication by r is the module map with values r g_i on the
+        cover generators g_i, and r g_i is block i of the cover matrix
+        (columns b_s g_i) applied to r."""
+        cover, d = self.free_cover(), self.algebra.dim
+        rows = cover.matrix.rows
+        blocks = tuple(row[i * d : (i + 1) * d] for i in range(len(cover.generators)) for row in rows)
+        return cover.maps(self, [Matrix._of(self.algebra.field, blocks, d).apply(r)])[0]
 
     @_memoised("self")
     def free_cover(self):
@@ -702,6 +686,8 @@ def module_from_presentation(algebra, rows, n_gens=None):
         if len(r) != ncols:
             raise ParseError("ragged presentation matrix")
     free = free_module(algebra, n_gens)
+    if not ncols:
+        return free
     cols = []
     for j in range(ncols):
         col = []
@@ -817,8 +803,11 @@ def annihilator(module):
 
 @_memoised("module")
 def socle(module):
-    """So(M) = M[m], the largest semisimple submodule."""
-    return torsion_submodule(module, module.algebra.max_ideal())
+    """So(M) = M[m], the largest semisimple submodule: the joint kernel of
+    the variables, which generate m."""
+    if not module.actions:
+        return module.full_submodule()
+    return Submodule(module, kernel(vstack(module.actions)), check=False)
 
 
 def minimal_generators(module):
@@ -850,29 +839,53 @@ class FreeCover:
     syzygies: minimal generators of K = ker P as a submodule of R^v, each
         split into its v ring-element coordinates (z_1, ..., z_v).
 
-    Construction checks that the R-span of the syzygies is all of ker P.
+    The syzygies are built on first access, which checks that their R-span
+    is all of ker P; a module that is only acted on never needs them.
     """
 
-    __slots__ = ("generators", "matrix", "section", "syzygies")
+    __slots__ = ("algebra", "generators", "matrix", "section", "_memo")
 
     def __init__(self, module):
-        algebra = module.algebra
-        field, d = algebra.field, algebra.dim
+        self.algebra = algebra = module.algebra
         v, gens = minimal_generators(module)
         self.generators = tuple(gens)
         cols = [w for g in gens for w in module.orbit(g)]
-        self.matrix = Matrix.from_cols(field, cols, nrows=module.dim)
-        self.section = solve(self.matrix, Matrix.identity(field, module.dim))
+        self.matrix = Matrix.from_cols(algebra.field, cols, nrows=module.dim)
+        self.section = solve(self.matrix, Matrix.identity(algebra.field, module.dim))
         if self.section is None:
             raise InternalCheckError("minimal generators do not span the module")
-        free = free_module(algebra, v)
+
+    @property
+    @_memoised("self")
+    def syzygies(self):
+        field, d, v = self.algebra.field, self.algebra.dim, len(self.generators)
+        free = free_module(self.algebra, v)
         ker = Submodule(free, kernel(self.matrix), check=False)
         rep, inclusion = ker.as_module()
         flat = [inclusion.apply(z) for z in minimal_generators(rep)[1]]
         span = Subspace.from_vectors(field, free.dim, [w for z in flat for w in free.orbit(z)])
         if span != ker.carrier:
             raise InternalCheckError("the syzygies do not generate the kernel of the free cover")
-        self.syzygies = tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)
+        return tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)
+
+    def maps(self, target, tuples):
+        """The dim N x dim M matrix of the map M -> N = target with each given
+        value tuple (n_1..n_v), n_i the image of g_i, concatenated.
+
+        f(m) = sum_i r_i n_i for m = sum_i r_i g_i, so F = C @ S with column
+        (i, s) of C the vector b_s n_i; the C of all tuples are stacked to
+        share one product with the section S.
+        """
+        field, dN, v = target.algebra.field, target.dim, len(self.generators)
+        stacked = []
+        for n in tuples:
+            cols = [w for i in range(v) for w in target.orbit(n[i * dN : (i + 1) * dN])]
+            stacked.extend(zip(*cols))
+        images = Matrix._of(field, tuple(stacked), self.section.nrows) @ self.section
+        return [
+            Matrix._of(field, images.rows[t * dN : (t + 1) * dN], self.section.ncols)
+            for t in range(len(tuples))
+        ]
 
 
 def is_essential(sub):

@@ -21,10 +21,12 @@ constrained by the syzygies, and Hom(M, N) is kept in those generator
 coordinates, a subspace of N^v: the trace is the span of the values, and
 Ext1 and the maps x |-> (r |-> r x) read their coordinates from the values
 g_i x.  M tensor N is N^v modulo the syzygies acting on N.  Dense
-dim N x dim M matrices of maps are built only where the maps themselves are
-needed (the cotrace's joint kernel, commutativity of endomorphisms), and
-only HomModule.dense_space, for the verifier's deliberately broken trace,
-works in a space of size dim M * dim N.
+dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
+their values on the generators, and only where the maps themselves are
+needed: the cotrace's joint kernel, commutativity of endomorphisms, and
+ModuleRep.element_action, multiplication by r being the map with values
+r g_i.  Only HomModule.dense_space, for the verifier's deliberately broken
+trace, works in a space of size dim M * dim N.
 
 Matlis duality is plain transposition: for an Artinian local k-algebra with
 residue field k the k-linear dual of R is the injective hull of k, so
@@ -97,24 +99,8 @@ class HomModule:
         return self.values.dim
 
     def maps(self, tuples):
-        """The dim N x dim M matrix of the map with each given value tuple.
-
-        f(m) = sum_i r_i n_i for m = sum_i r_i g_i, so F = C @ S with column
-        (i, s) of C the vector b_s n_i; the C of all tuples are stacked to
-        share one product with the cover's section S.
-        """
-        field, dN = self.target.algebra.field, self.target.dim
-        cover = self.source.free_cover()
-        v = len(cover.generators)
-        stacked = []
-        for n in tuples:
-            cols = [w for i in range(v) for w in self.target.orbit(n[i * dN : (i + 1) * dN])]
-            stacked.extend(zip(*cols))
-        images = Matrix._of(field, tuple(stacked), cover.section.nrows) @ cover.section
-        return [
-            Matrix._of(field, images.rows[t * dN : (t + 1) * dN], self.source.dim)
-            for t in range(len(tuples))
-        ]
+        """The dim N x dim M matrix of the map with each given value tuple."""
+        return self.source.free_cover().maps(self.target, tuples)
 
     def generator_maps(self):
         """The maps of minimal generators of Hom as an R-module.

@@ -38,6 +38,7 @@ from tracelab.errors import (
     ParseError,
     ResidueFieldError,
 )
+from tracelab.homological import matlis_dual
 from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, vstack
 from tracelab.verifier import _built, default_catalog, module_pool
 
@@ -284,18 +285,32 @@ def test_minimal_generators_match_the_ideal_times_module_route():
     assert count > 100
 
 
+ACTION_CASES = 5
+
+
 @lru_cache(maxsize=None)
 def _action_case(field_name, index):
+    """ACTION_CASES modules whose free covers differ in shape: R (one
+    generator, identity section), a cokernel, the Matlis dual of the fat
+    point (two generators, a non-identity section), an ideal as a module,
+    and the zero module (no generators)."""
     field = {"F2": GF(2), "F3": GF(3), "Q": QQ}[field_name]
     R = algebra(field, ["x", "y"], ["x^3", "x*y^2", "y^3 - x^2*y"] if index else ["x^2", "y^2"])
-    return [regular_module(R), module_from_presentation(R, [["x", "y^2"], ["y", "0"]])]
+    fat = regular_module(algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"]))
+    return [
+        regular_module(R),
+        module_from_presentation(R, [["x", "y^2"], ["y", "0"]]),
+        matlis_dual(fat).rep,
+        ideal_from_elements(R, ["x", "y^2"]).as_module()[0],
+        module_from_presentation(R, [["1"]]),
+    ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     field_name=st.sampled_from(["F2", "F3", "Q"]),
     index=st.integers(0, 1),
-    which=st.integers(0, 1),
+    which=st.integers(0, ACTION_CASES - 1),
     data=st.data(),
 )
 def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, which, data):
@@ -304,13 +319,35 @@ def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, w
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=module.algebra.dim, max_size=module.algebra.dim))
     r = tuple(field.from_int(c) for c in coeffs)
     assert module.element_action(r) == operator_of(module, r)
+    assert module.element_action(list(r)) == operator_of(module, r)
+
+
+def test_socle_is_the_max_ideal_torsion():
+    # The old definition, M[m] through the generators of m, is the oracle for
+    # the joint kernel of the variables.
+    count = 0
+    for algebra_, module in catalog_module_pools():
+        assert socle(module).carrier == torsion_submodule(module, algebra_.max_ideal()).carrier
+        count += 1
+    assert count > 100
+    k = regular_module(algebra(GF(2), [], []))
+    assert socle(k).carrier == torsion_submodule(k, k.algebra.max_ideal()).carrier == k.full_submodule().carrier
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_presentation_without_relations_is_the_free_module(field):
+    R = algebra(field, ["x", "y"], ["x^2", "y^2"])
+    for n in (0, 1, 3):
+        expected = free_module(R, n).actions
+        assert module_from_presentation(R, [], n_gens=n).actions == expected
+        assert module_from_presentation(R, [[]] * n, n_gens=n).actions == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     field_name=st.sampled_from(["F2", "F3", "Q"]),
     index=st.integers(0, 1),
-    which=st.integers(0, 1),
+    which=st.integers(0, ACTION_CASES - 1),
     data=st.data(),
 )
 def test_element_and_power_actions_are_trusted_rows(field_name, index, which, data):
@@ -362,7 +399,7 @@ def kbasis_joint_kernel(ideal, module, proj=None):
 @given(
     field_name=st.sampled_from(["F2", "F3", "Q"]),
     index=st.integers(0, 1),
-    which=st.integers(0, 1),
+    which=st.integers(0, ACTION_CASES - 1),
     data=st.data(),
 )
 def test_ideal_actions_through_generators_equal_kbasis_actions(field_name, index, which, data):

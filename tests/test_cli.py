@@ -178,6 +178,18 @@ def test_huge_ideal_exponent_is_bounded(capsys, tmp_path):
     assert huge["result"] == small["result"]
 
 
+def test_trace_of_a_deep_monomial_is_fast(capsys, tmp_path):
+    # (x^499) in F2[x]/(x^500) is the socle, and every map from it lands in
+    # the socle; x^499 acts through one product with the cover section.
+    ring = tmp_path / "jet.ring"
+    ring.write_text("[algebra]\nfield = F2\nvariables = x\nrelations = x^500\n", encoding="utf-8")
+    started = time.perf_counter()
+    result = run_json(capsys, "trace", "--ring", str(ring), "--ideal", "x^499")["result"]
+    assert time.perf_counter() - started < 8.0
+    socle = {"ambient_dim": 500, "dim": 1, "basis_columns": [[0] * 499 + [1]]}
+    assert result["ideal"] == result["trace"] == socle
+
+
 def test_numeric_power_reduces_mod_p(capsys, dual_ring):
     t0 = time.perf_counter()
     huge = run_json(capsys, "trace", "--ring", dual_ring, "--ideal", "3^3000000000")
