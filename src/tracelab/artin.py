@@ -9,7 +9,11 @@ not local, are rejected in bounded time and told apart.
 Modules are always held as commuting action matrices; ideals are submodules
 of the regular module, and act through their minimal generators
 (ideal_generators), one action per generator, never one per k-basis vector.
-All values are immutable after construction and all operations are pure.
+Generated submodules rest on one fact: Rv is the k-span of module.orbit(v).
+span_submodule eliminates the orbits once, the cyclic submodules are orbit
+spans found with a Nakayama skip, and every submodule is a sum of cyclic
+ones (enumerate_submodules).  All values are immutable after construction
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -688,36 +692,25 @@ def module_from_presentation(algebra, rows, n_gens=None):
     free = free_module(algebra, n_gens)
     if not ncols:
         return free
-    cols = []
-    for j in range(ncols):
-        col = []
-        for i in range(n_gens):
-            entry = rows[i][j]
-            if isinstance(entry, str):
-                vec = algebra.parse_element(entry)
-            else:
-                vec = algebra.element_from_poly(entry)
-            col.extend(vec)
-        cols.append(tuple(col))
-    span = span_submodule(free, cols)
-    rep, _, _ = span.quotient()
+
+    def element(entry):
+        return algebra.parse_element(entry) if isinstance(entry, str) else algebra.element_from_poly(entry)
+
+    # Column j of the presentation, as a vector of R^n.
+    cols = [tuple(x for row in rows for x in element(row[j])) for j in range(ncols)]
+    rep, _, _ = span_submodule(free, cols).quotient()
     rep.label = "coker"
     return rep
 
 
 def span_submodule(module, vectors):
-    """Smallest action-closed subspace containing the vectors."""
-    field = module.algebra.field
-    current = Subspace.from_vectors(field, module.dim, vectors)
-    while True:
-        new_vecs = list(current.basis_columns())
-        for a in module.actions:
-            for col in current.basis_columns():
-                new_vecs.append(a.apply(col))
-        nxt = Subspace.from_vectors(field, module.dim, new_vecs)
-        if nxt == current:
-            return Submodule(module, current, check=False)
-        current = nxt
+    """Rv_1 + ... + Rv_k, the smallest submodule containing the vectors.
+
+    Rv is the k-span of module.orbit(v), so this is one elimination of the
+    orbits.
+    """
+    orbits = [w for v in vectors for w in module.orbit(v)]
+    return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, orbits), check=False)
 
 
 def _require_ideal(ideal, algebra):
@@ -858,13 +851,12 @@ class FreeCover:
     @property
     @_memoised("self")
     def syzygies(self):
-        field, d, v = self.algebra.field, self.algebra.dim, len(self.generators)
+        d, v = self.algebra.dim, len(self.generators)
         free = free_module(self.algebra, v)
         ker = Submodule(free, kernel(self.matrix), check=False)
         rep, inclusion = ker.as_module()
         flat = [inclusion.apply(z) for z in minimal_generators(rep)[1]]
-        span = Subspace.from_vectors(field, free.dim, [w for z in flat for w in free.orbit(z)])
-        if span != ker.carrier:
+        if span_submodule(free, flat).carrier != ker.carrier:
             raise InternalCheckError("the syzygies do not generate the kernel of the free cover")
         return tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)
 
@@ -919,42 +911,58 @@ def direct_sum(a, b):
     return rep, (ia, ib), (pa, pb)
 
 
-@_memoised("algebra")
 def enumerate_cyclic_ideals(algebra, cap=ENUMERATION_CAP):
-    """All cyclic ideals (r) of R, deduplicated, in a deterministic order.
-
-    Requires a finite coefficient field and p^dim <= cap ring elements.
-    Units generate R and (r) = (c r) for scalars c != 0, so besides R only
-    0 and the elements of m with first nonzero coordinate 1 are taken, and
-    (r) is the span of the orbit of r.
-    """
+    """All cyclic ideals (r) of R, smallest first: the cyclic submodules of
+    the regular module.  Requires a finite field and p^dim <= cap."""
     field = algebra.field
     if not field.is_finite:
         raise FieldNotFinite("cyclic ideal enumeration needs a finite field")
     count = field.order ** algebra.dim
     if count > cap:
         raise EnumerationCapExceeded("would enumerate %d ring elements (cap %d)" % (count, cap))
-    reg, n, zero = algebra.regular_module(), algebra.dim, field.zero
-    full = reg.full_submodule()
-    seen = {full.carrier: full}
-    normalised = (
-        (zero,) * k + (field.one,) + tail
-        for k in range(1, n)
-        for tail in itertools.product(field.elements(), repeat=n - 1 - k)
-    )
-    for r in itertools.chain([(zero,) * n], normalised):
-        carrier = Subspace.from_vectors(field, n, reg.orbit(r))
-        if carrier not in seen:
-            seen[carrier] = Submodule(reg, carrier, check=False)
-    return tuple(sorted(seen.values(), key=lambda s: s.carrier.sort_key()))
+    return _cyclic_submodules(algebra.regular_module())
+
+
+@_memoised("module")
+def _cyclic_submodules(module):
+    """Every cyclic submodule Rv of M over a finite field, smallest first.
+
+    The candidates are 0 and each v with first nonzero coordinate 1, as
+    R(cv) = Rv for scalars c != 0; block k holds those with it at k.  Rv is
+    the span of the orbit of v, and mRv the span of the rest of it.  By
+    Nakayama each element of J \\ mJ generates J, so once J = Rv is found the
+    normalised vectors of v + mJ are skipped: these sets partition the
+    candidates, and each J is spanned once.  When the first candidate e_k of
+    block k spans a J whose mJ holds e_{k+1}..e_{n-1}, the block is e_k + mJ
+    and is skipped whole; in R, that is "units generate R".
+    """
+    field, n, p = module.algebra.field, module.dim, module.algebra.field.char
+    found, skip = [module.zero_submodule()], set()
+    for k in range(n):
+        for tail in itertools.product(range(p), repeat=n - 1 - k):
+            v = (0,) * k + (1,) + tail
+            if v in skip:
+                skip.remove(v)  # each candidate is met once
+                continue
+            rad = Subspace.from_vectors(field, n, module.orbit(v)[1:])
+            found.append(Submodule(module, Subspace.from_vectors(field, n, rad.rows + (v,)), check=False))
+            if not any(tail) and set(range(k + 1, n)) <= set(rad.pivots):
+                break
+            coset = [v]  # v + mJ, grown one basis vector of mJ at a time
+            for row in rad.rows:
+                coset = [tuple([(a + c * b) % p for a, b in zip(w, row)]) for w in coset for c in range(p)]
+            for w in coset:
+                c = pow(next(filter(None, w)), -1, p)
+                skip.add(w if c == 1 else tuple([c * x % p for x in w]))
+    return tuple(sorted(found, key=lambda s: s.carrier.sort_key()))
 
 
 @_memoised("module")
 def enumerate_submodules(module, cap=4096):
     """All submodules of M over a finite field, smallest first.
 
-    Breadth-first closure: every submodule arises from a smaller one by
-    adjoining a single element, so the search is exhaustive.
+    Every submodule is a sum of cyclic ones, so they are the closure of {0}
+    under sums with the cyclic submodules.
     """
     field = module.algebra.field
     if not field.is_finite:
@@ -963,29 +971,19 @@ def enumerate_submodules(module, cap=4096):
         raise EnumerationCapExceeded(
             "module has %d elements, too many to scan" % field.order ** module.dim
         )
-    all_vectors = list(itertools.product(field.elements(), repeat=module.dim))
-    zero = module.zero_submodule()
-    seen = {zero.carrier: zero}
-    queue = [zero]
-    while queue:
-        current = queue.pop()
-        base = current.carrier.basis_columns()
-        for v in all_vectors:
-            if current.carrier.contains_vector(v):
-                continue
-            bigger = span_submodule(module, base + [v])
-            if bigger.carrier not in seen:
-                if len(seen) >= cap:
+    cyclic = [c.carrier for c in _cyclic_submodules(module)]
+    found, seen = [cyclic[0]], {cyclic[0]}  # from 0, the smallest cyclic submodule
+    for current in found:  # breadth first: found grows while it is walked
+        for bigger in (current.sum(c) for c in cyclic):
+            if bigger not in seen:
+                if len(found) >= cap:
                     raise EnumerationCapExceeded("more than %d submodules" % cap)
-                seen[bigger.carrier] = bigger
-                queue.append(bigger)
-    return tuple(sorted(seen.values(), key=lambda s: s.carrier.sort_key()))
+                seen.add(bigger)
+                found.append(bigger)
+    return tuple(Submodule(module, c, check=False) for c in sorted(found, key=Subspace.sort_key))
 
 
 def ideal_from_elements(algebra, elements):
     """The ideal generated by ring elements (coordinate vectors or strings)."""
-    reg = algebra.regular_module()
-    vecs = []
-    for e in elements:
-        vecs.append(algebra.parse_element(e) if isinstance(e, str) else tuple(e))
-    return span_submodule(reg, vecs)
+    vecs = [algebra.parse_element(e) if isinstance(e, str) else tuple(e) for e in elements]
+    return span_submodule(algebra.regular_module(), vecs)

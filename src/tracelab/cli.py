@@ -78,7 +78,10 @@ class _Inputs:
         self.parts = []
 
     def read_file(self, path):
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text (%s)" % (path, exc)) from None
         self.parts.append("file:%s" % text)
         return text
 
@@ -104,18 +107,16 @@ def _load_algebra(args, inputs):
 
 def _load_module(args, algebra, inputs, sections_of_ring):
     """The module to operate on: --module file, else the regular module."""
-    module_path = getattr(args, "module", None)
-    if module_path:
-        text = inputs.read_file(module_path)
-        sections = parse_sections(text, source=module_path)
+    source, sections = args.ring, sections_of_ring
+    if getattr(args, "module", None):
+        source = args.module
+        sections = parse_sections(inputs.read_file(source), source=source)
         if "module" not in sections:
-            raise TraceLabError("%s: no [module] section" % module_path)
-        rows, n_gens = module_rows_from_section(sections["module"], source=module_path)
-        return module_from_presentation(algebra, rows, n_gens=n_gens)
-    if "module" in sections_of_ring:
-        rows, n_gens = module_rows_from_section(sections_of_ring["module"], source=args.ring)
-        return module_from_presentation(algebra, rows, n_gens=n_gens)
-    return regular_module(algebra)
+            raise TraceLabError("%s: no [module] section" % source)
+    if "module" not in sections:
+        return regular_module(algebra)
+    rows, n_gens = module_rows_from_section(sections["module"], source=source)
+    return module_from_presentation(algebra, rows, n_gens=n_gens)
 
 
 def _load_ideal(args, algebra, inputs):

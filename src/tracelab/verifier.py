@@ -367,8 +367,8 @@ def _ideal_desc(algebra, ideal_sub):
 
 
 def ideal_sum(a, b):
-    reg = a.module
-    return span_submodule(reg, a.carrier.basis_columns() + b.carrier.basis_columns())
+    """I + J: a sum of submodules is a submodule, so its carrier is the sum."""
+    return Submodule(a.module, a.carrier.sum(b.carrier), check=False)
 
 
 def _element_samples(algebra, spec, tag):
@@ -591,10 +591,8 @@ def suite_section2(spec):
                 continue
             inst = dict(base, ideal=_ideal_desc(algebra, i))
             for u in units:
-                scaled = span_submodule(
-                    reg, [reg.element_action(u).apply(c) for c in i.carrier.basis_columns()]
-                )
-                rec.equal("isomorphic_good_ideals_equal", inst, scaled.carrier, i.carrier)
+                scaled = i.carrier.image(reg.element_action(u))  # uI is an ideal
+                rec.equal("isomorphic_good_ideals_equal", inst, scaled, i.carrier)
 
         # Every nonzero ideal inside the socle has the whole socle as trace.
         soc = socle(reg)
@@ -602,9 +600,7 @@ def suite_section2(spec):
         for inner in enumerate_submodules(soc_rep, cap=spec.submodule_cap):
             if inner.dim == 0:
                 continue
-            lifted = span_submodule(
-                reg, [soc_incl.apply(c) for c in inner.carrier.basis_columns()]
-            )
+            lifted = Submodule(reg, inner.carrier.image(soc_incl), check=False)
             inst = dict(base, ideal=_ideal_desc(algebra, lifted))
             rec.equal("ideal_inside_socle_has_socle_trace", inst, trace(lifted, reg).carrier, soc.carrier)
 

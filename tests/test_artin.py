@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracelab.artin import (
     PolynomialPresentation,
+    _cyclic_submodules,
     annihilator,
     build_algebra,
     colon,
@@ -192,6 +193,37 @@ def test_span_submodule(fat_point):
     assert span_submodule(R, [fat_point.unit]).dim == 3
     x = fat_point.parse_element("x")
     assert span_submodule(R, [x]).dim == 1  # x*m = 0
+
+
+def fixpoint_closure(module, vectors):
+    """The smallest action-closed subspace holding the vectors, by adding the
+    images under the variables until nothing changes."""
+    field = module.algebra.field
+    current = Subspace.from_vectors(field, module.dim, vectors)
+    while True:
+        images = [a.apply(row) for a in module.actions for row in current.rows]
+        bigger = Subspace.from_vectors(field, module.dim, list(current.rows) + images)
+        if bigger == current:
+            return current
+        current = bigger
+
+
+@lru_cache(maxsize=None)
+def _catalog_modules():
+    return [module for _, module in catalog_module_pools()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_span_submodule_is_the_fixpoint_closure(data):
+    modules = _catalog_modules()
+    module = modules[data.draw(st.integers(0, len(modules) - 1))]
+    field = module.algebra.field
+    vector = st.lists(st.integers(-2, 2), min_size=module.dim, max_size=module.dim)
+    vectors = [tuple(field.from_int(c) for c in v) for v in data.draw(st.lists(vector, max_size=3))]
+    span = span_submodule(module, vectors)
+    assert span.module is module
+    assert span.carrier == fixpoint_closure(module, vectors)
 
 
 def test_ideal_times_module(dual_numbers):
@@ -479,14 +511,14 @@ def test_cyclic_ideals_fat_point_f2():
     assert sorted(i.dim for i in ideals) == [0, 1, 1, 1, 3]
 
 
+def all_elements_cyclic_submodules(module):
+    """The cyclic submodules by their definition: Rv closed up for every v."""
+    vectors = itertools.product(module.algebra.field.elements(), repeat=module.dim)
+    return sorted({fixpoint_closure(module, [v]) for v in vectors}, key=Subspace.sort_key)
+
+
 def all_elements_cyclic_ideals(R):
-    """The cyclic ideals by their definition: (r) spanned for every element r."""
-    reg = regular_module(R)
-    seen = {}
-    for coords in itertools.product(R.field.elements(), repeat=R.dim):
-        ideal = span_submodule(reg, [coords])
-        seen.setdefault(ideal.carrier, ideal)
-    return [i.carrier for i in sorted(seen.values(), key=lambda s: s.carrier.sort_key())]
+    return all_elements_cyclic_submodules(regular_module(R))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -519,6 +551,51 @@ def test_enumerate_submodules_counts():
     subs = enumerate_submodules(regular_module(F))
     # ideals: 0, three lines in the socle, the socle itself, R
     assert len(subs) == 6
+
+
+def all_vectors_submodules(module):
+    """Every submodule, breadth first: each is a smaller one closed up with
+    one more vector, tried over all p^dim vectors."""
+    field = module.algebra.field
+    vectors = list(itertools.product(field.elements(), repeat=module.dim))
+    found = [Subspace.zero(field, module.dim)]
+    for current in found:
+        for v in vectors:
+            if not current.contains_vector(v):
+                bigger = fixpoint_closure(module, list(current.rows) + [v])
+                if bigger not in found:
+                    found.append(bigger)
+    return sorted(found, key=Subspace.sort_key)
+
+
+def _enumeration_case(p, name):
+    """A module other than R over F_p, small enough for the all-vectors oracles."""
+    field = GF(p)
+    fat = algebra(field, ["x", "y"], ["x^2", "x*y", "y^2"])
+    if name == "dual(R)":
+        return matlis_dual(regular_module(algebra(field, ["x", "y"], ["x^3", "x*y", "y^2"]))).rep
+    if name == "R^2":
+        return free_module(algebra(field, ["x"], ["x^2"]), 2)
+    if name == "R/m":
+        return module_from_presentation(fat, [["x", "y"]])
+    if name == "socle":
+        return socle(regular_module(fat)).as_module()[0]
+    return ideal_from_elements(algebra(field, ["x", "y"], ["x^2", "y^3"]), ["x", "y^2"]).as_module()[0]
+
+
+@pytest.mark.parametrize("name", ["dual(R)", "R^2", "R/m", "socle", "ideal (x, y^2)"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_enumerations_equal_the_all_vectors_definitions(p, name):
+    # The Nakayama skip, the block skip and the closure under sums against
+    # Rv for every v and the breadth-first search over every vector, on
+    # modules whose bases are not ordered by degree as R's is.
+    module = _enumeration_case(p, name)
+    cyclic = [c.carrier for c in _cyclic_submodules(module)]
+    assert cyclic == all_elements_cyclic_submodules(module)
+    assert all(c.module is module for c in _cyclic_submodules(module))
+    subs = enumerate_submodules(module)
+    assert [s.carrier for s in subs] == all_vectors_submodules(module)
+    assert len(subs) > len(cyclic) or name == "R/m"
 
 
 def test_dimension_cap_enforced():

@@ -190,6 +190,28 @@ def test_trace_of_a_deep_monomial_is_fast(capsys, tmp_path):
     assert result["ideal"] == result["trace"] == socle
 
 
+@pytest.mark.parametrize(
+    "command, relations, seconds, digest",
+    [
+        ("excellent", "F3 x^4, y^3", 3.0, "4340e59bba820a831a80272a9d619845461df6eaf258acf977e0ab9bb56c3384"),
+        ("qf", "F3 x^4, y^3", 3.0, "a21f183922030491662e520f214cd3568617db7c833deaf5447cce8ff6768dc6"),
+        ("excellent", "F2 x^5, x*y^3, y^4", 2.0, "f4419c6457bbcf6edfdba6708bd1f76735efbf096107b4e0af4630720590f384"),
+    ],
+    ids=["excellent-F3", "qf-F3", "excellent-F2"],
+)
+def test_cyclic_ideal_corners_are_fast(capsys, tmp_path, command, relations, seconds, digest):
+    # 3^12 and 2^16 ring elements, 97 and 139 cyclic ideals: each ideal is
+    # spanned once, and every other generator of it is skipped by Nakayama.
+    field, relations = relations.split(" ", 1)
+    ring = tmp_path / "corner.ring"
+    ring.write_text("[algebra]\nfield = %s\nvariables = x, y\nrelations = %s\n" % (field, relations), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--ring", str(ring))
+    assert time.perf_counter() - started < seconds
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_numeric_power_reduces_mod_p(capsys, dual_ring):
     t0 = time.perf_counter()
     huge = run_json(capsys, "trace", "--ring", dual_ring, "--ideal", "3^3000000000")
@@ -225,6 +247,18 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert not out
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("flag", ["--ring", "--module"])
+def test_non_utf8_file_exits_2(capsys, fat_ring, tmp_path, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe[algebra]\nfield = Q\n")
+    argv = ["--ring", str(bad)] if flag == "--ring" else ["--ring", fat_ring, "--module", str(bad)]
+    code, out, err = run_cli(capsys, "trace", *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert str(bad) in error["message"]
 
 
 def test_parse_error_exits_2(capsys, tmp_path):
@@ -507,10 +541,12 @@ def module_cases(draw, command):
 
 def _check_contract(tmp_path, ring, argv, seconds):
     """Run one case: exit 0, 1 or 2 within `seconds`; on 2, stderr is one
-    JSON error and nothing else.  The value after --module is the text of
-    the module file, written out first."""
-    (tmp_path / "case.ring").write_text(ring, encoding="utf-8")
-    argv = argv + ["--ring", str(tmp_path / "case.ring")]
+    JSON error and nothing else.  A ring of None runs without --ring.  The
+    value after --module is the text of the module file, written out first.
+    Output in --format text is one "key = value" line per field."""
+    if ring is not None:
+        (tmp_path / "case.ring").write_text(ring, encoding="utf-8")
+        argv = argv + ["--ring", str(tmp_path / "case.ring")]
     if "--module" in argv:
         at = argv.index("--module") + 1
         (tmp_path / "case.module").write_text(argv[at], encoding="utf-8")
@@ -529,6 +565,8 @@ def _check_contract(tmp_path, ring, argv, seconds):
         error = json.loads(err.getvalue())
         assert set(error) == {"error", "message"} and out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
+    elif "text" in argv:
+        assert all(" = " in line for line in out.getvalue().splitlines())
     else:
         json.loads(out.getvalue())
 
@@ -546,4 +584,47 @@ def test_cli_keeps_its_exit_code_contract(tmp_path_factory, case):
 @given(data=st.data())
 def test_cli_keeps_its_exit_code_contract_on_module_files(tmp_path_factory, command, data):
     ring, argv = data.draw(module_cases(command))
+    _check_contract(tmp_path_factory.mktemp("fuzz"), ring, argv, seconds=10)
+
+
+# Values for the numeric flags: zero, negatives, beyond 2^64, and malformed.
+FLAG_VALUES = ["0", "-1", "3", str(2 ** 64 + 1), "-" + str(2 ** 64 + 1), "", "x"]
+
+
+@st.composite
+def number_lists(draw):
+    """A comma list that may be empty or hold stray commas, e.g. "3,4,,-1"."""
+    items = draw(st.sampled_from([[], ["3", "4"], ["4", "5", "6"]]))
+    items += draw(st.lists(st.sampled_from(FLAG_VALUES[:5] + [""]), max_size=2))
+    return ",".join(items)
+
+
+@st.composite
+def flag_cases(draw):
+    """(ring file text or None, argv) for the flags beyond --ideal: --cap-dim,
+    --cap-enum, --seed and --format, and the semigroup commands' lists."""
+    command = draw(st.sampled_from(
+        ["algebra-info", "excellent", "qf", "verify", "semigroup-report", "semigroup-good"]))
+    value = st.sampled_from(FLAG_VALUES)
+    ring, argv = None, [command, "--format", draw(st.sampled_from(["json", "json", "text", "text", "xml", ""]))]
+    if command == "semigroup-report":
+        argv += ["--gens=" + draw(number_lists())]
+        argv += ["--max-power=" + draw(value)] if draw(st.booleans()) else []
+    elif command == "semigroup-good":
+        argv += ["--gens=" + draw(number_lists()), "--ideal=" + draw(number_lists())]
+    elif command == "verify":
+        argv += ["--suite", "2", "--seed=" + draw(value)]
+    else:
+        field, variables, relations = draw(st.sampled_from(FUZZ_RINGS))
+        ring = "[algebra]\nfield = %s\nvariables = %s\nrelations = %s\n" % (
+            field, ", ".join(variables), ", ".join(relations))
+        flags = ["--cap-dim"] + (["--cap-enum", "--seed"] if command != "algebra-info" else [])
+        argv += [flag + "=" + draw(value) for flag in draw(st.lists(st.sampled_from(flags), unique=True))]
+    return ring, argv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(flag_cases())
+def test_cli_keeps_its_exit_code_contract_on_flags(tmp_path_factory, case):
+    ring, argv = case
     _check_contract(tmp_path_factory.mktemp("fuzz"), ring, argv, seconds=10)
