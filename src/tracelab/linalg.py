@@ -2,28 +2,32 @@
 
 Every higher-level equality in this package (equality of submodules, traces,
 torsion subspaces, ...) reduces to structural equality of canonical subspace
-bases computed here, so all arithmetic is exact.  Over Q scalars are
-fractions.Fraction values; over F_p they are plain Python ints in [0, p).
+bases computed here, so all arithmetic is exact.  Over Q a scalar is a plain
+int when integral and a fractions.Fraction otherwise; over F_p it is a plain
+int in [0, p).  So each value has one representation, and most Q entries
+(monomial algebras act by 0/1 matrices) never leave int arithmetic.
 
 Scalars use Python's own arithmetic.  Each field owns one normalising hook,
 `canonical(row)`, mapping freshly computed scalars to canonical
-representatives (x % p over F_p, the identity over Q).  Every operation here
-applies it once per row it produces, so every stored entry and every returned
-vector is canonical and structural equality is value equality.
+representatives (x % p over F_p; an integral Fraction to its int over Q).
+Every operation here applies it once per row it produces, and elimination
+demotes each entry it updates, so every stored entry and returned vector is
+canonical and structural equality is value equality.
 
 Everything is row-major.  Matrices are dense and immutable tuples of row
-tuples; the public constructor validates its input, and every result computed
-here takes the trusted path Matrix._of, which stores rows that are already
-a tuple of equal-length canonical tuples.  A Subspace holds the rows of its
-reduced row echelon basis, exactly as the elimination returns them; that
-form is unique per subspace, so structural equality of Subspace values
-decides equality of subspaces, and the column basis matrix is only built on
-demand.
+tuples; the public constructors canonicalise their input and reject any
+scalar but an int or, over Q, a Fraction.  Every result computed here takes
+the trusted path Matrix._of, which stores rows that are already a tuple of
+equal-length canonical tuples.  A Subspace holds the rows of its reduced row
+echelon basis, exactly as the elimination returns them; that form is unique
+per subspace, so structural equality of Subspace values decides equality of
+subspaces, and the column basis matrix is only built on demand.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FieldNotFinite
@@ -32,17 +36,17 @@ SUPPORTED_PRIMES = (2, 3, 5)
 
 
 class RationalField:
-    """The field Q with exact arbitrary-precision rational scalars."""
+    """The field Q: a scalar is an int when integral, else a Fraction (den > 1)."""
 
     char = 0
     order = None
     name = "Q"
     is_finite = False
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def format(self, x):
         """Render a scalar as "p" or "p/q" with den > 0 and gcd(p, q) = 1."""
@@ -59,11 +63,12 @@ class RationalField:
         raise FieldNotFinite("Q has infinitely many elements")
 
     def inverse(self, x):
-        return self.one / x
+        y = Fraction(1, x)
+        return y.numerator if y.denominator == 1 else y
 
     def canonical(self, row):
-        """Rationals are canonical as computed: the row itself."""
-        return row
+        """The row with each integral Fraction demoted to its int, as a new list."""
+        return [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in row]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -148,7 +153,7 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
+        rows = _scalar_rows(field, rows)
         if rows:
             ncols = len(rows[0])
             for r in rows:
@@ -315,6 +320,16 @@ def vstack(matrices):
     return Matrix._of(matrices[0].field, rows, ncols)
 
 
+def _scalar_rows(field, rows):
+    """User rows as tuples of canonical scalars: ints or, over Q, Fractions."""
+    rows = [list(r) for r in rows]
+    allowed = (int,) if field.char else (int, Fraction)
+    for x in itertools.chain.from_iterable(rows):
+        if type(x) not in allowed:
+            raise TypeError("%r is not a scalar of %s" % (x, field))
+    return tuple(tuple(field.canonical(r)) for r in rows)
+
+
 def _transposed(rows, ncols):
     """The columns of length-ncols rows, as a tuple of tuples."""
     return tuple(zip(*rows)) if rows else ((),) * ncols
@@ -354,13 +369,15 @@ def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
             f = row[c]
             if not f or i == r:
                 continue
-            # Only the entries on the pivot row's support change.
+            # Only the entries on the pivot row's support change, and each
+            # one updated is made canonical again.
             if p:
                 for j, v in support:
                     row[j] = (row[j] - f * v) % p
             else:
                 for j, v in support:
-                    row[j] -= f * v
+                    x = row[j] - f * v
+                    row[j] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -422,7 +439,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
         """Canonical subspace spanned by the given length-n vectors."""
-        vectors = list(vectors)
+        vectors = _scalar_rows(field, vectors)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length %d != ambient %d" % (len(v), ambient_dim))
@@ -554,20 +571,28 @@ class Subspace:
 
 
 def kernel(m):
-    """The solution space {v : m @ v = 0} as a canonical Subspace."""
-    field = m.field
-    red, pivots = _row_reduce(field, m.rows, m.ncols)
+    """The solution space {v : m @ v = 0} as a canonical Subspace.
+
+    One elimination, with the columns in reverse order: each pivot row is
+    then supported on its pivot and on free columns to its left, so the
+    vector of free column f (1 at f, pivot entries to the right of f) has
+    leading entry 1 at f and is zero at every other free column.  Those
+    vectors, in increasing f, are the reduced row echelon basis as they are.
+    """
+    field, n = m.field, m.ncols
+    last = n - 1
+    red, pivots = _row_reduce(field, [r[::-1] for r in m.rows], n)
     pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
+    free = [f for f in range(n) if last - f not in pivset]
     z, o = field.zero, field.one
     vecs = []
     for f in free:
-        v = [z] * m.ncols
+        v = [z] * n
         v[f] = o
-        for i, p in enumerate(pivots):
-            x = red[i][f]
+        for row, p in zip(red, pivots):
+            x = row[last - f]
             if x:
-                v[p] = -x
-        vecs.append(field.canonical(v))
-    return Subspace.from_vectors(field, m.ncols, vecs)
+                v[last - p] = -x
+        vecs.append(tuple(field.canonical(v)))
+    return Subspace(field, n, tuple(vecs), free)
 

@@ -415,9 +415,11 @@ def suite_section1(spec, trace_fn=trace):
                     (tr.dim == 0) == (hom_dim == 0)
                     and (hom_dim == 0) == (ideal_sub.dim == 0 or module.dim == 0),
                 )
+                onto = None
                 if is_cyclic_ideal(ideal_sub):
                     rec.equal("cyclic_trace_is_annihilator_torsion", inst, tr.carrier, upper.carrier)
-                    rec.check("cyclic_homothety_onto", inst, homothety_map(ideal_sub, module).surjective)
+                    onto = homothety_map(ideal_sub, module).surjective
+                    rec.check("cyclic_homothety_onto", inst, onto)
                     rec.check(
                         "cyclic_ext1_dimension_formula",
                         inst,
@@ -429,7 +431,7 @@ def suite_section1(spec, trace_fn=trace):
                     (ext1(ideal_sub, module).dim == 0)
                     == (
                         is_ideal_excellent(ideal_sub, module)
-                        and homothety_map(ideal_sub, module).surjective
+                        and (homothety_map(ideal_sub, module).surjective if onto is None else onto)
                     ),
                 )
 
@@ -741,15 +743,13 @@ def suite_section3(spec):
                 and (tensor_product(module, ideal_rep).dim == 0)
                 == (ideal_sub.dim == 0 or module.dim == 0),
             )
+            into = None
             if is_cyclic_ideal(ideal_sub):
                 rec.equal(
                     "cyclic_cotrace_is_annihilator_image", inst, co.carrier, lower.carrier
                 )
-                rec.check(
-                    "cyclic_tensor_eval_injective",
-                    inst,
-                    tensor_eval(module, ideal_sub).injective,
-                )
+                into = tensor_eval(module, ideal_sub).injective
+                rec.check("cyclic_tensor_eval_injective", inst, into)
                 rec.check(
                     "cyclic_tor1_dimension_formula",
                     inst,
@@ -761,7 +761,7 @@ def suite_section3(spec):
                 (tor1(module, ideal_sub).dim == 0)
                 == (
                     is_ideal_coexcellent(ideal_sub, module)
-                    and tensor_eval(module, ideal_sub).injective
+                    and (tensor_eval(module, ideal_sub).injective if into is None else into)
                 ),
             )
             rec.check(

@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples plus property tests."""
 
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from tracelab.linalg import (
     QQ,
     Matrix,
     Subspace,
+    _row_reduce,
     hstack,
     kernel,
     rank,
@@ -348,13 +350,20 @@ def test_entries_stay_canonical_over_prime_fields(data):
 trusted_fields = st.sampled_from([QQ, GF(2), GF(3)])
 
 
+def is_canonical_scalar(field, x):
+    """An int in [0, p) over F_p; over Q an int, or a Fraction that is not one."""
+    if field.char:
+        return type(x) is int and 0 <= x < field.char
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def assert_trusted(result):
     """result is a tuple of canonical length-ncols tuples, as Matrix() would build it."""
     field = result.field
     assert type(result.rows) is tuple and result.nrows == len(result.rows)
     for row in result.rows:
         assert type(row) is tuple and len(row) == result.ncols
-        assert all(type(x) is type(field.zero) for x in row)
+        assert all(is_canonical_scalar(field, x) for x in row)
         assert list(field.canonical(list(row))) == list(row)
     assert result == Matrix(field, result.rows, ncols=result.ncols)
 
@@ -423,3 +432,217 @@ def test_image_is_the_span_of_the_mapped_basis(data):
     space = Subspace.from_vectors(field, n, vectors)
     assert space.image(m) == Subspace.from_vectors(field, k, (m @ space.basis).cols())
     assert Subspace.full(field, n).image(m).dim == rank(m)
+
+
+# -- constructors canonicalise and validate -----------------------------------
+
+
+def test_matrix_constructor_reduces_residues():
+    assert Matrix(GF(2), [[3, 1]]) == Matrix(GF(2), [[1, 1]])
+    assert Matrix(GF(2), [[3, 1]]).rows == ((1, 1),)
+
+
+def test_from_vectors_reduces_residues():
+    assert Subspace.from_vectors(GF(3), 2, [(1, 4)]) == Subspace.from_vectors(GF(3), 2, [(1, 1)])
+
+
+def test_constructors_reject_inexact_scalars():
+    with pytest.raises(TypeError):
+        Matrix(QQ, [[0.5]])
+    with pytest.raises(TypeError):
+        reduce(Matrix(QQ, [[2.0, 1]]))
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(QQ, 2, [(2.0, 1)])
+    with pytest.raises(TypeError):
+        Matrix(GF(3), [[Fraction(1, 2)]])
+    assert Matrix(QQ, [[Fraction(4, 2), Fraction(1, 2)]]).rows == ((2, Fraction(1, 2)),)
+    assert type(Matrix(QQ, [[Fraction(4, 2)]]).rows[0][0]) is int
+
+
+# -- kernel from one elimination ----------------------------------------------
+
+
+def two_elimination_kernel(m):
+    """The kernel as it was computed before: the free-column vectors of the
+    reduced form of m, put through a second elimination."""
+    field = m.field
+    red, pivots = _row_reduce(field, m.rows, m.ncols)
+    pivset = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivset]
+    z, o = field.zero, field.one
+    vecs = []
+    for f in free:
+        v = [z] * m.ncols
+        v[f] = o
+        for i, p in enumerate(pivots):
+            x = red[i][f]
+            if x:
+                v[p] = -x
+        vecs.append(field.canonical(v))
+    return Subspace.from_vectors(field, m.ncols, vecs)
+
+
+def assert_kernel_matches_oracle(m):
+    k, oracle = kernel(m), two_elimination_kernel(m)
+    assert k == oracle
+    assert k.pivots == oracle.pivots
+    assert all(is_canonical_scalar(m.field, x) for row in k.rows for x in row)
+
+
+@given(field_and_matrix(max_dim=5))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_the_two_elimination_kernel(m):
+    assert_kernel_matches_oracle(m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([], 0),
+        ([], 3),
+        ([[], []], 0),
+        ([[0, 0, 0], [0, 0, 0]], 3),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+        ([[1, 2, 3], [0, 1, 4]], 3),
+        ([[0, 2, 1, 0], [1, 0, 0, 1]], 4),
+    ],
+    ids=["empty", "no-rows", "no-columns", "zero", "identity", "full-rank", "pivots-right"],
+)
+def test_kernel_corners_match_the_two_elimination_kernel(field, rows, ncols):
+    assert_kernel_matches_oracle(mat(field, rows, ncols=ncols))
+
+
+# -- Q scalars: ints when integral, against a Fraction-only reference ---------
+
+
+def fraction_rref(rows, ncols, pivot_limit=None):
+    """Reference Gauss-Jordan with every entry a Fraction: (rows, pivots)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols if pivot_limit is None else pivot_limit):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def fraction_span(vectors, n):
+    rows, pivots = fraction_rref(vectors, n)
+    return rows[: len(pivots)]
+
+
+def fraction_kernel(rows, n):
+    red, pivots = fraction_rref(rows, n)
+    vecs = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        vecs.append(v)
+    return vecs
+
+
+def fraction_matmul(a, b, ncols):
+    return [[sum((x * row[j] for x, row in zip(arow, b)), Fraction(0)) for j in range(ncols)] for arow in a]
+
+
+def same_values(result, reference):
+    return [list(r) for r in result] == [list(r) for r in reference]
+
+
+def assert_exact(field, rows):
+    for row in rows:
+        assert all(is_canonical_scalar(field, x) for x in row), row
+
+
+q_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([1, -1, Fraction(4, 2), Fraction(-6, 3), Fraction(1, 2), Fraction(-2, 3)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def q_rows(draw, nrows, ncols):
+    rows = [[draw(q_scalars) for _ in range(ncols)] for _ in range(nrows)]
+    if len(rows) >= 2 and draw(st.booleans()):
+        # A dependent row, so singular matrices are common.
+        a, b = draw(q_scalars), draw(q_scalars)
+        rows[draw(st.integers(0, len(rows) - 1))] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_q_results_match_a_fraction_only_reference(data):
+    nrows, ncols, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a_rows = data.draw(q_rows(nrows, ncols))
+    b_rows = data.draw(q_rows(ncols, k))
+    rhs_rows = data.draw(q_rows(nrows, k))
+    a, b, rhs = Matrix(QQ, a_rows, ncols=ncols), Matrix(QQ, b_rows, ncols=k), Matrix(QQ, rhs_rows, ncols=k)
+    for m in (a, b, rhs):
+        assert_exact(QQ, m.rows)
+
+    red, pivots = fraction_rref(a_rows, ncols)
+    r = reduce(a)
+    assert same_values(r.rows, red)
+    assert_exact(QQ, r.rows)
+
+    ker = kernel(a)
+    assert same_values(ker.rows, fraction_span(fraction_kernel(a_rows, ncols), ncols))
+    assert_exact(QQ, ker.rows)
+
+    prod = a @ b
+    assert same_values(prod.rows, fraction_matmul(a_rows, b_rows, k))
+    assert_exact(QQ, prod.rows)
+
+    for v in b.transpose().rows:
+        image = a.apply(v)
+        assert list(image) == [row[0] for row in fraction_matmul(a_rows, [[x] for x in v], 1)]
+        assert_exact(QQ, [image])
+
+    x = solve(a, rhs)
+    aug, aug_pivots = fraction_rref([r + s for r, s in zip(a_rows, rhs_rows)], ncols + k, ncols)
+    consistent = all(not any(row[ncols:]) for row in aug[len(aug_pivots) :])
+    if not consistent:
+        assert x is None
+    else:
+        expected = [[Fraction(0)] * k for _ in range(ncols)]
+        for row, p in zip(aug, aug_pivots):
+            expected[p] = row[ncols:]
+        assert x is not None and same_values(x.rows, expected)
+        assert_exact(QQ, x.rows)
+
+    u = Subspace.from_vectors(QQ, ncols, a_rows)
+    w = Subspace.from_vectors(QQ, ncols, b.transpose().rows)
+    assert same_values(u.rows, red[: len(pivots)])
+    s = u.sum(w)
+    assert same_values(s.rows, fraction_span(list(u.rows) + list(w.rows), ncols))
+    meet = u.intersect(w)
+    if u.dim and w.dim:
+        # x = sum c_i u_i for each (c, d) with sum c_i u_i + sum d_j w_j = 0.
+        stacked = [list(col) for col in zip(*u.rows, *w.rows)]
+        coeffs = fraction_kernel(stacked, u.dim + w.dim)
+        meet_vectors = [fraction_matmul([c[: u.dim]], u.rows, ncols)[0] for c in coeffs]
+        assert same_values(meet.rows, fraction_span(meet_vectors, ncols))
+    else:
+        assert meet.dim == 0
+    for space in (u, s, meet):
+        assert_exact(QQ, space.rows)
+    for v in a.rows + b.transpose().rows:
+        coords = u.coords_of(v)
+        inside = len(fraction_span(list(u.rows) + [v], ncols)) == u.dim
+        assert (coords is not None) == inside
+        if inside:
+            assert fraction_matmul([coords], u.rows, ncols)[0] == list(v)
+            assert_exact(QQ, [coords])
