@@ -61,6 +61,6 @@ member = Submodule(
 )
 routed = trace_via_colon(member, ix)
 mapped = Subspace.from_vectors(
-    QQ, X.dim, [incl.apply(c) for c in trace(ix, k).carrier.basis_columns()]
+    QQ, X.dim, [incl.apply(c) for c in trace(ix, k).carrier.rows]
 )
 print("colon route through X agrees with the definition:", routed.carrier == mapped)

@@ -598,13 +598,10 @@ class Submodule:
     def __init__(self, module, carrier, check=True):
         if carrier.ambient_dim != module.dim:
             raise NotSubmodule("carrier ambient %d != module dim %d" % (carrier.ambient_dim, module.dim))
-        if check:
-            for a in module.actions:
-                for col in carrier.basis_columns():
-                    if not carrier.contains_vector(a.apply(col)):
-                        raise NotSubmodule("carrier is not closed under the module action")
         self.module = module
         self.carrier = carrier
+        if check:
+            self.as_module()
 
     @property
     def dim(self):
@@ -614,6 +611,8 @@ class Submodule:
     def as_module(self):
         """(rep, inclusion) with rep the carrier as an abstract module.
 
+        Column j of each action holds the coordinates of the action applied
+        to basis vector j; an image outside the carrier raises NotSubmodule.
         The inclusion matrix maps rep coordinates into the ambient module.
         Memoised on the submodule: repeated calls return the same rep, so
         results memoised on that rep (its Hom spaces, ...) are found again.
@@ -622,7 +621,7 @@ class Submodule:
         actions = []
         for a in self.module.actions:
             cols = []
-            for col in self.carrier.basis_columns():
+            for col in self.carrier.rows:
                 coords = self.carrier.coords_of(a.apply(col))
                 if coords is None:
                     raise NotSubmodule("carrier is not closed under the module action")

@@ -66,6 +66,8 @@ from .errors import (
 )
 from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
 
+SAMPLED_IDEALS = 24  # seeded random cyclic ideals in a sampled verdict, besides 0, m and R
+
 
 # -- Hom ------------------------------------------------------------------------
 
@@ -78,8 +80,9 @@ class HomModule:
     exactly when sum_i z_i n_i = 0 for every syzygy z.  `values` is that
     solution space, a canonical subspace of N^v with block i holding n_i, so
     Hom is solved for and held with v * dim N coordinates.  x_j acts on f
-    through its values, (x_j f)(g_i) = x_j n_i, so rep is built blockwise in
-    N^v, and the coordinates of a map are those of its values in `values`.
+    through its values, (x_j f)(g_i) = x_j n_i, so `values` is a submodule
+    of N^v and rep is its as_module; the coordinates of a map are those of
+    its values in `values`.
 
     The dense dim N x dim M matrices are built only on demand: maps() for a
     joint kernel or a composition, dense_space() for the canonical basis of
@@ -113,7 +116,7 @@ class HomModule:
     def dense_space(self):
         """The maps of the basis, flattened row-major, as the canonical
         subspace of k^(dim N * dim M): the intertwiner space."""
-        maps = self.maps(self.values.basis_columns())
+        maps = self.maps(self.values.rows)
         vecs = [tuple(x for row in f.rows for x in row) for f in maps]
         field = self.target.algebra.field
         return Subspace.from_vectors(field, self.target.dim * self.source.dim, vecs)
@@ -127,37 +130,20 @@ def _syzygy_actions(cover, module):
     return [[module.element_action(zi) for zi in z] for z in cover.syzygies]
 
 
-def _coords(space, mat, message):
-    """Coordinates of the columns of mat in the canonical basis of space.
-
-    They are the entries at the pivot rows; a column outside the space
-    fails the exact reconstruction and raises InternalCheckError(message).
-    """
-    coords = Matrix._of(mat.field, tuple(mat.rows[p] for p in space.pivots), mat.ncols)
-    if space.basis @ coords != mat:
-        raise InternalCheckError(message)
-    return coords
-
-
 @_memoised("source")
 def hom_module(source, target):
     """Hom_R(source, target) as a HomModule."""
     if source.algebra is not target.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    algebra = source.algebra
-    field = algebra.field
+    field = source.algebra.field
     cover = source.free_cover()
     v, dN = len(cover.generators), target.dim
     rows = []
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
     values = kernel(Matrix._of(field, tuple(rows), v * dN))
-    basis = values.basis
-    actions = [
-        _coords(values, a @ basis, "hom space is not closed under the action")
-        for a in power_module(target, v).actions
-    ]
-    rep = ModuleRep(algebra, values.dim, actions, label="Hom(%s,%s)" % (source.label, target.label))
+    rep, _ = Submodule(power_module(target, v), values, check=False).as_module()
+    rep.label = "Hom(%s,%s)" % (source.label, target.label)
     return HomModule(source, target, values, rep)
 
 
@@ -177,7 +163,7 @@ def trace(ideal, module):
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, module)
     d = module.dim
-    vecs = [n[i : i + d] for n in hom.values.basis_columns() for i in range(0, len(n), d)]
+    vecs = [n[i : i + d] for n in hom.values.rows for i in range(0, len(n), d)]
     result = Submodule(module, Subspace.from_vectors(field, d, vecs), check=False)
     lower = ideal_times_module(ideal, module)
     upper = torsion_submodule(module, annihilator(ideal_rep))
@@ -267,22 +253,26 @@ class HomothetyMap:
 
 
 def _multiplication_coords(hom, ideal, module, vectors, target=None):
-    """Coordinates in hom = Hom(I, -) of r |-> r x for each column x of vectors.
+    """Coordinates in hom = Hom(I, -) of r |-> r x, one row per x in vectors.
 
     The map's values on the ideal's generators g_i (its cover generators)
     are the g_i x in module, read in the coordinates of its submodule target
     when given.  A tuple outside hom.values breaks a syzygy, so it is no
     homomorphism.
     """
-    blocks = []
-    for g in ideal_generators(ideal):
-        images = module.element_action(g) @ vectors
+    ops = [module.element_action(g) for g in ideal_generators(ideal)]
+    rows = []
+    for x in vectors:
+        images = [op.apply(x) for op in ops]
         if target is not None:
-            images = _coords(target.carrier, images, "I x escaped the target of the hom")
-        blocks.append(images)
-    if not blocks:
-        return Matrix.zeros(module.algebra.field, 0, vectors.ncols)
-    return _coords(hom.values, vstack(blocks), "r |-> r x is not a homomorphism on the generators")
+            images = [target.carrier.coords_of(y) for y in images]
+            if None in images:
+                raise InternalCheckError("I x escaped the target of the hom")
+        coords = hom.values.coords_of([e for y in images for e in y])
+        if coords is None:
+            raise InternalCheckError("r |-> r x is not a homomorphism on the generators")
+        rows.append(coords)
+    return rows
 
 
 def homothety_map(ideal, module):
@@ -292,8 +282,10 @@ def homothety_map(ideal, module):
     image_rep, _ = image.as_module()
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, image_rep)
-    identity = Matrix.identity(module.algebra.field, module.dim)
-    matrix = _multiplication_coords(hom, ideal, module, identity, target=image)
+    field = module.algebra.field
+    identity = Matrix.identity(field, module.dim).rows
+    rows = _multiplication_coords(hom, ideal, module, identity, target=image)
+    matrix = Matrix.from_cols(field, rows, nrows=hom.dim)
     return HomothetyMap(matrix, rank(matrix) == hom.dim, hom, image)
 
 
@@ -318,7 +310,8 @@ def colon_to_hom(sub, ideal):
     sub_rep, _ = sub.as_module()
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, sub_rep)
-    matrix = _multiplication_coords(hom, ideal, ambient, domain.carrier.basis, target=sub)
+    rows = _multiplication_coords(hom, ideal, ambient, domain.carrier.rows, target=sub)
+    matrix = Matrix.from_cols(field, rows, nrows=hom.dim)
     ker = kernel(matrix)
     lifted = Subspace.from_vectors(field, ambient.dim, [domain.carrier.vector(c) for c in ker.rows])
     expected = domain.carrier.intersect(torsion_submodule(ambient, ideal).carrier)
@@ -367,17 +360,20 @@ def tensor_product(left, right):
     return TensorProduct(rep, proj, section, relations)
 
 
-def _evaluation(module, ideal, generators):
-    """Matrix of (n_1..n_v) |-> sum_i n_i g_i from I^v into M.
+def _evaluation(module, ideal, generators, tp):
+    """Matrix of the evaluation tp -> M induced by (n_1..n_v) |-> sum_i n_i g_i.
 
     The g_i are the left factor's cover generators as vectors of M, and I^v
     is in TensorProduct coordinates, so block i is the orbit matrix of g_i
-    (column s is b_s g_i) times the k-basis of I.  Kills the tensor
-    relations exactly; checked by the callers.
+    (column s is b_s g_i) times the k-basis of I.  The map on I^v must kill
+    the tensor relations exactly; that is checked here.
     """
     field, basis = module.algebra.field, ideal.carrier.basis
     blocks = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) @ basis for g in generators]
-    return hstack(blocks) if blocks else Matrix.zeros(field, module.dim, 0)
+    full = hstack(blocks) if blocks else Matrix.zeros(field, module.dim, 0)
+    if not (full @ tp.relations.carrier.basis).is_zero():
+        raise InternalCheckError("tensor evaluation does not kill the tensor relations")
+    return full @ tp.section
 
 
 @dataclass(frozen=True)
@@ -398,10 +394,7 @@ def tensor_eval(module, ideal):
     ideal_rep, _ = ideal.as_module()
     tp = tensor_product(quotient_rep, ideal_rep)
     lifts = [section.apply(g) for g in quotient_rep.free_cover().generators]
-    full = _evaluation(module, ideal, lifts)
-    if not (full @ tp.relations.carrier.basis).is_zero():
-        raise InternalCheckError("tensor evaluation does not kill the tensor relations")
-    matrix = full @ tp.section
+    matrix = _evaluation(module, ideal, lifts, tp)
     return TensorEvalMap(matrix, rank(matrix) == tp.rep.dim, tp, quotient_rep)
 
 
@@ -418,13 +411,9 @@ def ext1(ideal, module):
     field = module.algebra.field
     ideal_rep, _ = ideal.as_module()
     hom = hom_module(ideal_rep, module)
-    identity = Matrix.identity(field, module.dim)
+    identity = Matrix.identity(field, module.dim).rows
     restriction = _multiplication_coords(hom, ideal, module, identity)
-    image = Submodule(
-        hom.rep,
-        Subspace.from_vectors(field, hom.dim, restriction.cols()),
-        check=False,
-    )
+    image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction), check=False)
     rep, _, _ = image.quotient()
     rep.label = "Ext1"
     if is_cyclic_ideal(ideal):
@@ -444,10 +433,7 @@ def tor1(module, ideal):
     _require_ideal(ideal, module.algebra)
     ideal_rep, _ = ideal.as_module()
     tp = tensor_product(module, ideal_rep)
-    full = _evaluation(module, ideal, module.free_cover().generators)
-    if not (full @ tp.relations.carrier.basis).is_zero():
-        raise InternalCheckError("tensor evaluation does not kill the tensor relations")
-    evaluation = full @ tp.section
+    evaluation = _evaluation(module, ideal, module.free_cover().generators, tp)
     ker = Submodule(tp.rep, kernel(evaluation), check=False)
     rep, _ = ker.as_module()
     rep.label = "Tor1"
@@ -561,12 +547,13 @@ class PredicateVerdict:
         return self.holds
 
 
-def random_element(algebra, rng, in_max_ideal=True):
-    """A reproducible random ring element (coordinates over the basis)."""
+def random_element(algebra, rng):
+    """A reproducible random element of the maximal ideal (coordinates over
+    the basis, the constant coordinate 0)."""
     field = algebra.field
     coords = []
     for i in range(algebra.dim):
-        if in_max_ideal and i == 0:
+        if i == 0:
             coords.append(field.zero)
         elif field.is_finite:
             coords.append(field.from_int(rng.randrange(field.order)))
@@ -575,7 +562,7 @@ def random_element(algebra, rng, in_max_ideal=True):
     return tuple(coords)
 
 
-def sampled_ideals(algebra, seed, count=24):
+def sampled_ideals(algebra, seed):
     """Deterministic ideal sample: 0, m, R, and seeded random cyclics."""
     rng = random.Random(seed)
     reg = algebra.regular_module()
@@ -584,12 +571,12 @@ def sampled_ideals(algebra, seed, count=24):
         algebra.max_ideal(),
         ideal_from_elements(algebra, ["1"]),
     ]
-    for _ in range(count):
+    for _ in range(SAMPLED_IDEALS):
         ideals.append(span_submodule(reg, [random_element(algebra, rng)]))
     return ideals
 
 
-def _all_ideals_verdict(module, predicate, ideals, seed, samples, cap=None):
+def _all_ideals_verdict(module, predicate, ideals, seed, cap=None):
     algebra = module.algebra
     if ideals is not None:
         evidence = "sampled"
@@ -599,7 +586,7 @@ def _all_ideals_verdict(module, predicate, ideals, seed, samples, cap=None):
         pool = enumerate_cyclic_ideals(algebra) if cap is None else enumerate_cyclic_ideals(algebra, cap)
     elif seed is not None:
         evidence = "sampled"
-        pool = sampled_ideals(algebra, seed, samples)
+        pool = sampled_ideals(algebra, seed)
     else:
         raise FieldNotFinite(
             "exhaustive testing needs a finite field; pass ideals=... or seed=..."
@@ -610,16 +597,16 @@ def _all_ideals_verdict(module, predicate, ideals, seed, samples, cap=None):
     return PredicateVerdict(True, evidence, len(pool), None)
 
 
-def excellence_verdict(module, ideals=None, seed=None, samples=24, cap=None):
+def excellence_verdict(module, ideals=None, seed=None, cap=None):
     """Whether M is excellent (IM = trace for every ideal I).
 
     Over a finite field all cyclic ideals are tested, which is exhaustive
     because a module excellent for a family of ideals is excellent for
     their sum.  Over Q the result is a sampled verdict.
     """
-    return _all_ideals_verdict(module, is_ideal_excellent, ideals, seed, samples, cap)
+    return _all_ideals_verdict(module, is_ideal_excellent, ideals, seed, cap)
 
 
-def coexcellence_verdict(module, ideals=None, seed=None, samples=24, cap=None):
+def coexcellence_verdict(module, ideals=None, seed=None, cap=None):
     """Whether M is coexcellent (cotrace = M[I] for every ideal I)."""
-    return _all_ideals_verdict(module, is_ideal_coexcellent, ideals, seed, samples, cap)
+    return _all_ideals_verdict(module, is_ideal_coexcellent, ideals, seed, cap)

@@ -462,9 +462,6 @@ class Subspace:
     def basis(self):
         return Matrix._of(self.field, _transposed(self.rows, self.ambient_dim), len(self.rows))
 
-    def basis_columns(self):
-        return list(self.rows)
-
     def image(self, m):
         """The canonical subspace m(self) of k^(m.nrows)."""
         return Subspace.from_vectors(self.field, m.nrows, [m.apply(row) for row in self.rows])

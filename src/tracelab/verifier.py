@@ -182,7 +182,7 @@ def subspace_json(sub):
     return {
         "ambient_dim": sub.ambient_dim,
         "dim": sub.dim,
-        "basis_columns": [[f.to_json(x) for x in col] for col in sub.basis_columns()],
+        "basis_columns": [[f.to_json(x) for x in col] for col in sub.rows],
     }
 
 
@@ -363,7 +363,7 @@ def ideal_pool(algebra, spec, suite_tag):
 
 
 def _ideal_desc(algebra, ideal_sub):
-    return [algebra.element_label(c) for c in ideal_sub.carrier.basis_columns()]
+    return [algebra.element_label(c) for c in ideal_sub.carrier.rows]
 
 
 def ideal_sum(a, b):
@@ -906,7 +906,7 @@ def corrupted_trace(ideal_sub, module):
     rep, _ = ideal_sub.as_module()
     d = rep.dim
     vecs = []
-    for flat in hom_module(rep, module).dense_space().basis_columns()[:-1]:
+    for flat in hom_module(rep, module).dense_space().rows[:-1]:
         vecs.extend(flat[j::d] for j in range(d))
     return Submodule(
         module,

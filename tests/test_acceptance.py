@@ -325,7 +325,7 @@ def test_two_route_trace_agreement():
                 mapped = Subspace.from_vectors(
                     algebra.field,
                     injective.dim,
-                    [incl.apply(c) for c in trace(ideal_sub, module).carrier.basis_columns()],
+                    [incl.apply(c) for c in trace(ideal_sub, module).carrier.rows],
                 )
                 ok = ok and routed == mapped
                 count += 1

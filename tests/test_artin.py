@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracelab.artin import (
     PolynomialPresentation,
+    Submodule,
     _cyclic_submodules,
     annihilator,
     build_algebra,
@@ -36,6 +37,7 @@ from tracelab.artin import (
 from tracelab.errors import (
     FieldNotFinite,
     NotArtinian,
+    NotSubmodule,
     ParseError,
     ResidueFieldError,
 )
@@ -193,6 +195,20 @@ def test_span_submodule(fat_point):
     assert span_submodule(R, [fat_point.unit]).dim == 3
     x = fat_point.parse_element("x")
     assert span_submodule(R, [x]).dim == 1  # x*m = 0
+
+
+def test_submodule_rejects_a_carrier_that_is_not_closed():
+    # In F2[x]/(x^3) the k-span of x is not an ideal: x * x = x^2 leaves it.
+    R = algebra(GF(2), ["x"], ["x^3"])
+    reg = regular_module(R)
+    span_x = Subspace.from_vectors(R.field, R.dim, [R.parse_element("x")])
+    with pytest.raises(NotSubmodule):
+        Submodule(reg, span_x)
+    unchecked = Submodule(reg, span_x, check=False)
+    with pytest.raises(NotSubmodule):
+        unchecked.as_module()
+    with pytest.raises(NotSubmodule):
+        Submodule(reg, Subspace.zero(R.field, R.dim + 1))
 
 
 def fixpoint_closure(module, vectors):
@@ -414,14 +430,14 @@ def operator_of(module, r):
 
 def kbasis_ideal_times(ideal, module, vectors):
     """Span of r*v over a k-basis r of the ideal and the given vectors."""
-    ops = [operator_of(module, r) for r in ideal.carrier.basis_columns()]
+    ops = [operator_of(module, r) for r in ideal.carrier.rows]
     vecs = [op.apply(v) for op in ops for v in vectors]
     return Subspace.from_vectors(module.algebra.field, module.dim, vecs)
 
 
 def kbasis_joint_kernel(ideal, module, proj=None):
     """Joint kernel over a k-basis r of the ideal of r, or of proj @ r."""
-    ops = [operator_of(module, r) for r in ideal.carrier.basis_columns()]
+    ops = [operator_of(module, r) for r in ideal.carrier.rows]
     if not ops:
         return Subspace.full(module.algebra.field, module.dim)
     return kernel(vstack([op if proj is None else proj @ op for op in ops]))
@@ -451,11 +467,11 @@ def test_ideal_actions_through_generators_equal_kbasis_actions(field_name, index
     assert colon(sub, ideal).carrier == kbasis_joint_kernel(ideal, module, proj)
     product = ideal_times_submodule(ideal, sub)
     assert product.module is module
-    assert product.carrier == kbasis_ideal_times(ideal, module, sub.carrier.basis_columns())
+    assert product.carrier == kbasis_ideal_times(ideal, module, sub.carrier.rows)
 
     gens = ideal_generators(ideal)
     reg = R.regular_module()
-    m_ideal = kbasis_ideal_times(R.max_ideal(), reg, ideal.carrier.basis_columns())
+    m_ideal = kbasis_ideal_times(R.max_ideal(), reg, ideal.carrier.rows)
     assert len(gens) == ideal.dim - m_ideal.dim
     rep, inclusion = ideal.as_module()
     assert gens == tuple(inclusion.apply(g) for g in rep.free_cover().generators)

@@ -21,6 +21,7 @@ from tracelab.artin import (
     ideal_times_module,
     minimal_generators,
     module_from_presentation,
+    power_module,
     regular_module,
     socle,
     torsion_submodule,
@@ -441,7 +442,7 @@ def test_trace_via_colon_matches_trace(fat_point, qf_ring):
         routed = trace_via_colon(member, ideal)
         direct = trace(ideal, M)
         mapped = _S.from_vectors(
-            R.field, X.dim, [incl.apply(c) for c in direct.carrier.basis_columns()]
+            R.field, X.dim, [incl.apply(c) for c in direct.carrier.rows]
         )
         assert routed.carrier == mapped
 
@@ -622,6 +623,29 @@ def test_free_cover_is_exact():
     assert zero_modules >= 19
 
 
+def matrix_coords(space, mat):
+    """Coordinates of the columns of mat in the canonical basis of space.
+
+    They are the entries at the pivot rows, checked by exact reconstruction.
+    This matrix form restricted the actions of N^v to Hom before Hom became
+    Submodule.as_module of its values; it is kept as the oracle.
+    """
+    coords = Matrix._of(mat.field, tuple(mat.rows[p] for p in space.pivots), mat.ncols)
+    assert space.basis @ coords == mat
+    return coords
+
+
+def test_hom_actions_match_the_matrix_restriction():
+    for algebra, modules in differential_pools():
+        for M in modules:
+            v = len(M.free_cover().generators)
+            for N in modules:
+                hom = hom_module(M, N)
+                values = hom.values
+                expected = [matrix_coords(values, a @ values.basis) for a in power_module(N, v).actions]
+                assert list(hom.rep.actions) == expected
+
+
 def test_hom_space_equals_intertwiner_kernel():
     fields = set()
     for algebra, modules in differential_pools():
@@ -653,7 +677,7 @@ def dense_multiplication_coords(hom, ideal, module, vectors, target=None):
     basis of hom: the dim N x dim I matrix of the map, flattened."""
     field = module.algebra.field
     space = hom.dense_space()
-    ops = [module.element_action(g) for g in ideal.carrier.basis_columns()]
+    ops = [module.element_action(g) for g in ideal.carrier.rows]
     cols = []
     for x in vectors:
         images = [op.apply(x) for op in ops]
@@ -681,7 +705,7 @@ def test_trace_from_values_equals_span_of_dense_maps():
             rep, _ = ideal.as_module()
             for M in modules:
                 hom = hom_module(rep, M)
-                cols = [c for f in hom.maps(hom.values.basis_columns()) for c in f.cols()]
+                cols = [c for f in hom.maps(hom.values.rows) for c in f.cols()]
                 assert trace(ideal, M).carrier == Subspace.from_vectors(algebra.field, M.dim, cols)
 
 
@@ -699,18 +723,18 @@ def test_multiplication_maps_agree_with_the_dense_route():
         for ideal in differential_ideals(algebra):
             rep, _ = ideal.as_module()
             for M in modules:
-                identity = Matrix.identity(algebra.field, M.dim)
-                basis = identity.cols()
+                basis = Matrix.identity(algebra.field, M.dim).rows
                 homothety = homothety_map(ideal, M)
                 dense = dense_multiplication_coords(homothety.hom, ideal, M, basis, target=homothety.image)
                 assert_same_rank_and_kernel(homothety.matrix, dense)
                 hom = hom_module(rep, M)
-                restriction = _multiplication_coords(hom, ideal, M, identity)
+                rows = _multiplication_coords(hom, ideal, M, basis)
+                restriction = Matrix.from_cols(algebra.field, rows, nrows=hom.dim)
                 assert_same_rank_and_kernel(restriction, dense_multiplication_coords(hom, ideal, M, basis))
                 for sub in (M.full_submodule(), ideal_times_module(algebra.max_ideal(), M)):
                     alpha = colon_to_hom(sub, ideal)
                     dense = dense_multiplication_coords(
-                        alpha.hom, ideal, M, alpha.domain.carrier.basis_columns(), target=sub
+                        alpha.hom, ideal, M, alpha.domain.carrier.rows, target=sub
                     )
                     assert_same_rank_and_kernel(alpha.matrix, dense)
 

@@ -86,7 +86,7 @@ def test_kernel_single_equation():
 def test_kernel_vectors_satisfy_system():
     m = mat(QQ, [[1, 2, 3], [0, 1, 1]])
     k = kernel(m)
-    for col in k.basis_columns():
+    for col in k.rows:
         assert not any(m.apply(col))
 
 
@@ -245,7 +245,7 @@ def test_rank_nullity(m):
 def test_kernel_is_annihilated(m):
     k = kernel(m)
     zero = tuple([m.field.zero] * m.nrows)
-    for col in k.basis_columns():
+    for col in k.rows:
         assert m.apply(col) == zero
 
 
@@ -417,7 +417,7 @@ def test_subspace_rows_match_the_column_echelon_basis(data):
     basis, key = column_echelon_oracle(field, n, vectors)
     assert space.basis == basis
     assert space.sort_key() == key
-    assert space.basis_columns() == basis.cols()
+    assert list(space.rows) == basis.cols()
     for v in vectors:
         assert space.vector(space.coords_of(v)) == v
 
