@@ -827,7 +827,8 @@ class FreeCover:
         coordinates: column i*dim R + s is b_s * g_i for the s-th basis
         monomial b_s;
     section: S with P @ S = I, so column j of S writes the j-th basis vector
-        of M as sum_i r_i g_i, with r_i in rows i*dim R .. (i+1)*dim R;
+        of M as sum_i r_i g_i, with r_i in rows i*dim R .. (i+1)*dim R; S is
+        P itself, with no elimination, when P = I (as for R and R^n);
     syzygies: minimal generators of K = ker P as a submodule of R^v, each
         split into its v ring-element coordinates (z_1, ..., z_v).
 
@@ -843,7 +844,8 @@ class FreeCover:
         self.generators = tuple(gens)
         cols = [w for g in gens for w in module.orbit(g)]
         self.matrix = Matrix.from_cols(algebra.field, cols, nrows=module.dim)
-        self.section = solve(self.matrix, Matrix.identity(algebra.field, module.dim))
+        identity = Matrix.identity(algebra.field, module.dim)
+        self.section = self.matrix if self.matrix == identity else solve(self.matrix, identity)
         if self.section is None:
             raise InternalCheckError("minimal generators do not span the module")
 

@@ -327,6 +327,7 @@ _COMMANDS = {
     "semigroup-good": (cmd_semigroup_good, "Goodness of a monomial fractional ideal"),
     "verify": (cmd_verify, "Run the theorem suites over the built-in catalog"),
 }
+_PARSER = None  # main's parser, built on its first call
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,6 +338,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """A new CLI parser.  `main` builds one on its first call and reuses it, so
+    it must keep no state between calls: `parse_args` returns a fresh
+    Namespace, usage errors and `--version` leave through SystemExit, and
+    nothing changes the parser once it is built."""
     parser = _Parser(
         prog="tracelab",
         description="Exact trace/cotrace computations over Artinian local algebras "
@@ -383,8 +388,12 @@ def _render_text(report, out):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """One CLI request and its exit code; it may be called repeatedly in one
+    process, and builds its parser only on the first call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     fn, _ = _COMMANDS[args.command]
     inputs = _Inputs()
     try:

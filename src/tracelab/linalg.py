@@ -175,8 +175,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+        z, o = (field.zero,), (field.one,)
+        return cls._of(field, tuple(z * i + o + z * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field, nrows, ncols):

@@ -391,6 +391,17 @@ def test_presentation_without_relations_is_the_free_module(field):
         assert module_from_presentation(R, [[]] * n, n_gens=n).actions == expected
 
 
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=str)
+def test_free_modules_are_their_own_cover(field):
+    # R and R^n are covered by their standard basis: P = I, so the section
+    # P @ S = I is P itself, taken without an elimination.
+    R = algebra(field, ["x", "y"], ["x^2", "y^3"])
+    for module in (regular_module(R), free_module(R, 2)):
+        cover = module.free_cover()
+        assert cover.section == Matrix.identity(field, module.dim)
+        assert cover.section is cover.matrix
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     field_name=st.sampled_from(["F2", "F3", "Q"]),

@@ -1,5 +1,6 @@
 """Command line: report shape, canonical JSON, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracelab import __version__
 from tracelab.cli import main
 
 FAT_RING = """\
@@ -442,6 +444,39 @@ def test_usage_errors_are_json(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     error = json.loads(captured.err)
     assert error["error"] == "UsageError" and error["message"]
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch, fat_ring, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    report = ["semigroup-report", "--gens", "3,5"]
+    unknown = ["algebra-info", "--ring", fat_ring, "--frobnicate"]
+    first = outcome(report)
+    after_first = len(built)
+    usage = outcome(unknown)
+    assert usage[:2] == (2, "") and json.loads(usage[2])["error"] == "UsageError"
+    assert outcome(["--version"]) == (0, "tracelab %s\n" % __version__, "")
+    missing = outcome(["algebra-info", "--ring", str(tmp_path / "nope.ring")])
+    assert missing[:2] == (2, "") and json.loads(missing[2])["error"] == "OSError"
+    assert outcome(unknown) == usage
+    assert outcome(report) == first
+    assert first[0] == 0 and first[2] == "" and json.loads(first[1])["command"] == "semigroup-report"
+    assert len(built) == after_first
 
 
 def test_text_format(capsys, dual_ring):
