@@ -13,7 +13,9 @@ Generated submodules rest on one fact: Rv is the k-span of module.orbit(v).
 span_submodule eliminates the orbits once, the cyclic submodules are orbit
 spans found with a Nakayama skip, and every submodule is a sum of cyclic
 ones (enumerate_submodules).  All values are immutable after construction
-and all operations are pure.
+and all operations are pure.  Module reps are interned per algebra
+(ArtinAlgebra.module): equal modules are one object, so what is memoised on
+a module is computed once for all of its copies.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import itertools
 import math
 import re
+import weakref
 
 from .errors import (
     AlgebraMismatch,
@@ -47,10 +50,12 @@ def _memoised(owner):
 
     Results live in the owner's lazily created `_memo` dict, keyed by the
     function and its other arguments (keywords included), so a result is
-    freed with the object it describes.  The owner is left out of its own
-    keys: an entry whose result does not point back at it makes no reference
-    cycle, and is freed without waiting for the cyclic garbage collector.
-    Exceptions are not memoised.
+    freed with the object it describes.  Keys hold arguments by identity,
+    which for module reps is equality, as they are interned
+    (ArtinAlgebra.module).  The owner is left out of its own keys: an entry
+    whose result does not point back at it makes no reference cycle, and is
+    freed without waiting for the cyclic garbage collector.  Exceptions are
+    not memoised.
     """
 
     def decorate(fn):
@@ -285,6 +290,7 @@ class ArtinAlgebra:
         "nilpotency_index",
         "presentation",
         "monomial_steps",
+        "_modules",
         "_memo",
     )
 
@@ -310,6 +316,18 @@ class ArtinAlgebra:
             rest[var] -= 1
             steps.append((var, index[tuple(rest)]))
         self.monomial_steps = tuple(steps)
+        self._modules = weakref.WeakValueDictionary()
+
+    def module(self, dim, actions, label, is_regular=False):
+        """The one ModuleRep with this label and these actions: every rep is
+        interned here, in a weak-valued table keyed by (label, is_regular,
+        dim, actions), and leaves it with the last reference to it."""
+        actions = tuple(actions)
+        key = (label, is_regular, dim, actions)
+        rep = self._modules.get(key)
+        if rep is None:
+            rep = self._modules[key] = ModuleRep(self, dim, actions, label, is_regular)
+        return rep
 
     # The maximal ideal is the span of the non-unit basis monomials.
     def max_ideal_subspace(self):
@@ -322,7 +340,7 @@ class ArtinAlgebra:
 
     @_memoised("self")
     def regular_module(self):
-        return ModuleRep(self, self.dim, self.actions, label="R", is_regular=True)
+        return self.module(self.dim, self.actions, label="R", is_regular=True)
 
     @_memoised("self")
     def max_ideal(self):
@@ -404,7 +422,9 @@ def build_algebra(presentation):
             )
         if rel:
             relations.append((raw, rel))
-    top_cap = max(t for t in range(MONOMIAL_CEILING) if math.comb(t + nvars, nvars) <= MONOMIAL_CEILING)
+    # The monomials of degree <= t number comb(t + n, n), which grows with t.
+    over = (t for t in range(MONOMIAL_CEILING) if math.comb(t + nvars, nvars) > MONOMIAL_CEILING)
+    top_cap = next(over, MONOMIAL_CEILING) - 1
 
     top = 0
     while True:
@@ -536,15 +556,16 @@ def _has_degree(order, red, pivots, degree):
 class ModuleRep:
     """A finitely generated R-module as commuting action matrices.
 
-    Identity semantics (no __eq__): two ModuleReps are compared through their
-    carriers or dimensions explicitly.  What is computed about a module (its
-    free cover, its trace for an ideal, Hom out of it, ...) is memoised in
-    its own `_memo` and freed with it.
+    One object per (algebra, label, actions): reps are built only by the
+    interning constructor ArtinAlgebra.module, so identity (there is no
+    __eq__) is equality, and a rep is never renamed or changed once built.
+    What is computed about a module (its free cover, its trace for an ideal,
+    Hom out of it, ...) is memoised in its own `_memo` and freed with it.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_memo")
+    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_memo", "__weakref__")
 
-    def __init__(self, algebra, dim, actions, label="M", is_regular=False):
+    def __init__(self, algebra, dim, actions, label, is_regular):
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
@@ -608,14 +629,15 @@ class Submodule:
         return self.carrier.dim
 
     @_memoised("self")
-    def as_module(self):
-        """(rep, inclusion) with rep the carrier as an abstract module.
+    def as_module(self, label=None):
+        """(rep, inclusion) with rep the carrier as an abstract module,
+        labelled `label` (the ambient's label + "-sub" by default).
 
         Column j of each action holds the coordinates of the action applied
         to basis vector j; an image outside the carrier raises NotSubmodule.
         The inclusion matrix maps rep coordinates into the ambient module.
-        Memoised on the submodule: repeated calls return the same rep, so
-        results memoised on that rep (its Hom spaces, ...) are found again.
+        The rep is interned, so submodules with equal actions share it and
+        what is memoised on it (its Hom spaces, ...).
         """
         field = self.module.algebra.field
         actions = []
@@ -627,18 +649,16 @@ class Submodule:
                     raise NotSubmodule("carrier is not closed under the module action")
                 cols.append(coords)
             actions.append(Matrix.from_cols(field, cols, nrows=self.dim))
-        rep = ModuleRep(self.module.algebra, self.dim, actions, label=self.module.label + "-sub")
+        rep = self.module.algebra.module(self.dim, actions, label=label or self.module.label + "-sub")
         return rep, self.carrier.basis
 
-    def quotient(self):
-        """(rep, projection, section) presenting module/self."""
+    def quotient(self, label=None):
+        """(rep, projection, section) presenting module/self, the rep
+        labelled `label` (the ambient's label + "-quot" by default)."""
         proj, section = self.carrier.quotient_maps()
         actions = [proj @ a @ section for a in self.module.actions]
-        rep = ModuleRep(
-            self.module.algebra,
-            self.module.dim - self.dim,
-            actions,
-            label=self.module.label + "-quot",
+        rep = self.module.algebra.module(
+            self.module.dim - self.dim, actions, label=label or self.module.label + "-quot"
         )
         return rep, proj, section
 
@@ -663,7 +683,7 @@ def power_module(module, n):
     for a in module.actions:
         rows = tuple(z * (i * d) + r + z * ((n - 1 - i) * d) for i in range(n) for r in a.rows)
         actions.append(Matrix._of(module.algebra.field, rows, n * d))
-    return ModuleRep(module.algebra, n * d, actions, label="%s^%d" % (module.label, n))
+    return module.algebra.module(n * d, actions, label="%s^%d" % (module.label, n))
 
 
 def module_from_presentation(algebra, rows, n_gens=None):
@@ -697,9 +717,7 @@ def module_from_presentation(algebra, rows, n_gens=None):
 
     # Column j of the presentation, as a vector of R^n.
     cols = [tuple(x for row in rows for x in element(row[j])) for j in range(ncols)]
-    rep, _, _ = span_submodule(free, cols).quotient()
-    rep.label = "coker"
-    return rep
+    return span_submodule(free, cols).quotient(label="coker")[0]
 
 
 def span_submodule(module, vectors):
@@ -825,7 +843,8 @@ class FreeCover:
     generators: the lifts g_1..g_v from minimal_generators(M);
     matrix: P, dim M x v*dim R, the map R^v -> M in free_module(R, v)
         coordinates: column i*dim R + s is b_s * g_i for the s-th basis
-        monomial b_s;
+        monomial b_s; for R itself, the generator is 1 and P = I with no
+        orbit walk, as b_s * 1 is the s-th basis vector;
     section: S with P @ S = I, so column j of S writes the j-th basis vector
         of M as sum_i r_i g_i, with r_i in rows i*dim R .. (i+1)*dim R; S is
         P itself, with no elimination, when P = I (as for R and R^n);
@@ -840,11 +859,13 @@ class FreeCover:
 
     def __init__(self, module):
         self.algebra = algebra = module.algebra
-        v, gens = minimal_generators(module)
-        self.generators = tuple(gens)
-        cols = [w for g in gens for w in module.orbit(g)]
-        self.matrix = Matrix.from_cols(algebra.field, cols, nrows=module.dim)
         identity = Matrix.identity(algebra.field, module.dim)
+        if module.is_regular:
+            self.generators, self.matrix = (algebra.unit,), identity
+        else:
+            self.generators = tuple(minimal_generators(module)[1])
+            cols = [w for g in self.generators for w in module.orbit(g)]
+            self.matrix = Matrix.from_cols(algebra.field, cols, nrows=module.dim)
         self.section = self.matrix if self.matrix == identity else solve(self.matrix, identity)
         if self.section is None:
             raise InternalCheckError("minimal generators do not span the module")
@@ -902,7 +923,7 @@ def direct_sum(a, b):
     for ma, mb in zip(a.actions, b.actions):
         rows = tuple(r + zb for r in ma.rows) + tuple(za + r for r in mb.rows)
         actions.append(Matrix._of(field, rows, a.dim + b.dim))
-    rep = ModuleRep(a.algebra, a.dim + b.dim, actions, label="%s(+)%s" % (a.label, b.label))
+    rep = a.algebra.module(a.dim + b.dim, actions, label="%s(+)%s" % (a.label, b.label))
     z_ab = Matrix.zeros(field, a.dim, b.dim)
     z_ba = Matrix.zeros(field, b.dim, a.dim)
     ia = vstack([Matrix.identity(field, a.dim), z_ba])

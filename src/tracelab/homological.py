@@ -142,8 +142,8 @@ def hom_module(source, target):
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
     values = kernel(Matrix._of(field, tuple(rows), v * dN))
-    rep, _ = Submodule(power_module(target, v), values, check=False).as_module()
-    rep.label = "Hom(%s,%s)" % (source.label, target.label)
+    label = "Hom(%s,%s)" % (source.label, target.label)
+    rep, _ = Submodule(power_module(target, v), values, check=False).as_module(label=label)
     return HomModule(source, target, values, rep)
 
 
@@ -210,15 +210,12 @@ class DualModule:
 
 
 @_memoised("module")
-def matlis_dual(module):
+def matlis_dual(module, label=None):
     """Matlis dual of M, realized as the coordinate dual with transposed
-    actions.  Dualizing twice restores the original action matrices."""
-    rep = ModuleRep(
-        module.algebra,
-        module.dim,
-        [a.transpose() for a in module.actions],
-        label=module.label + "*",
-    )
+    actions and labelled `label` (M's label + "*" by default).  Dualizing
+    twice restores the original action matrices."""
+    actions = [a.transpose() for a in module.actions]
+    rep = module.algebra.module(module.dim, actions, label=label or module.label + "*")
     return DualModule(rep, module)
 
 
@@ -355,8 +352,7 @@ def tensor_product(left, right):
     for blocks in _syzygy_actions(cover, right):
         vecs.extend(vstack(blocks).cols())
     relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs), check=False)
-    rep, proj, section = relations.quotient()
-    rep.label = "%s(x)%s" % (left.label, right.label)
+    rep, proj, section = relations.quotient(label="%s(x)%s" % (left.label, right.label))
     return TensorProduct(rep, proj, section, relations)
 
 
@@ -414,8 +410,7 @@ def ext1(ideal, module):
     identity = Matrix.identity(field, module.dim).rows
     restriction = _multiplication_coords(hom, ideal, module, identity)
     image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction), check=False)
-    rep, _, _ = image.quotient()
-    rep.label = "Ext1"
+    rep, _, _ = image.quotient(label="Ext1")
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, annihilator(ideal_rep))
         lower = ideal_times_module(ideal, module)
@@ -435,8 +430,7 @@ def tor1(module, ideal):
     tp = tensor_product(module, ideal_rep)
     evaluation = _evaluation(module, ideal, module.free_cover().generators, tp)
     ker = Submodule(tp.rep, kernel(evaluation), check=False)
-    rep, _ = ker.as_module()
-    rep.label = "Tor1"
+    rep, _ = ker.as_module(label="Tor1")
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, ideal)
         lower = ideal_times_module(annihilator(ideal_rep), module)
@@ -466,8 +460,7 @@ def embed_into_injective(module):
     dual = matlis_dual(module).rep
     cover = dual.free_cover()
     n = len(cover.generators)
-    injective_rep = matlis_dual(free_module(algebra, n)).rep
-    injective_rep.label = "E^%d" % n
+    injective_rep = matlis_dual(free_module(algebra, n), label="E^%d" % n).rep
     inclusion = cover.matrix.transpose()
     if rank(inclusion) != module.dim:
         raise InternalCheckError("dualized free cover is not injective on M")

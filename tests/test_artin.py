@@ -402,6 +402,19 @@ def test_free_modules_are_their_own_cover(field):
         assert cover.section is cover.matrix
 
 
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=str)
+@pytest.mark.parametrize("relations", [["x^2", "x*y", "y^2"], ["x^3", "y^2 - x^2"], ["x^6", "y^6"]])  # dim 3, 6, 36
+def test_regular_cover_is_the_identity_without_the_orbit_walk(field, relations):
+    # R's cover is taken as generator 1 and P = I; the orbit of 1 under the
+    # monomial tree, the route for every other module, gives the same cover.
+    reg = regular_module(algebra(field, ["x", "y"], relations))
+    cover = reg.free_cover()
+    gens = minimal_generators(reg)[1]
+    assert cover.generators == tuple(gens) == (reg.algebra.unit,)
+    assert cover.matrix == Matrix.from_cols(field, reg.orbit(gens[0]), nrows=reg.dim)
+    assert cover.matrix == Matrix.identity(field, reg.dim)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     field_name=st.sampled_from(["F2", "F3", "Q"]),

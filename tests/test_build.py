@@ -100,3 +100,11 @@ def test_coefficients_are_reduced_mod_p():
     assert parse_poly("x + x", ["x"], 2) == {}
     assert parse_poly("-x + 4", ["x"], 3) == {(1,): 2, (0,): 1}
     assert parse_poly("x^2 - 2*x^3", ["x"]) == {(2,): 1, (3,): -2}
+
+
+@pytest.mark.parametrize("variables, top", [("x", 999), ("xy", 43), ("xyz", 16), ("wxyz", 9)])
+def test_local_step_stops_at_the_last_degree_within_the_ceiling(variables, top):
+    # With no relations nothing is Artinian, so the local step runs to the
+    # last degree t whose monomial count comb(t + n, n) is within 1,000.
+    with pytest.raises(NotArtinian, match="at t = %d, " % top):
+        build_algebra(PolynomialPresentation(GF(2), list(variables), [], dim_cap=1000))

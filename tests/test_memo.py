@@ -1,11 +1,14 @@
 """Memoisation: results live on the object they describe and die with it."""
 
+import ast
 import gc
 import pathlib
 import re
+import weakref
 
 import pytest
 
+from tracelab import homological
 from tracelab.artin import (
     ArtinAlgebra,
     ModuleRep,
@@ -20,6 +23,7 @@ from tracelab.artin import (
 )
 from tracelab.errors import EnumerationCapExceeded
 from tracelab.homological import cotrace, hom_module, matlis_dual, tensor_product, trace
+from tracelab.linalg import Matrix
 from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tracelab"
@@ -60,6 +64,42 @@ def test_an_ideal_with_memoised_generators_is_freed_without_the_collector():
         assert not [o for o in gc.get_objects() if id(o) == marker and isinstance(o, Submodule)]
     finally:
         gc.enable()
+
+
+def test_equal_modules_are_one_object(monkeypatch):
+    # In F2[x,y]/(x^2, xy, y^2) the ideals (x) and (y) are both k, with zero
+    # action, so they restrict to one rep and share what is memoised on it.
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    rx, _ = ideal_from_elements(R, ["x"]).as_module()
+    ry, _ = ideal_from_elements(R, ["y"]).as_module()
+    assert rx is ry
+    bodies = []
+    body = homological.power_module  # called once per hom_module body
+    monkeypatch.setattr(homological, "power_module", lambda *a: bodies.append(a) or body(*a))
+    reg = regular_module(R)
+    assert hom_module(rx, reg) is hom_module(ry, reg)
+    assert len(bodies) == 1
+
+
+def test_equal_actions_under_different_labels_are_different_objects():
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    zero = [Matrix.zeros(R.field, 1, 1)] * 2
+    assert R.module(1, zero, label="A") is R.module(1, zero, label="A")
+    assert R.module(1, zero, label="A") is not R.module(1, zero, label="B")
+    sub = ideal_from_elements(R, ["x"])
+    assert sub.as_module()[0] is not sub.as_module(label="Tor1")[0]
+    assert sub.as_module()[0].actions == sub.as_module(label="Tor1")[0].actions
+
+
+def test_an_unreferenced_module_leaves_the_intern_table():
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    rep = R.module(1, [Matrix.zeros(R.field, 1, 1)] * 2, label="unreferenced")
+    hom_module(rep, rep)  # a memo entry that points back at its owner: a cycle
+    ref = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert ref() is None
+    assert "unreferenced" not in [m.label for m in R._modules.values()]
 
 
 def test_exceptions_are_not_memoised():
@@ -119,3 +159,33 @@ def test_one_memo_policy():
     assert not offenders, offenders
     helpers = [p.name for p in SRC.glob("*.py") if "def _memoised(" in p.read_text(encoding="utf-8")]
     assert helpers == ["artin.py"]
+
+
+def _builds_a_rep(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", "") == "ModuleRep"
+
+
+def _label_targets(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    return [ast.unparse(t) for target in targets for t in ast.walk(target) if getattr(t, "attr", "") == "label"]
+
+
+def test_one_module_construction_path():
+    # Reps are interned, so a rep is built only by ArtinAlgebra.module and
+    # never renamed afterwards: renaming a shared rep would rename its copies.
+    builders, renames, calls = [], [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(1 for n in ast.walk(tree) if _builds_a_rep(n))
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            for node in ast.walk(fn):
+                if _builds_a_rep(node):
+                    builders.append((path.name, fn.name))
+                renames.extend((path.name, fn.name, t) for t in _label_targets(node))
+    assert builders == [("artin.py", "module")] and calls == 1, builders
+    assert renames == [("artin.py", "__init__", "self.label")], renames  # ModuleRep.__init__
