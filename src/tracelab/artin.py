@@ -13,9 +13,10 @@ Generated submodules rest on one fact: Rv is the k-span of module.orbit(v).
 span_submodule eliminates the orbits once, the cyclic submodules are orbit
 spans found with a Nakayama skip, and every submodule is a sum of cyclic
 ones (enumerate_submodules).  All values are immutable after construction
-and all operations are pure.  Module reps are interned per algebra
-(ArtinAlgebra.module): equal modules are one object, so what is memoised on
-a module is computed once for all of its copies.
+and all operations are pure.  Module reps are interned per algebra by their
+actions (ArtinAlgebra.module), and submodules compare by (module, carrier):
+equal modules are one object and equal submodules one memo key, so what is
+memoised on a module, or keyed by an ideal, is computed once for all copies.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ def _memoised(owner):
 
     Results live in the owner's lazily created `_memo` dict, keyed by the
     function and its other arguments (keywords included), so a result is
-    freed with the object it describes.  Keys hold arguments by identity,
-    which for module reps is equality, as they are interned
-    (ArtinAlgebra.module).  The owner is left out of its own keys: an entry
-    whose result does not point back at it makes no reference cycle, and is
-    freed without waiting for the cyclic garbage collector.  Exceptions are
-    not memoised.
+    freed with the object it describes.  Keys hold arguments by value:
+    module reps are interned (ArtinAlgebra.module), so identity is their
+    equality, and a Submodule compares by its module and carrier, so an
+    ideal rebuilt elsewhere finds the same entry.  The owner is left out of
+    its own keys: an entry whose result does not point back at it makes no
+    reference cycle, and is freed without waiting for the cyclic garbage
+    collector.  Exceptions are not memoised.
     """
 
     def decorate(fn):
@@ -318,15 +320,16 @@ class ArtinAlgebra:
         self.monomial_steps = tuple(steps)
         self._modules = weakref.WeakValueDictionary()
 
-    def module(self, dim, actions, label, is_regular=False):
-        """The one ModuleRep with this label and these actions: every rep is
-        interned here, in a weak-valued table keyed by (label, is_regular,
-        dim, actions), and leaves it with the last reference to it."""
+    def module(self, dim, actions, is_regular=False):
+        """The one ModuleRep with these actions: every rep is interned here,
+        in a weak-valued table keyed by (is_regular, dim, actions), and leaves
+        it with the last reference to it.  is_regular marks R itself, which
+        alone may carry ideals and has the identity as its free cover."""
         actions = tuple(actions)
-        key = (label, is_regular, dim, actions)
+        key = (is_regular, dim, actions)
         rep = self._modules.get(key)
         if rep is None:
-            rep = self._modules[key] = ModuleRep(self, dim, actions, label, is_regular)
+            rep = self._modules[key] = ModuleRep(self, dim, actions, is_regular)
         return rep
 
     # The maximal ideal is the span of the non-unit basis monomials.
@@ -340,7 +343,7 @@ class ArtinAlgebra:
 
     @_memoised("self")
     def regular_module(self):
-        return self.module(self.dim, self.actions, label="R", is_regular=True)
+        return self.module(self.dim, self.actions, is_regular=True)
 
     @_memoised("self")
     def max_ideal(self):
@@ -556,20 +559,19 @@ def _has_degree(order, red, pivots, degree):
 class ModuleRep:
     """A finitely generated R-module as commuting action matrices.
 
-    One object per (algebra, label, actions): reps are built only by the
-    interning constructor ArtinAlgebra.module, so identity (there is no
-    __eq__) is equality, and a rep is never renamed or changed once built.
+    One object per (algebra, is_regular, actions): reps are built only by
+    the interning constructor ArtinAlgebra.module, so identity (there is no
+    __eq__) is equality, and a rep is never changed once built.
     What is computed about a module (its free cover, its trace for an ideal,
     Hom out of it, ...) is memoised in its own `_memo` and freed with it.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "label", "is_regular", "_memo", "__weakref__")
+    __slots__ = ("algebra", "dim", "actions", "is_regular", "_memo", "__weakref__")
 
-    def __init__(self, algebra, dim, actions, label, is_regular):
+    def __init__(self, algebra, dim, actions, is_regular):
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
-        self.label = label
         self.is_regular = is_regular
 
     def orbit(self, vec):
@@ -608,11 +610,15 @@ class ModuleRep:
         return Submodule(self, Subspace.full(self.algebra.field, self.dim), check=False)
 
     def __repr__(self):
-        return "ModuleRep(%s, dim %d over %r)" % (self.label, self.dim, self.algebra)
+        return "ModuleRep(dim %d over %r)" % (self.dim, self.algebra)
 
 
 class Submodule:
-    """An action-closed subspace of a ModuleRep."""
+    """An action-closed subspace of a ModuleRep.
+
+    Equal when the module is the same (interned) rep and the carriers are
+    equal, so an ideal built twice is one key in every memo.
+    """
 
     __slots__ = ("module", "carrier", "_memo")
 
@@ -628,14 +634,21 @@ class Submodule:
     def dim(self):
         return self.carrier.dim
 
+    def __eq__(self, other):
+        if not isinstance(other, Submodule):
+            return NotImplemented
+        return self.module is other.module and self.carrier == other.carrier
+
+    def __hash__(self):
+        return hash((self.module, self.carrier))
+
     @_memoised("self")
-    def as_module(self, label=None):
-        """(rep, inclusion) with rep the carrier as an abstract module,
-        labelled `label` (the ambient's label + "-sub" by default).
+    def as_module(self):
+        """The carrier as an abstract module, in the coordinates of its
+        canonical basis (carrier.rows; carrier.basis is the inclusion).
 
         Column j of each action holds the coordinates of the action applied
         to basis vector j; an image outside the carrier raises NotSubmodule.
-        The inclusion matrix maps rep coordinates into the ambient module.
         The rep is interned, so submodules with equal actions share it and
         what is memoised on it (its Hom spaces, ...).
         """
@@ -649,18 +662,13 @@ class Submodule:
                     raise NotSubmodule("carrier is not closed under the module action")
                 cols.append(coords)
             actions.append(Matrix.from_cols(field, cols, nrows=self.dim))
-        rep = self.module.algebra.module(self.dim, actions, label=label or self.module.label + "-sub")
-        return rep, self.carrier.basis
+        return self.module.algebra.module(self.dim, actions)
 
-    def quotient(self, label=None):
-        """(rep, projection, section) presenting module/self, the rep
-        labelled `label` (the ambient's label + "-quot" by default)."""
+    def quotient(self):
+        """(rep, projection, section) presenting module/self."""
         proj, section = self.carrier.quotient_maps()
         actions = [proj @ a @ section for a in self.module.actions]
-        rep = self.module.algebra.module(
-            self.module.dim - self.dim, actions, label=label or self.module.label + "-quot"
-        )
-        return rep, proj, section
+        return self.module.algebra.module(self.module.dim - self.dim, actions), proj, section
 
     def __repr__(self):
         return "Submodule(dim %d of %r)" % (self.dim, self.module)
@@ -683,7 +691,7 @@ def power_module(module, n):
     for a in module.actions:
         rows = tuple(z * (i * d) + r + z * ((n - 1 - i) * d) for i in range(n) for r in a.rows)
         actions.append(Matrix._of(module.algebra.field, rows, n * d))
-    return module.algebra.module(n * d, actions, label="%s^%d" % (module.label, n))
+    return module.algebra.module(n * d, actions)
 
 
 def module_from_presentation(algebra, rows, n_gens=None):
@@ -717,7 +725,7 @@ def module_from_presentation(algebra, rows, n_gens=None):
 
     # Column j of the presentation, as a vector of R^n.
     cols = [tuple(x for row in rows for x in element(row[j])) for j in range(ncols)]
-    return span_submodule(free, cols).quotient(label="coker")[0]
+    return span_submodule(free, cols).quotient()[0]
 
 
 def span_submodule(module, vectors):
@@ -745,8 +753,7 @@ def ideal_generators(ideal):
     module, so a map out of I is read on the same g_i.  Every action of I
     goes through them: r = sum_i s_i g_i gives r x = sum_i s_i (g_i x).
     """
-    rep, inclusion = ideal.as_module()
-    return tuple(inclusion.apply(g) for g in minimal_generators(rep)[1])
+    return tuple(ideal.carrier.vector(g) for g in minimal_generators(ideal.as_module())[1])
 
 
 @_memoised("module")
@@ -876,8 +883,7 @@ class FreeCover:
         d, v = self.algebra.dim, len(self.generators)
         free = free_module(self.algebra, v)
         ker = Submodule(free, kernel(self.matrix), check=False)
-        rep, inclusion = ker.as_module()
-        flat = [inclusion.apply(z) for z in minimal_generators(rep)[1]]
+        flat = [ker.carrier.vector(z) for z in minimal_generators(ker.as_module())[1]]
         if span_submodule(free, flat).carrier != ker.carrier:
             raise InternalCheckError("the syzygies do not generate the kernel of the free cover")
         return tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)
@@ -923,7 +929,7 @@ def direct_sum(a, b):
     for ma, mb in zip(a.actions, b.actions):
         rows = tuple(r + zb for r in ma.rows) + tuple(za + r for r in mb.rows)
         actions.append(Matrix._of(field, rows, a.dim + b.dim))
-    rep = a.algebra.module(a.dim + b.dim, actions, label="%s(+)%s" % (a.label, b.label))
+    rep = a.algebra.module(a.dim + b.dim, actions)
     z_ab = Matrix.zeros(field, a.dim, b.dim)
     z_ba = Matrix.zeros(field, b.dim, a.dim)
     ia = vstack([Matrix.identity(field, a.dim), z_ba])

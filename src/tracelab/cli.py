@@ -160,7 +160,7 @@ def cmd_trace(args, inputs):
     algebra, ring_sections = _load_algebra(args, inputs)
     module = _load_module(args, algebra, inputs, ring_sections)
     ideal_sub = _load_ideal(args, algebra, inputs)
-    ideal_rep, _ = ideal_sub.as_module()
+    ideal_rep = ideal_sub.as_module()
     tr = trace(ideal_sub, module)
     return {
         "module_dim": module.dim,
@@ -178,7 +178,7 @@ def cmd_cotrace(args, inputs):
     algebra, ring_sections = _load_algebra(args, inputs)
     module = _load_module(args, algebra, inputs, ring_sections)
     ideal_sub = _load_ideal(args, algebra, inputs)
-    ideal_rep, _ = ideal_sub.as_module()
+    ideal_rep = ideal_sub.as_module()
     co = cotrace(ideal_sub, module)
     return {
         "module_dim": module.dim,

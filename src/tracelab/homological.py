@@ -142,8 +142,7 @@ def hom_module(source, target):
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
     values = kernel(Matrix._of(field, tuple(rows), v * dN))
-    label = "Hom(%s,%s)" % (source.label, target.label)
-    rep, _ = Submodule(power_module(target, v), values, check=False).as_module(label=label)
+    rep = Submodule(power_module(target, v), values, check=False).as_module()
     return HomModule(source, target, values, rep)
 
 
@@ -160,7 +159,7 @@ def trace(ideal, module):
     """
     _require_ideal(ideal, module.algebra)
     field = module.algebra.field
-    ideal_rep, _ = ideal.as_module()
+    ideal_rep = ideal.as_module()
     hom = hom_module(ideal_rep, module)
     d = module.dim
     vecs = [n[i : i + d] for n in hom.values.rows for i in range(0, len(n), d)]
@@ -179,7 +178,7 @@ def cotrace(ideal, module):
     The sandwich Ann(I)M <= cotrace <= M[I] is re-checked on every call.
     """
     _require_ideal(ideal, module.algebra)
-    ideal_rep, _ = ideal.as_module()
+    ideal_rep = ideal.as_module()
     dual_ideal = matlis_dual(ideal_rep).rep
     hom = hom_module(module, dual_ideal)
     if hom.dim == 0:
@@ -210,13 +209,13 @@ class DualModule:
 
 
 @_memoised("module")
-def matlis_dual(module, label=None):
+def matlis_dual(module):
     """Matlis dual of M, realized as the coordinate dual with transposed
-    actions and labelled `label` (M's label + "*" by default).  Dualizing
-    twice restores the original action matrices."""
+    actions.  Dualizing twice restores the original action matrices, so it
+    gives M's own interned rep back, except for R: a dual is never marked
+    regular."""
     actions = [a.transpose() for a in module.actions]
-    rep = module.algebra.module(module.dim, actions, label=label or module.label + "*")
-    return DualModule(rep, module)
+    return DualModule(module.algebra.module(module.dim, actions), module)
 
 
 def ann_in_dual(dual, sub):
@@ -276,9 +275,7 @@ def homothety_map(ideal, module):
     """Matrix of x |-> (r |-> r x) from M to Hom(I, IM), with onto flag."""
     _require_ideal(ideal, module.algebra)
     image = ideal_times_module(ideal, module)
-    image_rep, _ = image.as_module()
-    ideal_rep, _ = ideal.as_module()
-    hom = hom_module(ideal_rep, image_rep)
+    hom = hom_module(ideal.as_module(), image.as_module())
     field = module.algebra.field
     identity = Matrix.identity(field, module.dim).rows
     rows = _multiplication_coords(hom, ideal, module, identity, target=image)
@@ -304,9 +301,7 @@ def colon_to_hom(sub, ideal):
     _require_ideal(ideal, ambient.algebra)
     field = ambient.algebra.field
     domain = colon_submodule(sub, ideal)
-    sub_rep, _ = sub.as_module()
-    ideal_rep, _ = ideal.as_module()
-    hom = hom_module(ideal_rep, sub_rep)
+    hom = hom_module(ideal.as_module(), sub.as_module())
     rows = _multiplication_coords(hom, ideal, ambient, domain.carrier.rows, target=sub)
     matrix = Matrix.from_cols(field, rows, nrows=hom.dim)
     ker = kernel(matrix)
@@ -352,7 +347,7 @@ def tensor_product(left, right):
     for blocks in _syzygy_actions(cover, right):
         vecs.extend(vstack(blocks).cols())
     relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs), check=False)
-    rep, proj, section = relations.quotient(label="%s(x)%s" % (left.label, right.label))
+    rep, proj, section = relations.quotient()
     return TensorProduct(rep, proj, section, relations)
 
 
@@ -387,8 +382,7 @@ def tensor_eval(module, ideal):
     _require_ideal(ideal, module.algebra)
     torsion = torsion_submodule(module, ideal)
     quotient_rep, _, section = torsion.quotient()
-    ideal_rep, _ = ideal.as_module()
-    tp = tensor_product(quotient_rep, ideal_rep)
+    tp = tensor_product(quotient_rep, ideal.as_module())
     lifts = [section.apply(g) for g in quotient_rep.free_cover().generators]
     matrix = _evaluation(module, ideal, lifts, tp)
     return TensorEvalMap(matrix, rank(matrix) == tp.rep.dim, tp, quotient_rep)
@@ -399,18 +393,18 @@ def tensor_eval(module, ideal):
 
 @_memoised("module")
 def ext1(ideal, module):
-    """Ext1(R/I, M), labelled "Ext1": the cokernel of Hom(R, M) -> Hom(I, M).
+    """Ext1(R/I, M): the cokernel of Hom(R, M) -> Hom(I, M).
 
     For cyclic I the dimension is checked against dim M[Ann I] - dim IM.
     """
     _require_ideal(ideal, module.algebra)
     field = module.algebra.field
-    ideal_rep, _ = ideal.as_module()
+    ideal_rep = ideal.as_module()
     hom = hom_module(ideal_rep, module)
     identity = Matrix.identity(field, module.dim).rows
     restriction = _multiplication_coords(hom, ideal, module, identity)
     image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction), check=False)
-    rep, _, _ = image.quotient(label="Ext1")
+    rep, _, _ = image.quotient()
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, annihilator(ideal_rep))
         lower = ideal_times_module(ideal, module)
@@ -421,16 +415,15 @@ def ext1(ideal, module):
 
 @_memoised("module")
 def tor1(module, ideal):
-    """Tor1(M, R/I), labelled "Tor1": the kernel of M tensor_R I -> M.
+    """Tor1(M, R/I): the kernel of M tensor_R I -> M.
 
     For cyclic I the dimension is checked against dim M[I] - dim Ann(I)M.
     """
     _require_ideal(ideal, module.algebra)
-    ideal_rep, _ = ideal.as_module()
+    ideal_rep = ideal.as_module()
     tp = tensor_product(module, ideal_rep)
     evaluation = _evaluation(module, ideal, module.free_cover().generators, tp)
-    ker = Submodule(tp.rep, kernel(evaluation), check=False)
-    rep, _ = ker.as_module(label="Tor1")
+    rep = Submodule(tp.rep, kernel(evaluation), check=False).as_module()
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, ideal)
         lower = ideal_times_module(annihilator(ideal_rep), module)
@@ -460,7 +453,7 @@ def embed_into_injective(module):
     dual = matlis_dual(module).rep
     cover = dual.free_cover()
     n = len(cover.generators)
-    injective_rep = matlis_dual(free_module(algebra, n), label="E^%d" % n).rep
+    injective_rep = matlis_dual(free_module(algebra, n)).rep
     inclusion = cover.matrix.transpose()
     if rank(inclusion) != module.dim:
         raise InternalCheckError("dualized free cover is not injective on M")
@@ -485,9 +478,8 @@ def trace_via_colon(member, ideal):
         raise ExtNotVanishing("Ext1(R/I, X) != 0: the colon route does not apply")
     inside = colon_submodule(member, ideal)
     result = ideal_times_submodule(ideal, inside)
-    member_rep, incl = member.as_module()
-    definitional = trace(ideal, member_rep)
-    if definitional.carrier.image(incl) != result.carrier:
+    definitional = trace(ideal, member.as_module())
+    if definitional.carrier.image(member.carrier.basis) != result.carrier:
         raise InternalCheckError("colon route disagrees with the definitional trace")
     return result
 
@@ -517,7 +509,7 @@ def is_quasi_frobenius(algebra):
 
 def has_commutative_endomorphisms(ideal):
     """Whether End_R(I) is commutative, tested on R-module generators."""
-    rep, _ = ideal.as_module()
+    rep = ideal.as_module()
     gens = hom_module(rep, rep).generator_maps()
     return all(f @ g == g @ f for f, g in itertools.combinations(gens, 2))
 

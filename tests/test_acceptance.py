@@ -287,7 +287,7 @@ def test_sandwich_invariants_everywhere():
         ideals = [i for i, _ in ideal_pool(algebra, CATALOG, "acc9")]
         for module in _modules_for(algebra):
             for ideal_sub in ideals:
-                ideal_rep, _ = ideal_sub.as_module()
+                ideal_rep = ideal_sub.as_module()
                 tr = trace(ideal_sub, module).carrier
                 co = cotrace(ideal_sub, module).carrier
                 im = ideal_times_module(ideal_sub, module).carrier

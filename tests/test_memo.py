@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import inspect
 import pathlib
 import re
 import weakref
@@ -19,8 +20,10 @@ from tracelab.artin import (
     enumerate_submodules,
     ideal_from_elements,
     ideal_generators,
+    module_from_presentation,
     regular_module,
 )
+from tracelab.cli import main
 from tracelab.errors import EnumerationCapExceeded
 from tracelab.homological import cotrace, hom_module, matlis_dual, tensor_product, trace
 from tracelab.linalg import Matrix
@@ -38,8 +41,8 @@ def test_repeated_calls_return_the_same_object():
     reg = regular_module(R)
     dual = matlis_dual(reg).rep
     ideal = ideal_from_elements(R, ["x"])
-    rep, _ = ideal.as_module()
-    assert ideal.as_module()[0] is rep
+    rep = ideal.as_module()
+    assert ideal.as_module() is rep
     assert reg.free_cover() is reg.free_cover()
     assert trace(ideal, dual) is trace(ideal, dual)
     assert cotrace(ideal, dual) is cotrace(ideal, dual)
@@ -58,7 +61,7 @@ def test_an_ideal_with_memoised_generators_is_freed_without_the_collector():
     try:
         ideal = ideal_from_elements(R, ["x", "y"])
         assert len(ideal_generators(ideal)) == 2
-        assert ideal.as_module()[0].dim == 2
+        assert ideal.as_module().dim == 2
         marker = id(ideal)
         del ideal
         assert not [o for o in gc.get_objects() if id(o) == marker and isinstance(o, Submodule)]
@@ -70,8 +73,8 @@ def test_equal_modules_are_one_object(monkeypatch):
     # In F2[x,y]/(x^2, xy, y^2) the ideals (x) and (y) are both k, with zero
     # action, so they restrict to one rep and share what is memoised on it.
     R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
-    rx, _ = ideal_from_elements(R, ["x"]).as_module()
-    ry, _ = ideal_from_elements(R, ["y"]).as_module()
+    rx = ideal_from_elements(R, ["x"]).as_module()
+    ry = ideal_from_elements(R, ["y"]).as_module()
     assert rx is ry
     bodies = []
     body = homological.power_module  # called once per hom_module body
@@ -81,25 +84,68 @@ def test_equal_modules_are_one_object(monkeypatch):
     assert len(bodies) == 1
 
 
-def test_equal_actions_under_different_labels_are_different_objects():
+def test_one_zero_action_rep_from_four_routes():
+    # k with zero action arises as the ideal (x), as Ext1(R/(x), R), as
+    # Tor1(k, R/(x)) and as the cokernel presenting R/m; reps carry no name,
+    # so it is one object.
     R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
-    zero = [Matrix.zeros(R.field, 1, 1)] * 2
-    assert R.module(1, zero, label="A") is R.module(1, zero, label="A")
-    assert R.module(1, zero, label="A") is not R.module(1, zero, label="B")
-    sub = ideal_from_elements(R, ["x"])
-    assert sub.as_module()[0] is not sub.as_module(label="Tor1")[0]
-    assert sub.as_module()[0].actions == sub.as_module(label="Tor1")[0].actions
+    ix = ideal_from_elements(R, ["x"])
+    k = module_from_presentation(R, [["x", "y"]])
+    routes = [ix.as_module(), homological.ext1(ix, regular_module(R)), homological.tor1(k, ix), k]
+    assert [rep.dim for rep in routes] == [1] * 4
+    assert all(rep is k for rep in routes)
 
 
 def test_an_unreferenced_module_leaves_the_intern_table():
     R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
-    rep = R.module(1, [Matrix.zeros(R.field, 1, 1)] * 2, label="unreferenced")
+    zero = (Matrix.zeros(R.field, 1, 1),) * 2
+    rep = R.module(1, zero)
     hom_module(rep, rep)  # a memo entry that points back at its owner: a cycle
     ref = weakref.ref(rep)
     del rep
     gc.collect()
     assert ref() is None
-    assert "unreferenced" not in [m.label for m in R._modules.values()]
+    assert (False, 1, zero) not in R._modules
+
+
+def test_equal_ideals_are_one_memo_key(monkeypatch):
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    i1, i2 = ideal_from_elements(R, ["x"]), ideal_from_elements(R, ["x"])
+    assert i1 is not i2
+    assert i1 == i2 and hash(i1) == hash(i2)
+    assert i1 != ideal_from_elements(R, ["y"])
+    bodies = []
+    body = homological.ideal_times_module  # called once per trace body
+    monkeypatch.setattr(homological, "ideal_times_module", lambda *a: bodies.append(a) or body(*a))
+    dual = matlis_dual(regular_module(R)).rep
+    assert trace(i1, dual) is trace(i2, dual)
+    assert len(bodies) == 1
+
+
+def test_equal_carriers_in_different_reps_are_different_submodules():
+    # R and Hom(R, R) have the same actions, but only R is regular, so
+    # they are two reps and their full submodules differ.
+    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+    reg = regular_module(R)
+    end = hom_module(reg, reg).rep
+    assert end.actions == reg.actions and end is not reg
+    full, end_full = reg.full_submodule(), end.full_submodule()
+    assert full.carrier == end_full.carrier
+    assert full != end_full
+    assert full == reg.full_submodule()
+
+
+def test_verify_section1_computes_few_hom_spaces(monkeypatch, capsys):
+    # A guard against silent re-duplication of reps or ideals: section 1 at
+    # the catalog seed ran 1,149 Hom bodies with labelled reps and
+    # identity-keyed ideals, and 771 once both compare by value.  The bound
+    # is 771 plus 10%.
+    bodies = []
+    built = homological.HomModule  # constructed once per hom_module body
+    monkeypatch.setattr(homological, "HomModule", lambda *a: bodies.append(a) or built(*a))
+    assert main(["verify", "--suite", "1", "--seed", "20260810"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(bodies) <= 848, len(bodies)
 
 
 def test_exceptions_are_not_memoised():
@@ -176,8 +222,9 @@ def _label_targets(node):
 
 
 def test_one_module_construction_path():
-    # Reps are interned, so a rep is built only by ArtinAlgebra.module and
-    # never renamed afterwards: renaming a shared rep would rename its copies.
+    # Reps are interned by their actions, so a rep is built only by
+    # ArtinAlgebra.module and carries no name: a label set on a shared rep
+    # would name all of its copies.
     builders, renames, calls = [], [], 0
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -188,4 +235,7 @@ def test_one_module_construction_path():
                     builders.append((path.name, fn.name))
                 renames.extend((path.name, fn.name, t) for t in _label_targets(node))
     assert builders == [("artin.py", "module")] and calls == 1, builders
-    assert renames == [("artin.py", "__init__", "self.label")], renames  # ModuleRep.__init__
+    assert renames == [], renames
+    assert "label" not in ModuleRep.__slots__
+    for fn in (ArtinAlgebra.module, Submodule.as_module, Submodule.quotient, matlis_dual):
+        assert "label" not in inspect.signature(fn).parameters, fn

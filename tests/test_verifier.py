@@ -145,7 +145,7 @@ def test_excellence_checks_fail_outside_their_hypothesis(sides):
     algebra = _built(SMALL.algebras[1])
     modules = {desc["label"]: module for module, desc in canonical_modules(algebra)}
     x = ideal_from_elements(algebra, ["x"])
-    ann_x = annihilator(x.as_module()[0])
+    ann_x = annihilator(x.as_module())
     assert ann_x.carrier == algebra.max_ideal().carrier
     left, right = sides(algebra.max_ideal(), x, ann_x, modules)
     assert left != right
