@@ -645,7 +645,7 @@ class Submodule:
     @_memoised("self")
     def as_module(self):
         """The carrier as an abstract module, in the coordinates of its
-        canonical basis (carrier.rows; carrier.basis is the inclusion).
+        canonical basis (carrier.rows; carrier.vector is the inclusion).
 
         Column j of each action holds the coordinates of the action applied
         to basis vector j; an image outside the carrier raises NotSubmodule.
@@ -771,8 +771,8 @@ def ideal_times_submodule(ideal, sub):
     """
     module = sub.module
     _require_ideal(ideal, module.algebra)
-    basis = sub.carrier.basis
-    vecs = [c for g in ideal_generators(ideal) for c in (module.element_action(g) @ basis).cols()]
+    actions = [module.element_action(g) for g in ideal_generators(ideal)]
+    vecs = [a.apply(row) for a in actions for row in sub.carrier.rows]
     return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, vecs), check=False)
 
 

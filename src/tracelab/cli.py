@@ -6,6 +6,15 @@ rationals as "p/q" strings, value sets as {"below_conductor": [...],
 "conductor": c}.  Exit codes: 0 success (even when a predicate is false),
 1 only for `verify` runs that find a counterexample, 2 for input errors,
 usage errors included, each with a JSON {"error", "message"} on stderr.
+
+One table, `_COMMANDS`, drives the CLI.  Each command names its payload
+builder, its help text and the inputs it reads after its --ring algebra:
+the module (--module, else the ring file's [module] section, else R), the
+ideal (--ideal) and the verdict options (--seed, --cap-enum).
+`build_parser` adds exactly those flags, and `_load` reads, checks and
+fingerprints the inputs in one fixed order, ring file, module file, ideal,
+seed, so a command's first error and its fingerprint follow that order.
+`semigroup-report`, `semigroup-good` and `verify` read their own flags.
 """
 
 from __future__ import annotations
@@ -71,30 +80,21 @@ def _fingerprint(parts):
     return digest.hexdigest()
 
 
-class _Inputs:
-    """Collects raw input texts so the report can fingerprint them."""
-
-    def __init__(self):
-        self.parts = []
-
-    def read_file(self, path):
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("%s is not UTF-8 text (%s)" % (path, exc)) from None
-        self.parts.append("file:%s" % text)
-        return text
-
-    def inline(self, label, value):
-        self.parts.append("%s:%s" % (label, value))
-
-    def fingerprint(self):
-        return _fingerprint(self.parts)
+def _read(path, parts):
+    """The UTF-8 text of a file, appended to the fingerprint parts."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text (%s)" % (path, exc)) from None
+    parts.append("file:%s" % text)
+    return text
 
 
-def _load_algebra(args, inputs):
-    text = inputs.read_file(args.ring)
-    sections = parse_sections(text, source=args.ring)
+def _load(args, reads, parts):
+    """The --ring algebra, then each input in `reads`: read, checked and
+    appended to the fingerprint parts in the order ring file, module file,
+    ideal, seed, whatever the order of `reads`."""
+    sections = parse_sections(_read(args.ring, parts), source=args.ring)
     if "algebra" not in sections:
         raise TraceLabError("%s: no [algebra] section" % args.ring)
     pres = presentation_from_section(sections["algebra"], source=args.ring)
@@ -102,28 +102,35 @@ def _load_algebra(args, inputs):
         if args.cap_dim < 0:
             raise ParseError("--cap-dim must be nonnegative, got %d" % args.cap_dim)
         pres.dim_cap = args.cap_dim
-    return build_algebra(pres), sections
-
-
-def _load_module(args, algebra, inputs, sections_of_ring):
-    """The module to operate on: --module file, else the regular module."""
-    source, sections = args.ring, sections_of_ring
-    if getattr(args, "module", None):
-        source = args.module
-        sections = parse_sections(inputs.read_file(source), source=source)
-        if "module" not in sections:
-            raise TraceLabError("%s: no [module] section" % source)
-    if "module" not in sections:
-        return regular_module(algebra)
-    rows, n_gens = module_rows_from_section(sections["module"], source=source)
-    return module_from_presentation(algebra, rows, n_gens=n_gens)
-
-
-def _load_ideal(args, algebra, inputs):
-    gens = [g.strip() for g in args.ideal.split(",")] if args.ideal else []
-    gens = [g for g in gens if g]
-    inputs.inline("ideal", ";".join(gens))
-    return ideal_from_elements(algebra, gens)
+    algebra = build_algebra(pres)
+    loaded = [algebra]
+    if "module" in reads:
+        # The --module file, else the ring file's [module] section, else R.
+        source = args.ring
+        if args.module:
+            source = args.module
+            sections = parse_sections(_read(source, parts), source=source)
+            if "module" not in sections:
+                raise TraceLabError("%s: no [module] section" % source)
+        if "module" in sections:
+            rows, n_gens = module_rows_from_section(sections["module"], source=source)
+            loaded.append(module_from_presentation(algebra, rows, n_gens=n_gens))
+        else:
+            loaded.append(regular_module(algebra))
+    if "ideal" in reads:
+        gens = [g.strip() for g in args.ideal.split(",") if g.strip()]
+        parts.append("ideal:%s" % ";".join(gens))
+        loaded.append(ideal_from_elements(algebra, gens))
+    if "verdict" in reads:
+        # The keyword arguments of an all-ideals verdict.
+        verdict = {} if algebra.field.is_finite else {"seed": args.seed}
+        if args.cap_enum is not None:
+            if args.cap_enum < 0:
+                raise ParseError("--cap-enum must be nonnegative, got %d" % args.cap_enum)
+            verdict["cap"] = args.cap_enum
+        parts.append("seed:%s" % args.seed)
+        loaded.append(verdict)
+    return loaded
 
 
 def _subspace(sub):
@@ -140,8 +147,7 @@ def _verdict_json(v):
 # -- payload builders -----------------------------------------------------------
 
 
-def cmd_algebra_info(args, inputs):
-    algebra, _ = _load_algebra(args, inputs)
+def cmd_algebra_info(algebra):
     reg = regular_module(algebra)
     return {
         "field": algebra.field.name,
@@ -156,46 +162,33 @@ def cmd_algebra_info(args, inputs):
     }
 
 
-def cmd_trace(args, inputs):
-    algebra, ring_sections = _load_algebra(args, inputs)
-    module = _load_module(args, algebra, inputs, ring_sections)
-    ideal_sub = _load_ideal(args, algebra, inputs)
-    ideal_rep = ideal_sub.as_module()
-    tr = trace(ideal_sub, module)
+def cmd_trace(algebra, module, ideal_sub):
     return {
         "module_dim": module.dim,
         "ideal": _subspace(ideal_sub),
-        "trace": _subspace(tr),
+        "trace": _subspace(trace(ideal_sub, module)),
         "ideal_times_module": _subspace(ideal_times_module(ideal_sub, module)),
         "annihilator_torsion": _subspace(
-            torsion_submodule(module, annihilator(ideal_rep))
+            torsion_submodule(module, annihilator(ideal_sub.as_module()))
         ),
         "excellent_for_ideal": is_ideal_excellent(ideal_sub, module),
     }
 
 
-def cmd_cotrace(args, inputs):
-    algebra, ring_sections = _load_algebra(args, inputs)
-    module = _load_module(args, algebra, inputs, ring_sections)
-    ideal_sub = _load_ideal(args, algebra, inputs)
-    ideal_rep = ideal_sub.as_module()
-    co = cotrace(ideal_sub, module)
+def cmd_cotrace(algebra, module, ideal_sub):
     return {
         "module_dim": module.dim,
         "ideal": _subspace(ideal_sub),
-        "cotrace": _subspace(co),
+        "cotrace": _subspace(cotrace(ideal_sub, module)),
         "annihilator_times_module": _subspace(
-            ideal_times_module(annihilator(ideal_rep), module)
+            ideal_times_module(annihilator(ideal_sub.as_module()), module)
         ),
         "torsion": _subspace(torsion_submodule(module, ideal_sub)),
         "coexcellent_for_ideal": is_ideal_coexcellent(ideal_sub, module),
     }
 
 
-def cmd_ext1(args, inputs):
-    algebra, ring_sections = _load_algebra(args, inputs)
-    module = _load_module(args, algebra, inputs, ring_sections)
-    ideal_sub = _load_ideal(args, algebra, inputs)
+def cmd_ext1(algebra, module, ideal_sub):
     return {
         "module_dim": module.dim,
         "ideal_dim": ideal_sub.dim,
@@ -203,10 +196,7 @@ def cmd_ext1(args, inputs):
     }
 
 
-def cmd_tor1(args, inputs):
-    algebra, ring_sections = _load_algebra(args, inputs)
-    module = _load_module(args, algebra, inputs, ring_sections)
-    ideal_sub = _load_ideal(args, algebra, inputs)
+def cmd_tor1(algebra, module, ideal_sub):
     return {
         "module_dim": module.dim,
         "ideal_dim": ideal_sub.dim,
@@ -214,9 +204,7 @@ def cmd_tor1(args, inputs):
     }
 
 
-def cmd_dual(args, inputs):
-    algebra, ring_sections = _load_algebra(args, inputs)
-    module = _load_module(args, algebra, inputs, ring_sections)
+def cmd_dual(algebra, module):
     dual = matlis_dual(module)
     double = matlis_dual(dual.rep)
     return {
@@ -227,30 +215,14 @@ def cmd_dual(args, inputs):
     }
 
 
-def _verdict_kwargs(args, algebra, inputs):
-    """The seed (over Q) and the --cap-enum cap of an all-ideals verdict."""
-    kwargs = {} if algebra.field.is_finite else {"seed": args.seed}
-    if args.cap_enum is not None:
-        if args.cap_enum < 0:
-            raise ParseError("--cap-enum must be nonnegative, got %d" % args.cap_enum)
-        kwargs["cap"] = args.cap_enum
-    inputs.inline("seed", str(args.seed))
-    return kwargs
-
-
-def cmd_excellent(args, inputs):
-    algebra, ring_sections = _load_algebra(args, inputs)
-    module = _load_module(args, algebra, inputs, ring_sections)
-    kwargs = _verdict_kwargs(args, algebra, inputs)
+def cmd_excellent(algebra, module, verdict):
     return {
-        "excellent": _verdict_json(excellence_verdict(module, **kwargs)),
-        "coexcellent": _verdict_json(coexcellence_verdict(module, **kwargs)),
+        "excellent": _verdict_json(excellence_verdict(module, **verdict)),
+        "coexcellent": _verdict_json(coexcellence_verdict(module, **verdict)),
     }
 
 
-def cmd_good(args, inputs):
-    algebra, _ = _load_algebra(args, inputs)
-    ideal_sub = _load_ideal(args, algebra, inputs)
+def cmd_good(algebra, ideal_sub):
     tr = trace(ideal_sub, regular_module(algebra))
     return {
         "ideal": _subspace(ideal_sub),
@@ -259,33 +231,24 @@ def cmd_good(args, inputs):
     }
 
 
-def cmd_qf(args, inputs):
-    algebra, _ = _load_algebra(args, inputs)
+def cmd_qf(algebra, verdict):
     reg = regular_module(algebra)
-    kwargs = _verdict_kwargs(args, algebra, inputs)
     return {
         "quasi_frobenius": {"value": is_quasi_frobenius(algebra), "evidence": "formula"},
         "socle_dim": socle(reg).dim,
-        "excellent": _verdict_json(excellence_verdict(reg, **kwargs)),
+        "excellent": _verdict_json(excellence_verdict(reg, **verdict)),
     }
 
 
-def cmd_semigroup_report(args, inputs):
-    gens = parse_int_list(args.gens)
-    inputs.inline("gens", args.gens)
-    inputs.inline("max_power", str(args.max_power))
-    s = make(gens)
-    report = matlis_report(s, args.max_power)
-    return report.to_json()
+def cmd_semigroup_report(args, parts):
+    parts += ["gens:%s" % args.gens, "max_power:%s" % args.max_power]
+    return matlis_report(make(parse_int_list(args.gens)), args.max_power).to_json()
 
 
-def cmd_semigroup_good(args, inputs):
-    gens = parse_int_list(args.gens)
-    inputs.inline("gens", args.gens)
-    s = make(gens)
-    vals = parse_int_list(args.ideal)
-    inputs.inline("ideal", args.ideal)
-    e = value_ideal(vals, s)
+def cmd_semigroup_good(args, parts):
+    parts += ["gens:%s" % args.gens, "ideal:%s" % args.ideal]
+    s = make(parse_int_list(args.gens))
+    e = value_ideal(parse_int_list(args.ideal), s)
     return {
         "ideal": e.to_json(),
         "inverse": inverse(e, s).to_json(),
@@ -295,16 +258,10 @@ def cmd_semigroup_good(args, inputs):
     }
 
 
-def cmd_verify(args, inputs):
+def cmd_verify(args, parts):
     spec = default_catalog(seed=args.seed)
-    inputs.inline("seed", str(args.seed))
-    inputs.inline("spec", json.dumps(spec.to_json(), sort_keys=True))
-    names = {
-        "all": ("section1", "section2", "section3"),
-        "1": ("section1",),
-        "2": ("section2",),
-        "3": ("section3",),
-    }[args.suite]
+    parts += ["seed:%s" % args.seed, "spec:%s" % json.dumps(spec.to_json(), sort_keys=True)]
+    names = ("section1", "section2", "section3") if args.suite == "all" else ("section" + args.suite,)
     results = run_suites(spec, suites=names)
     return {
         "catalog": spec.to_json(),
@@ -313,20 +270,37 @@ def cmd_verify(args, inputs):
     }
 
 
+# name -> (payload builder, help, the inputs it reads after its --ring
+# algebra), in the order `tracelab --help` lists them.  A builder that reads
+# inputs takes the algebra and then the loaded inputs in the order module,
+# ideal, verdict; one with None reads its own flags from the namespace.
 _COMMANDS = {
-    "algebra-info": (cmd_algebra_info, "Dimensions and structure of a presented algebra"),
-    "trace": (cmd_trace, "Trace of an ideal in a module, with the sandwich bounds"),
-    "cotrace": (cmd_cotrace, "Cotrace of an ideal in a module, with its bounds"),
-    "ext1": (cmd_ext1, "Dimension of Ext1(R/I, M)"),
-    "tor1": (cmd_tor1, "Dimension of Tor1(M, R/I)"),
-    "dual": (cmd_dual, "Matlis dual of a module"),
-    "excellent": (cmd_excellent, "Excellence and coexcellence verdicts for a module"),
-    "good": (cmd_good, "Whether an ideal equals its trace in R"),
-    "qf": (cmd_qf, "Quasi-Frobenius test plus the excellence verdict of R"),
-    "semigroup-report": (cmd_semigroup_report, "Stable-trace report for a numerical semigroup"),
-    "semigroup-good": (cmd_semigroup_good, "Goodness of a monomial fractional ideal"),
-    "verify": (cmd_verify, "Run the theorem suites over the built-in catalog"),
+    "algebra-info": (cmd_algebra_info, "Dimensions and structure of a presented algebra", ()),
+    "trace": (cmd_trace, "Trace of an ideal in a module, with the sandwich bounds", ("module", "ideal")),
+    "cotrace": (cmd_cotrace, "Cotrace of an ideal in a module, with its bounds", ("module", "ideal")),
+    "ext1": (cmd_ext1, "Dimension of Ext1(R/I, M)", ("module", "ideal")),
+    "tor1": (cmd_tor1, "Dimension of Tor1(M, R/I)", ("module", "ideal")),
+    "dual": (cmd_dual, "Matlis dual of a module", ("module",)),
+    "excellent": (cmd_excellent, "Excellence and coexcellence verdicts for a module", ("module", "verdict")),
+    "good": (cmd_good, "Whether an ideal equals its trace in R", ("ideal",)),
+    "qf": (cmd_qf, "Quasi-Frobenius test plus the excellence verdict of R", ("verdict",)),
+    "semigroup-report": (cmd_semigroup_report, "Stable-trace report for a numerical semigroup", None),
+    "semigroup-good": (cmd_semigroup_good, "Goodness of a monomial fractional ideal", None),
+    "verify": (cmd_verify, "Run the theorem suites over the built-in catalog", None),
 }
+# The flags of the commands that read a --ring algebra, by the input they
+# belong to, in the order argparse adds them (its "the following arguments
+# are required" message lists them in that order).
+_RING_FLAGS = (
+    ("ring", "--ring", dict(required=True, help="algebra file with an [algebra] section")),
+    ("module", "--module", dict(help="module file ([module] section)")),
+    ("ideal", "--ideal", dict(default="", help="ideal generators, e.g. 'x, y^2'")),
+    ("verdict", "--seed", dict(type=int, default=20260810, help="seed of the sampled ideals over Q")),
+    ("verdict", "--cap-enum", dict(type=int, help="bound on p^dim, the ring elements an exhaustive verdict "
+                                   "scans, not on the number of ideals (default 10^6)")),
+    ("ring", "--cap-dim", dict(type=int, help="bound on dim R, and on n * dim R for a module with n "
+                               "generators (default: the ring file's dim_cap, else 512)")),
+)
 _PARSER = None  # main's parser, built on its first call
 
 
@@ -349,28 +323,22 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version="tracelab %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, help_text) in _COMMANDS.items():
+    for name, (_fn, help_text, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if name in ("semigroup-report", "semigroup-good"):
-            p.add_argument("--gens", required=True, help="semigroup generators, e.g. 3,4")
-            if name == "semigroup-report":
-                p.add_argument("--max-power", type=int, default=None)
-            else:
-                p.add_argument("--ideal", required=True, help="ideal values, e.g. -3,5")
+        p.add_argument("--format", choices=("json", "text"), default="json", help="JSON, or key = value lines")
+        if reads is not None:
+            for part, flag, options in _RING_FLAGS:
+                if part == "ring" or part in reads:
+                    p.add_argument(flag, **options)
         elif name == "verify":
             p.add_argument("--suite", choices=("all", "1", "2", "3"), default="all")
-            p.add_argument("--seed", type=int, default=20260810)
+            p.add_argument("--seed", type=int, default=20260810, help="seed of the catalog's random checks")
         else:
-            p.add_argument("--ring", required=True, help="algebra file with an [algebra] section")
-            if name in ("trace", "cotrace", "ext1", "tor1", "dual", "excellent"):
-                p.add_argument("--module", default=None, help="module file ([module] section)")
-            if name in ("trace", "cotrace", "ext1", "tor1", "good"):
-                p.add_argument("--ideal", default="", help="ideal generators, e.g. 'x, y^2'")
-            if name in ("excellent", "qf"):
-                p.add_argument("--seed", type=int, default=20260810)
-                p.add_argument("--cap-enum", type=int, default=None)
-            p.add_argument("--cap-dim", type=int, default=None)
+            p.add_argument("--gens", required=True, help="semigroup generators, e.g. 3,4")
+            if name == "semigroup-report":
+                p.add_argument("--max-power", type=int, help="highest power of m reported (default nu + 4)")
+            else:
+                p.add_argument("--ideal", required=True, help="ideal values, e.g. -3,5")
     return parser
 
 
@@ -394,10 +362,10 @@ def main(argv=None):
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    fn, _ = _COMMANDS[args.command]
-    inputs = _Inputs()
+    fn, _, reads = _COMMANDS[args.command]
+    parts = []
     try:
-        payload = fn(args, inputs)
+        payload = fn(args, parts) if reads is None else fn(*_load(args, reads, parts))
     except TraceLabError as exc:
         sys.stderr.write(
             canonical_json({"error": type(exc).__name__, "message": str(exc)})
@@ -408,7 +376,7 @@ def main(argv=None):
         return 2
     report = {
         "command": args.command,
-        "fingerprint": inputs.fingerprint(),
+        "fingerprint": _fingerprint(parts),
         "version": __version__,
         "result": payload,
     }

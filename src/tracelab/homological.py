@@ -355,14 +355,14 @@ def _evaluation(module, ideal, generators, tp):
     """Matrix of the evaluation tp -> M induced by (n_1..n_v) |-> sum_i n_i g_i.
 
     The g_i are the left factor's cover generators as vectors of M, and I^v
-    is in TensorProduct coordinates, so block i is the orbit matrix of g_i
-    (column s is b_s g_i) times the k-basis of I.  The map on I^v must kill
-    the tensor relations exactly; that is checked here.
+    is in TensorProduct coordinates, so block i is the k-basis rows of I
+    under the orbit matrix of g_i (column s is b_s g_i).  The map on I^v
+    must kill the tensor relations exactly; that is checked here.
     """
-    field, basis = module.algebra.field, ideal.carrier.basis
-    blocks = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) @ basis for g in generators]
-    full = hstack(blocks) if blocks else Matrix.zeros(field, module.dim, 0)
-    if not (full @ tp.relations.carrier.basis).is_zero():
+    field = module.algebra.field
+    orbits = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) for g in generators]
+    full = Matrix.from_cols(field, [o.apply(row) for o in orbits for row in ideal.carrier.rows], nrows=module.dim)
+    if any(any(full.apply(row)) for row in tp.relations.carrier.rows):
         raise InternalCheckError("tensor evaluation does not kill the tensor relations")
     return full @ tp.section
 
@@ -479,7 +479,8 @@ def trace_via_colon(member, ideal):
     inside = colon_submodule(member, ideal)
     result = ideal_times_submodule(ideal, inside)
     definitional = trace(ideal, member.as_module())
-    if definitional.carrier.image(member.carrier.basis) != result.carrier:
+    lifted = [member.carrier.vector(row) for row in definitional.carrier.rows]
+    if Subspace.from_vectors(ambient.algebra.field, ambient.dim, lifted) != result.carrier:
         raise InternalCheckError("colon route disagrees with the definitional trace")
     return result
 

@@ -601,7 +601,8 @@ def suite_section2(spec):
         for inner in enumerate_submodules(soc.as_module(), cap=spec.submodule_cap):
             if inner.dim == 0:
                 continue
-            lifted = Submodule(reg, inner.carrier.image(soc.carrier.basis), check=False)
+            vecs = [soc.carrier.vector(row) for row in inner.carrier.rows]
+            lifted = Submodule(reg, Subspace.from_vectors(algebra.field, reg.dim, vecs), check=False)
             inst = dict(base, ideal=_ideal_desc(algebra, lifted))
             rec.equal("ideal_inside_socle_has_socle_trace", inst, trace(lifted, reg).carrier, soc.carrier)
 

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import time
 
 import pytest
@@ -663,3 +664,257 @@ def flag_cases(draw):
 def test_cli_keeps_its_exit_code_contract_on_flags(tmp_path_factory, case):
     ring, argv = case
     _check_contract(tmp_path_factory.mktemp("fuzz"), ring, argv, seconds=10)
+
+
+# -- golden outputs over the command and error matrix ----------------------------
+
+# Files of the golden runs, written into the working directory so that error
+# messages name them by relative path.
+GOLDEN_FILES = {
+    "fat.ring": FAT_RING.encode("utf-8"),
+    "dual.ring": DUAL_F2_RING.encode("utf-8"),
+    "mod.module": MODULE_FILE.encode("utf-8"),
+    "fatmod.ring": (FAT_RING + MODULE_FILE).encode("utf-8"),
+    "noalgebra.ring": MODULE_FILE.encode("utf-8"),
+    "huge.module": b"[module]\ngenerators = 1000000\n",
+    "bad.txt": b"\xff\xfe[algebra]\nfield = Q\n",
+    "unparsable.ring": b"[algebra]\nfield = Q\nvariables = x\nrelations = x^\n",
+}
+
+# id -> (command line, sha256 of "exit code NUL stdout NUL stderr").  The
+# error cases with two faults pin which input is read and checked first:
+# ring file, module file, ideal, then the verdict options.
+GOLDEN_CASES = {
+    "algebra-info": (
+        "algebra-info --ring fat.ring",
+        "8564e6fc0a9cd167b2fc8eaeb1de5f4a954569df4694d65cf88e11532d499492",
+    ),
+    "algebra-info-f2": (
+        "algebra-info --ring dual.ring --cap-dim 2",
+        "ee5583a238200f6a9ddafc803e0ee8dd7e8051f5957f1ef7926cce059e04686b",
+    ),
+    "trace": (
+        "trace --ring fat.ring --ideal x",
+        "36e0f63847fdfc2d322afe74753650b79d9fb01d9fcff388ef9f934299d7ae48",
+    ),
+    "trace-module-file": (
+        "trace --ring fat.ring --module mod.module --ideal 'x, y'",
+        "1266f94635b5ef41530039413d2c1a69bd5c1625926038a3c02055151c57f2d2",
+    ),
+    "trace-ring-module": (
+        "trace --ring fatmod.ring --ideal x",
+        "3c446244a3470fb1d02f1718072a4a898a57d40d2a3b900758f9e72e7670cdfd",
+    ),
+    "cotrace": (
+        "cotrace --ring fat.ring --ideal x",
+        "fcf7f5467fac8c6959cb936a8c3a3f6cd281dea85d7032ba398dba4ec69d8808",
+    ),
+    "cotrace-module-file": (
+        "cotrace --ring fat.ring --module mod.module --ideal y",
+        "2b863d2b14dbc7163610825fa17cc1399a8ad3134698d282111f25f6a6f0a3ad",
+    ),
+    "ext1": (
+        "ext1 --ring fat.ring --ideal x",
+        "9e4296ed7ca10f215093411ae8b6d32cda97f1f20b5a195b487fb8b893599b7f",
+    ),
+    "ext1-no-ideal": (
+        "ext1 --ring fat.ring",
+        "884d622c252f438067210a42d97cfeea85c0fbdf58b666b7de093c614859b290",
+    ),
+    "tor1": (
+        "tor1 --ring fat.ring --module mod.module --ideal x",
+        "6e9880b3d88322a7fd9dcdd67ecf3bc2658e1ff0c2c9b8e44086ba76cac803d9",
+    ),
+    "dual": (
+        "dual --ring fat.ring",
+        "af5c630876edad8cd13d6c625d3e9569f3e2bbdfc890608c4b381351e8500ec9",
+    ),
+    "dual-ring-module": (
+        "dual --ring fatmod.ring",
+        "65f8dc0b9eacda58ca9639cbf7fb54b3d362917b88eb2f83c62d7678849e8f6e",
+    ),
+    "excellent": (
+        "excellent --ring dual.ring",
+        "65575c0c70705175488f6fbc6e549047a06a29bcaa74e3317cc92046c9270a92",
+    ),
+    "excellent-q": (
+        "excellent --ring fat.ring --module mod.module --seed 5 --cap-enum 9",
+        "46ed3e8fbecb36c4c66be3e16b761803b89570da8a242f9f0bad5915377d1681",
+    ),
+    "good": (
+        "good --ring fat.ring --ideal x",
+        "1de01dbc33e5f356a963c2a9bfce47ece740d4e04443307943568c59f959a3db",
+    ),
+    "good-empty-ideal": (
+        "good --ring fat.ring --ideal ' , '",
+        "e3be713098ff4b687b690397ca7d88378e67322f071bfbd8aff95d0909108673",
+    ),
+    "qf": (
+        "qf --ring dual.ring --cap-enum 4",
+        "34cd1822880372799c8cd20cb4a2c1cd6b39031ce42c6898644bc906afd3ae34",
+    ),
+    "qf-q": (
+        "qf --ring fat.ring --seed 5",
+        "2dd3ae641c57b5cff16810e48642b84d33c89970551d4e048a86ad054b1f9053",
+    ),
+    "semigroup-report": (
+        "semigroup-report --gens 3,4 --max-power 6",
+        "ba9dfbbefc775b67eb59b392e5680138f7aeabc27275030b19068bf65af99cb2",
+    ),
+    "semigroup-report-default": (
+        "semigroup-report --gens 3,5,7",
+        "340645f687b8276fce9c0ae87c00edafbcb2e98e1df1a96bdba623acc1945a05",
+    ),
+    "semigroup-good": (
+        "semigroup-good --gens 3,4 --ideal=-3,5",
+        "1e3d742df7b94ac3dc4cbd06beb6defdb6e16b7ff429fb3d6d4aa0d182e578f8",
+    ),
+    "verify": (
+        "verify --suite 2 --seed 7",
+        "6efa9c03217d8b615dab012e4775f8f5b8bd8bdd3fda19276e7f4494d08e2614",
+    ),
+    "text-algebra-info": (
+        "algebra-info --ring fat.ring --format text",
+        "cea684ab418513900ec0659de85908ada700c14da3ada080d3b89e6da901c755",
+    ),
+    "text-trace": (
+        "trace --format text --ring fat.ring --ideal x",
+        "3fdb4ccc25c90449cd3936172b20034d0dedb7c791ed3a5a35cde3c892279cee",
+    ),
+    "text-qf": (
+        "qf --ring dual.ring --format text",
+        "0745844b0692fc1f33b60f7731e471ed504709c7a177c00503e5d1d724414238",
+    ),
+    "text-semigroup-good": (
+        "semigroup-good --format text --gens 3,4 --ideal 3,4",
+        "344cea8ec8b1e94153953fa29a175bd20d62939b218580f17f451867a0caa8ac",
+    ),
+    "no-arguments": (
+        "",
+        "1d3604bfc1d5f522be795d7a5bb52f184a5a6b81d4c0995f0fff55aa2313ecfc",
+    ),
+    "missing-ring": (
+        "trace --ideal x",
+        "d20e5666a589fd627a5e7865fe666572500cfe25bee36599fb7f8f6651da2f39",
+    ),
+    "missing-semigroup-flags": (
+        "semigroup-good",
+        "566b3f72227da6116c1eaf96acfabd39df75d5d0996257345d94f10f250e172a",
+    ),
+    "unknown-command": (
+        "frobnicate --ring fat.ring",
+        "4fd7567dc2abd14475de1780c3c17ebf9e126b61dd308c5fd83b59a79be40d6c",
+    ),
+    "version": (
+        "--version",
+        "8898edaffb2c2abed5d355e9707b0611fd03c2dae7b2a5883e1014ae2d6799b2",
+    ),
+    "qf-ideal": (
+        "qf --ring fat.ring --ideal x",
+        "2a9791d6ba93ed11d7408318669560486723e8fc2fe1c0ae05066f30d241ef03",
+    ),
+    "bad-format": (
+        "dual --ring fat.ring --format xml",
+        "48973ef6f436a98db005401acb0ead21bd67dafd5f4fce5ec5801c4c4cbd8fb7",
+    ),
+    "bad-suite": (
+        "verify --suite 4",
+        "5a0df563a482a0bb7f90e2d5db6c60ad101bc4915642978bc6d609f98d27fb7a",
+    ),
+    "non-utf8-ring": (
+        "trace --ring bad.txt --ideal x",
+        "3d44d61f3befce22e55676aeb36e026e802817207d486148fb0c70b8c0c6ab6a",
+    ),
+    "non-utf8-module": (
+        "trace --ring fat.ring --module bad.txt --ideal x",
+        "3d44d61f3befce22e55676aeb36e026e802817207d486148fb0c70b8c0c6ab6a",
+    ),
+    "missing-ring-file": (
+        "algebra-info --ring nope.ring --cap-dim -1",
+        "b3a84f376ed6f34f65f02f699f208002db1ae98655cc86380a99322cf7e52932",
+    ),
+    "missing-module-file": (
+        "excellent --ring fat.ring --module nope.module --cap-enum -1",
+        "34fa36bf4d51f445315c015f2120f248ef9b80e8c732e9a4b0905132c3c7d2a6",
+    ),
+    "no-algebra-section": (
+        "qf --ring noalgebra.ring --cap-enum -1",
+        "04d1ebe3a43b8e0b7e43507218e64653929f9526e1ec26d7e0d430b0d66f0f5c",
+    ),
+    "no-module-section": (
+        "tor1 --ring fat.ring --module fat.ring --ideal z",
+        "15aae1c2dd453c8fd6a06fa20bffc9a255b1f66797d31222338dbf857a7c3fae",
+    ),
+    "cap-dim-before-relations": (
+        "algebra-info --ring unparsable.ring --cap-dim -1",
+        "078632423562ffa028898af3c8dd6f5cc6b986b7f354ff55804aeafd9db4bb51",
+    ),
+    "unparsable-module": (
+        "trace --ring dual.ring --module mod.module --ideal z",
+        "56e9fa90af69ce4840e46085e040efb8c312a6271d95fdda225c3a4d8cb33386",
+    ),
+    "module-before-ideal": (
+        "cotrace --ring fat.ring --module huge.module --ideal z",
+        "3dbf7fbd99dccff3872565e6d80864f0c565f750f0ff17bcc88f983364daca01",
+    ),
+    "unknown-ideal-variable": (
+        "trace --ring fat.ring --ideal z",
+        "7bc0133ab8d763d1d2070d75c91e200b61febe2fed016b8e9014f780609aacdd",
+    ),
+    "negative-cap-dim": (
+        "algebra-info --ring fat.ring --cap-dim -1",
+        "078632423562ffa028898af3c8dd6f5cc6b986b7f354ff55804aeafd9db4bb51",
+    ),
+    "zero-cap-dim": (
+        "ext1 --ring dual.ring --ideal x --cap-dim 0",
+        "21ee0edc27063e4adea60a143ed7fe43b5f7f8b6bdb9bcfc95ee79fbe97d29a9",
+    ),
+    "negative-cap-enum": (
+        "excellent --ring dual.ring --cap-enum -1",
+        "2941057cf4ab15f4243a1ffb7a684864c4c91f870707e2722691793d979122ee",
+    ),
+    "negative-cap-enum-q": (
+        "qf --ring fat.ring --cap-enum -1",
+        "2941057cf4ab15f4243a1ffb7a684864c4c91f870707e2722691793d979122ee",
+    ),
+    "zero-cap-enum": (
+        "qf --ring dual.ring --cap-enum 0",
+        "b07229aff967a50b3efe2888551ef93dca9f9388b67ee408c08233fbbc4adfb6",
+    ),
+    "bad-gens": (
+        "semigroup-report --gens 3,x",
+        "45f31028d75f695b898fb136af3475e01cdb84c2aea8e48f7aaf03267bd629a5",
+    ),
+    "bad-values": (
+        "semigroup-good --gens 3,4 --ideal 1,,y",
+        "d90933c5c396191b366af61b9973bdce9a5f09cfff788edd6bc22ebde6429c11",
+    ),
+    "gens-with-gcd": (
+        "semigroup-good --gens 4,6 --ideal 0",
+        "e5b293c92ea343681a14ca6bec5113c986e769dab9770f73429be368ff8d6ee9",
+    ),
+    "small-window": (
+        "semigroup-report --gens 3,4 --max-power 2",
+        "b9a71de9f0e32b902672a6188db4cdaa7fbd1f72fff0cc54cc68b88b3804b22d",
+    ),
+}
+
+
+def _golden_outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return "%s\x00%s\x00%s" % (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_cli_outputs_are_pinned(capsys, monkeypatch, tmp_path, case):
+    # Exit code, stdout and stderr of every command and error path, byte for byte.
+    for name, data in GOLDEN_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    line, digest = GOLDEN_CASES[case]
+    outcome = _golden_outcome(capsys, shlex.split(line))
+    assert hashlib.sha256(outcome.encode("utf-8")).hexdigest() == digest, outcome
