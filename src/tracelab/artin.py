@@ -511,8 +511,8 @@ def _relation_multiples(field, relations, nvars, top, cut):
     leading monomial for a degree order.  With cut, every multiple is
     truncated at degree top (its image modulo m^(top+1)), and multiples the
     cut would zero are never built; without, only the multiples of degree
-    <= top are taken (the Macaulay span).  Zero entries are the int 0, which
-    is exact in every field and cheap to test.
+    <= top are taken (the Macaulay span).  Each row is sparse, a dict from
+    column to coefficient, as _row_reduce takes it.
     """
     order = sorted(_monomials_up_to(nvars, top), key=lambda e: (-sum(e), e))
     col_of = {e: i for i, e in enumerate(order)}
@@ -521,16 +521,16 @@ def _relation_multiples(field, relations, nvars, top, cut):
         terms = [(e, field.from_int(c)) for e, c in rel.items()]
         degrees = [sum(e) for e in rel]
         for shift in _monomials_up_to(nvars, top - (min(degrees) if cut else max(degrees))):
-            row = [0] * len(order)
+            row = {}
             for exp, coeff in terms:
                 j = col_of.get(tuple(x + y for x, y in zip(exp, shift)))
                 if j is not None:
                     row[j] = coeff
             rows.append(row)
-    # Sparsest first, since _row_reduce pivots on the first row it finds:
-    # short rows (the cut leaves many single monomials) make little fill-in
-    # and keep the fractions over Q small.
-    rows.sort(key=lambda row: sum(1 for x in row if x))
+    # Sparsest first, since _row_reduce pivots on the first row that leads
+    # at a column: short rows (the cut leaves many single monomials) make
+    # little fill-in and keep the fractions over Q small.
+    rows.sort(key=len)
     return order, rows
 
 
@@ -620,7 +620,7 @@ class Submodule:
     equal, so an ideal built twice is one key in every memo.
     """
 
-    __slots__ = ("module", "carrier", "_memo")
+    __slots__ = ("module", "carrier", "_memo", "_hash")
 
     def __init__(self, module, carrier, check=True):
         if carrier.ambient_dim != module.dim:
@@ -637,10 +637,12 @@ class Submodule:
     def __eq__(self, other):
         if not isinstance(other, Submodule):
             return NotImplemented
-        return self.module is other.module and self.carrier == other.carrier
+        return self is other or (self.module is other.module and self.carrier == other.carrier)
 
     def __hash__(self):
-        return hash((self.module, self.carrier))
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self.module, self.carrier))
+        return self._hash
 
     @_memoised("self")
     def as_module(self):
@@ -901,7 +903,9 @@ class FreeCover:
         for n in tuples:
             cols = [w for i in range(v) for w in target.orbit(n[i * dN : (i + 1) * dN])]
             stacked.extend(zip(*cols))
-        images = Matrix._of(field, tuple(stacked), self.section.nrows) @ self.section
+        images = Matrix._of(field, tuple(stacked), self.section.nrows)
+        if self.section is not self.matrix:  # else S = P = I, as for R and R^n
+            images = images @ self.section
         return [
             Matrix._of(field, images.rows[t * dN : (t + 1) * dN], self.section.ncols)
             for t in range(len(tuples))

@@ -297,7 +297,8 @@ _RING_FLAGS = (
     ("ideal", "--ideal", dict(default="", help="ideal generators, e.g. 'x, y^2'")),
     ("verdict", "--seed", dict(type=int, default=20260810, help="seed of the sampled ideals over Q")),
     ("verdict", "--cap-enum", dict(type=int, help="bound on p^dim, the ring elements an exhaustive verdict "
-                                   "scans, not on the number of ideals (default 10^6)")),
+                                   "scans, not on the number of ideals (default 10^6); unused over Q, "
+                                   "where verdicts are sampled")),
     ("ring", "--cap-dim", dict(type=int, help="bound on dim R, and on n * dim R for a module with n "
                                "generators (default: the ring file's dim_cap, else 512)")),
 )

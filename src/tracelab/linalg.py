@@ -1,27 +1,26 @@
-"""Exact dense linear algebra over Q and the prime fields F_2, F_3, F_5.
+"""Exact linear algebra over Q and the prime fields F_2, F_3, F_5.
 
 Every higher-level equality in this package (equality of submodules, traces,
 torsion subspaces, ...) reduces to structural equality of canonical subspace
 bases computed here, so all arithmetic is exact.  Over Q a scalar is a plain
 int when integral and a fractions.Fraction otherwise; over F_p it is a plain
-int in [0, p).  So each value has one representation, and most Q entries
-(monomial algebras act by 0/1 matrices) never leave int arithmetic.
+int in [0, p).  Each field owns one normalising hook, `canonical(row)`
+(x % p over F_p; an integral Fraction to its int over Q), applied to every
+scalar computed here, so structural equality is value equality.
 
-Scalars use Python's own arithmetic.  Each field owns one normalising hook,
-`canonical(row)`, mapping freshly computed scalars to canonical
-representatives (x % p over F_p; an integral Fraction to its int over Q).
-Every operation here applies it once per row it produces, and elimination
-demotes each entry it updates, so every stored entry and returned vector is
-canonical and structural equality is value equality.
-
-Everything is row-major.  Matrices are dense and immutable tuples of row
+Everything is row-major.  Matrices are dense, immutable tuples of row
 tuples; the public constructors canonicalise their input and reject any
-scalar but an int or, over Q, a Fraction.  Every result computed here takes
-the trusted path Matrix._of, which stores rows that are already a tuple of
-equal-length canonical tuples.  A Subspace holds the rows of its reduced row
-echelon basis, exactly as the elimination returns them; that form is unique
-per subspace, so structural equality of Subspace values decides equality of
-subspaces, and the column basis matrix is only built on demand.
+scalar but an int or, over Q, a Fraction, and results take the trusted path
+Matrix._of.  A matrix builds the nonzero entries of each column on its first
+apply() and keeps them, so a product with a vector touches only nonzeros.
+There is one elimination core, _row_reduce, and it is sparse: rows become
+dicts of their nonzero entries, each is reduced against the pivot rows found
+so far, keyed by leading column, and back substitution follows (Macaulay
+matrices, whose rows are one relation times one monomial, go in as dicts).
+A Subspace holds the rows of its reduced row echelon basis, exactly as the
+elimination returns them; that form is unique per subspace, so structural
+equality of Subspace values decides equality of subspaces, and the column
+basis matrix is only built on demand.
 """
 
 from __future__ import annotations
@@ -147,10 +146,12 @@ class Matrix:
 
     Entries are stored row-major as a tuple of row tuples; `entries length
     = rows * cols` holds by construction.  Matrices hash and compare by
-    value (field included), so canonical forms can be deduplicated.
+    value (field included), so canonical forms can be deduplicated.  The
+    hash and the column support that apply() walks are built on first use
+    and kept; they take no part in equality.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_hash", "_support")
 
     def __init__(self, field, rows, ncols=None):
         rows = _scalar_rows(field, rows)
@@ -249,17 +250,14 @@ class Matrix:
         """Matrix-vector product; vec is a length-ncols sequence."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(vec), self.ncols))
-        zero = self.field.zero
-        support = [(j, x) for j, x in enumerate(vec) if x]
-        out = []
-        for row in self.rows:
-            acc = zero
-            for j, x in support:
-                a = row[j]
-                if a:
-                    acc += a * x
-            out.append(acc)
-        return tuple(self.field.canonical(out))
+        if not hasattr(self, "_support"):
+            self._support = [tuple([(i, a) for i, a in enumerate(c) if a]) for c in self.cols()]
+        acc = [self.field.zero] * self.nrows
+        for col, x in zip(self._support, vec):
+            if x:
+                for i, a in col:
+                    acc[i] += a * x
+        return tuple(self.field.canonical(acc))
 
     def is_zero(self):
         return not any(any(r) for r in self.rows)
@@ -272,15 +270,17 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.field == other.field
+        return self is other or (
+            (self.field is other.field or self.field == other.field)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.rows))
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self.field, self.nrows, self.ncols, self.rows))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -336,51 +336,62 @@ def _transposed(rows, ncols):
 
 
 def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
-    """(reduced row lists, pivot column list) by Gauss-Jordan elimination.
+    """(reduced row lists, pivot column list) by sparse Gauss-Jordan elimination.
 
-    The first len(pivots) rows are the nonzero rows of the reduced echelon
-    form; any remaining rows are zero in the first `pivot_limit` columns (they
-    can be nonzero beyond it, which is exactly what solve() needs for its
-    consistency test).  With echelon, only the rows below each pivot are
-    cleared, which leaves a row echelon form without back substitution.
+    Rows go in dense or as dicts {column: nonzero canonical scalar}.  Each is
+    reduced at its leading column by the pivot rows found so far, keyed by
+    leading column, until it leads at a new pivot (scaled to 1), at or beyond
+    `pivot_limit`, or nowhere.  Unless echelon, back substitution then clears
+    each pivot row at the later pivots.  Rows come out dense, as many as went
+    in: the pivot rows in column order, then rows zero left of `pivot_limit`
+    (nonzero beyond it is what solve() tests for consistency), then zero rows.
     """
     if pivot_limit is None:
         pivot_limit = ncols
-    one, canon, p = field.one, field.canonical, field.char
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_limit):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        if prow[c] != one:
-            inv = field.inverse(prow[c])
-            prow[c:] = canon([x * inv if x else x for x in prow[c:]])
-        # Entries left of c are zero in the pivot row.
-        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i in range(r + 1 if echelon else 0, nrows):
-            row = rows[i]
-            f = row[c]
-            if not f or i == r:
+    canon, p = field.canonical, field.char
+    pivot_rows, rest, zero_rows = {}, [], 0
+    for row in rows:
+        row = dict(row) if type(row) is dict else {j: x for j, x in enumerate(row) if x}
+        while row:
+            c = min(row)
+            prow = pivot_rows.get(c)
+            if prow is not None:
+                _subtract(row, row[c], prow, p)
                 continue
-            # Only the entries on the pivot row's support change, and each
-            # one updated is made canonical again.
-            if p:
-                for j, v in support:
-                    row[j] = (row[j] - f * v) % p
+            if c >= pivot_limit:
+                rest.append(row)
             else:
-                for j, v in support:
-                    x = row[j] - f * v
-                    row[j] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+                inv = 1 if row[c] == 1 else field.inverse(row[c])
+                pivot_rows[c] = row if inv == 1 else dict(zip(row, canon([x * inv for x in row.values()])))
+            break
+        else:
+            zero_rows += 1
+    pivots = sorted(pivot_rows)
+    if not echelon:
+        # A later pivot row is zero at every other pivot: one pass clears them.
+        for c in reversed(pivots):
+            row = pivot_rows[c]
+            for k in [k for k in row if k != c and k in pivot_rows]:
+                _subtract(row, row[k], pivot_rows[k], p)
+    out = []
+    for row in [pivot_rows[c] for c in pivots] + rest + [{}] * zero_rows:
+        out.append(dense := [field.zero] * ncols)
+        for j, x in row.items():
+            dense[j] = x
+    return out, pivots
+
+
+def _subtract(row, f, prow, p):
+    """row -= f * prow on dict rows, in place; entries stay canonical and nonzero."""
+    for j, v in prow.items():
+        x = row.get(j, 0) - f * v
+        if p:
+            x %= p
+        elif type(x) is Fraction and x.denominator == 1:
+            x = x.numerator
+        row[j] = x
+        if not x:
+            del row[j]
 
 
 def reduce(m):
@@ -428,7 +439,7 @@ class Subspace:
     with those vectors as columns, built on each access.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash")
 
     def __init__(self, field, ambient_dim, rows, pivots):
         self.field = field
@@ -557,11 +568,13 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        same_space = self.ambient_dim == other.ambient_dim and self.field == other.field
-        return same_space and self.rows == other.rows
+        same_field = self.field is other.field or self.field == other.field
+        return self is other or (self.ambient_dim == other.ambient_dim and same_field and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.rows))
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self.field, self.ambient_dim, self.rows))
+        return self._hash
 
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)

@@ -353,6 +353,56 @@ def test_non_artinian_and_non_local_rings_exit_2_quickly(capsys, tmp_path, varia
     assert message in error["message"]
 
 
+@pytest.mark.parametrize(
+    "field, n, digest",
+    [
+        ("F2", 3, "5d1ebec473b4c7c0a9ab316b265c764180e33f51e0c8350e973d2c45bdf2de5a"),
+        ("F2", 4, "475212562656abf7604ebfd31574ca4476c9d7d8cae6c86a3cad54a66b8b1c88"),
+        ("F2", 5, "fd38a64b929dd39c58a62aab8ac60925adec577e24ea3f84baf7dc418c3d5f33"),
+        ("Q", 3, "8e18d3ea7c9b7cc6a4b0246f37178a4ecb391239614bd637326c401c9121f474"),
+        ("Q", 4, "22f36379272005f3b41b8adddb0e4c2d9e98b2c10e7ab9482dec888d9b7ab990"),
+        ("Q", 5, "6919e66c605da73ce5ae7b1470a4b8093c75b2ce4784fd7d427cb9fe0473cf23"),
+    ],
+)
+def test_ladder_ring_builds_are_pinned(capsys, tmp_path, field, n, digest):
+    # k[x,y]/(x^n, y^n): basis, actions and nilpotency index, byte for byte
+    # as the dense elimination core built them.
+    ring = tmp_path / "ladder.ring"
+    text = "[algebra]\nfield = %s\nvariables = x, y\nrelations = x^%d, y^%d\n" % (field, n, n)
+    ring.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "algebra-info", "--ring", str(ring))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "field, seconds, digest",
+    [
+        ("Q", 2.0, "1e9f94a519f57f9bfc474d88168c3cbcfd9556164730876d741d6abb19b01464"),
+        ("F2", 0.6, "6f009ffc211ff8963734ff6f7cd5c85933ca123b7353094b8e0deab1ee7102a9"),
+        ("F3", 0.6, "6f009ffc211ff8963734ff6f7cd5c85933ca123b7353094b8e0deab1ee7102a9"),
+    ],
+)
+def test_rejections_at_the_monomial_ceiling_are_pinned_and_fast(capsys, tmp_path, field, seconds, digest):
+    # Over Q, m^2 lies in I near the origin but I has other zeros, so the
+    # global step's Macaulay eliminations run up to the 1,000-monomial
+    # ceiling; over F2 and F3, I is not Artinian at the origin and the local
+    # step reaches it.  In process, the sparse core rejects them in 0.55-1.1 s
+    # over Q and 0.1-0.2 s over F_p, the dense core took 1.9-3.9 s and
+    # 0.4-1.0 s (2-vCPU VM, CPython 3.11, quiet and loaded).
+    ring = tmp_path / "far.ring"
+    ring.write_text(
+        "[algebra]\nfield = %s\nvariables = x, y\n"
+        "relations = x^3*y^3 - 3*x^2*y^3 - x^3*y, 3*x^2*y^2 - 2*y^3 + 2*y, 3*x^2 - 2*x^3*y\n" % field,
+        encoding="utf-8",
+    )
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "algebra-info", "--ring", str(ring))
+    assert time.perf_counter() - started < seconds
+    assert (code, out) == (2, "")
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == digest
+
+
 def test_semigroup_report_small_window_exits_2(capsys):
     code, out, err = run_cli(capsys, "semigroup-report", "--gens", "3,4", "--max-power", "2")
     assert (code, out) == (2, "")

@@ -646,3 +646,167 @@ def test_q_results_match_a_fraction_only_reference(data):
         if inside:
             assert fraction_matmul([coords], u.rows, ncols)[0] == list(v)
             assert_exact(QQ, [coords])
+
+
+# -- the sparse elimination core against the dense one it replaced -----------
+
+
+def dense_row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
+    """(reduced row lists, pivot column list) by dense Gauss-Jordan elimination:
+    the body _row_reduce had before it became sparse, kept as its oracle.
+
+    The first len(pivots) rows are the nonzero rows of the reduced echelon
+    form; any remaining rows are zero in the first `pivot_limit` columns (they
+    can be nonzero beyond it, which is exactly what solve() needs for its
+    consistency test).  With echelon, only the rows below each pivot are
+    cleared, which leaves a row echelon form without back substitution.
+    """
+    if pivot_limit is None:
+        pivot_limit = ncols
+    one, canon, p = field.one, field.canonical, field.char
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(pivot_limit):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if prow[c] != one:
+            inv = field.inverse(prow[c])
+            prow[c:] = canon([x * inv if x else x for x in prow[c:]])
+        # Entries left of c are zero in the pivot row.
+        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        for i in range(r + 1 if echelon else 0, nrows):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            # Only the entries on the pivot row's support change, and each
+            # one updated is made canonical again.
+            if p:
+                for j, v in support:
+                    row[j] = (row[j] - f * v) % p
+            else:
+                for j, v in support:
+                    x = row[j] - f * v
+                    row[j] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def oracle_span(field, rows, ncols):
+    """The reduced row echelon basis of the span of rows, by the dense oracle."""
+    red, pivots = dense_row_reduce(field, rows, ncols)
+    return red[: len(pivots)]
+
+
+@st.composite
+def mostly_zero_rows(draw, field, nrows, ncols):
+    """Canonical rows, half their entries zero, some rows zero or repeated."""
+    if field.char:
+        nonzero = st.integers(1, field.char - 1)
+    else:
+        nonzero = q_scalars.filter(bool).map(lambda x: QQ.canonical([x])[0])
+    entry = st.one_of(st.just(0), nonzero)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["as drawn", "as drawn", "zero", "repeat"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "repeat" and i:
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_sparse_core_matches_the_dense_oracle(data):
+    field = data.draw(fields)
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    rows = data.draw(mostly_zero_rows(field, nrows, ncols))
+    limit = data.draw(st.one_of(st.none(), st.integers(0, ncols)))
+    echelon = data.draw(st.booleans())
+    # The core takes dense rows and {column: scalar} rows alike, and changes neither.
+    as_dicts = data.draw(st.booleans())
+    given_rows = [{j: x for j, x in enumerate(r) if x} for r in rows] if as_dicts else rows
+    before = [dict(r) if type(r) is dict else list(r) for r in given_rows]
+    red, pivots = _row_reduce(field, given_rows, ncols, pivot_limit=limit, echelon=echelon)
+    assert given_rows == before
+    oracle, oracle_pivots = dense_row_reduce(field, rows, ncols, pivot_limit=limit, echelon=echelon)
+
+    assert pivots == oracle_pivots
+    assert len(red) == len(oracle) == nrows
+    assert all(type(row) is list and len(row) == ncols for row in red)
+    assert_exact(field, red)
+    left, k = (ncols if limit is None else limit), len(pivots)
+    for row, c in zip(red, pivots):
+        assert row[c] == 1 and not any(row[:c])
+    # Then the rows zero left of the limit, nonzero ones before zero ones.
+    assert all(not any(row[:left]) for row in red[k:])
+    nonzero = [any(row) for row in red[k:]]
+    assert nonzero == sorted(nonzero, reverse=True)
+    assert oracle_span(field, red, ncols) == oracle_span(field, rows, ncols)
+    assert oracle_span(field, red[k:], ncols) == oracle_span(field, oracle[k:], ncols)
+    if echelon:
+        return
+    if left == ncols:
+        assert red == oracle
+    # Left of the limit the reduced rows are equal; beyond it they can differ
+    # only by the span of the rows that are zero left of it.
+    leftover = oracle_span(field, oracle[k:], ncols)
+    for row, expected in zip(red[:k], oracle[:k]):
+        assert row[:left] == expected[:left]
+        diff = field.canonical([a - b for a, b in zip(row, expected)])
+        assert oracle_span(field, leftover + [diff], ncols) == leftover
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+@pytest.mark.parametrize(
+    "rows, ncols, limit, pivots, leftover",
+    [
+        ([], 0, None, [], 0),
+        ([], 3, 2, [], 0),
+        ([[], []], 0, None, [], 0),
+        ([[0, 0, 0], [0, 0, 0]], 3, None, [], 0),
+        ([[1, 1, 0], [1, 1, 1], [0, 0, 0]], 3, 2, [0], 1),
+        ([[0, 1, 1], [0, 1, 0], [1, 0, 0]], 3, 3, [0, 1, 2], 0),
+    ],
+    ids=["empty", "no-rows", "no-columns", "zero", "inconsistent", "permuted"],
+)
+def test_sparse_core_keeps_every_row(field, rows, ncols, limit, pivots, leftover):
+    red, got = _row_reduce(field, [vec(field, r) for r in rows], ncols, pivot_limit=limit)
+    assert got == pivots and len(red) == len(rows)
+    zero_rows = len(rows) - len(pivots) - leftover
+    assert [any(row) for row in red[len(pivots) :]] == [True] * leftover + [False] * zero_rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_apply_matches_a_dense_product_and_leaves_equality_alone(data):
+    m = data.draw(field_and_matrix(max_dim=5))
+    field = m.field
+    twin = Matrix(field, m.rows, ncols=m.ncols)
+    first_hash = hash(twin)
+    for _ in range(3):
+        v = vec(field, data.draw(st.lists(st.integers(-4, 4), min_size=m.ncols, max_size=m.ncols)))
+        product = field.canonical([sum((a * x for a, x in zip(row, v)), field.zero) for row in m.rows])
+        assert m.apply(v) == tuple(product)
+        assert_exact(field, [m.apply(v)])
+    assert m == twin and twin == m
+    assert hash(m) == hash(twin) == first_hash == hash(Matrix(field, m.rows, ncols=m.ncols))
+    assert len({m, twin}) == 1
+
+
+@given(field_and_matrix(max_dim=5))
+@settings(max_examples=100, deadline=None)
+def test_kept_hashes_agree_with_fresh_ones(m):
+    space = Subspace.from_vectors(m.field, m.ncols, m.rows)
+    twin = Subspace.from_vectors(m.field, m.ncols, list(reversed(m.rows)))
+    assert hash(space) == hash(space) == hash(twin) and space == twin
+    assert hash(m) == hash(m.transpose().transpose())
