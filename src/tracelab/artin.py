@@ -54,8 +54,9 @@ def _memoised(owner):
     freed with the object it describes.  Keys hold arguments by value:
     module reps are interned (ArtinAlgebra.module), so identity is their
     equality, and a Submodule compares by its module and carrier, so an
-    ideal rebuilt elsewhere finds the same entry.  The owner is left out of
-    its own keys: an entry whose result does not point back at it makes no
+    ideal rebuilt elsewhere finds the same entry.  A Submodule's entries
+    live on its module, keyed by its carrier.  The owner is left out of its
+    own keys: an entry whose result does not point back at it makes no
     reference cycle, and is freed without waiting for the cyclic garbage
     collector.  Exceptions are not memoised.
     """
@@ -66,11 +67,13 @@ def _memoised(owner):
         @functools.wraps(fn)
         def memoised(*args, **kwargs):
             obj = args[at] if at < len(args) else kwargs[owner]
+            rest = args[:at] + args[at + 1 :]
+            if type(obj) is Submodule:
+                obj, rest = obj.module, (obj.carrier,) + rest
             try:
                 memo = obj._memo
             except AttributeError:
                 memo = obj._memo = {}
-            rest = args[:at] + args[at + 1 :]
             key = (fn, rest, tuple(kwargs.items())) if kwargs else (fn, rest)
             result = memo.get(key, _MISSING)
             if result is _MISSING:
@@ -365,6 +368,7 @@ class ArtinAlgebra:
             acc = [a + c * x for a, x in zip(acc, vec)]
         return tuple(self.field.canonical(acc))
 
+    @_memoised("self")
     def parse_element(self, text):
         return self.element_from_poly(parse_poly(text, self.variables, self.field.char))
 
@@ -563,7 +567,7 @@ class ModuleRep:
     the interning constructor ArtinAlgebra.module, so identity (there is no
     __eq__) is equality, and a rep is never changed once built.
     What is computed about a module (its free cover, its trace for an ideal,
-    Hom out of it, ...) is memoised in its own `_memo` and freed with it.
+    Hom out of it, its submodules' structure, ...) is memoised in its `_memo`.
     """
 
     __slots__ = ("algebra", "dim", "actions", "is_regular", "_memo", "__weakref__")
@@ -591,12 +595,12 @@ class ModuleRep:
     @_memoised("self")
     def _element_action(self, r):
         """Multiplication by r is the module map with values r g_i on the
-        cover generators g_i, and r g_i is block i of the cover matrix
-        (columns b_s g_i) applied to r."""
-        cover, d = self.free_cover(), self.algebra.dim
-        rows = cover.matrix.rows
-        blocks = tuple(row[i * d : (i + 1) * d] for i in range(len(cover.generators)) for row in rows)
-        return cover.maps(self, [Matrix._of(self.algebra.field, blocks, d).apply(r)])[0]
+        cover generators g_i, and r g_i is the cover matrix (columns b_s g_i)
+        applied to r placed in block i."""
+        cover, z = self.free_cover(), (self.algebra.field.zero,) * self.algebra.dim
+        v = len(cover.generators)
+        values = tuple(x for i in range(v) for x in cover.matrix.apply(z * i + r + z * (v - 1 - i)))
+        return cover.maps(self, [values])[0]
 
     @_memoised("self")
     def free_cover(self):
@@ -617,10 +621,12 @@ class Submodule:
     """An action-closed subspace of a ModuleRep.
 
     Equal when the module is the same (interned) rep and the carriers are
-    equal, so an ideal built twice is one key in every memo.
+    equal, so an ideal built twice is one key in every memo.  It has no memo
+    of its own: its restriction, quotient and generators are memoised on
+    its module, keyed by its carrier, so they are computed once per value.
     """
 
-    __slots__ = ("module", "carrier", "_memo", "_hash")
+    __slots__ = ("module", "carrier", "_hash")
 
     def __init__(self, module, carrier, check=True):
         if carrier.ambient_dim != module.dim:
@@ -654,23 +660,25 @@ class Submodule:
         The rep is interned, so submodules with equal actions share it and
         what is memoised on it (its Hom spaces, ...).
         """
-        field = self.module.algebra.field
         actions = []
         for a in self.module.actions:
-            cols = []
-            for col in self.carrier.rows:
-                coords = self.carrier.coords_of(a.apply(col))
-                if coords is None:
-                    raise NotSubmodule("carrier is not closed under the module action")
-                cols.append(coords)
-            actions.append(Matrix.from_cols(field, cols, nrows=self.dim))
+            cols = [self.carrier.coords_of(a.apply(row)) for row in self.carrier.rows]
+            if None in cols:
+                raise NotSubmodule("carrier is not closed under the module action")
+            actions.append(Matrix.from_cols(a.field, cols, nrows=self.dim))
         return self.module.algebra.module(self.dim, actions)
 
+    @_memoised("self")
     def quotient(self):
         """(rep, projection, section) presenting module/self."""
         proj, section = self.carrier.quotient_maps()
-        actions = [proj @ a @ section for a in self.module.actions]
-        return self.module.algebra.module(self.module.dim - self.dim, actions), proj, section
+        pivots = set(self.carrier.pivots)
+        keep = [q for q in range(self.module.dim) if q not in pivots]
+        actions = []
+        for a in self.module.actions:  # a @ section: the section lifts to the non-pivots
+            picked = tuple(tuple(row[q] for q in keep) for row in a.rows)
+            actions.append(proj @ Matrix._of(a.field, picked, len(keep)))
+        return self.module.algebra.module(len(keep), actions), proj, section
 
     def __repr__(self):
         return "Submodule(dim %d of %r)" % (self.dim, self.module)
@@ -755,7 +763,7 @@ def ideal_generators(ideal):
     module, so a map out of I is read on the same g_i.  Every action of I
     goes through them: r = sum_i s_i g_i gives r x = sum_i s_i (g_i x).
     """
-    return tuple(ideal.carrier.vector(g) for g in minimal_generators(ideal.as_module())[1])
+    return submodule_generators(ideal)
 
 
 @_memoised("module")
@@ -829,20 +837,20 @@ def socle(module):
     return Submodule(module, kernel(vstack(module.actions)), check=False)
 
 
-def minimal_generators(module):
-    """(count, lifts): v(M) = dim M/mM with lifted standard-vector basis.
+def submodule_generators(sub):
+    """Minimal generators of U, as vectors of M: the carrier rows whose pivot
+    is not one of mU, spanned by the variables' actions on the rows.  A
+    subspace of U leads only at pivots of U, so these are the rows, in
+    order, that minimal_generators(U.as_module()) would lift."""
+    module, rows = sub.module, sub.carrier.rows
+    mu = [a.apply(u) for a in module.actions for u in rows]
+    pivots = set(_row_reduce(module.algebra.field, mu, module.dim, echelon=True)[1])
+    return tuple(u for u, p in zip(rows, sub.carrier.pivots) if p not in pivots)
 
-    The variables generate m, so mM is the column span of their actions.
-    """
-    field = module.algebra.field
-    mm = Subspace.from_vectors(field, module.dim, [c for a in module.actions for c in a.cols()])
-    pivset = set(mm.pivots)
-    lifts = []
-    for q in range(module.dim):
-        if q not in pivset:
-            v = [field.zero] * module.dim
-            v[q] = field.one
-            lifts.append(tuple(v))
+
+def minimal_generators(module):
+    """(count, lifts): v(M) = dim M/mM and the standard vectors off the pivots of mM."""
+    lifts = list(submodule_generators(module.full_submodule()))
     return len(lifts), lifts
 
 
@@ -857,8 +865,8 @@ class FreeCover:
     section: S with P @ S = I, so column j of S writes the j-th basis vector
         of M as sum_i r_i g_i, with r_i in rows i*dim R .. (i+1)*dim R; S is
         P itself, with no elimination, when P = I (as for R and R^n);
-    syzygies: minimal generators of K = ker P as a submodule of R^v, each
-        split into its v ring-element coordinates (z_1, ..., z_v).
+    syzygies: minimal generators of K = ker P as a submodule of R^v, read
+        in R^v, each split into its v ring-element coordinates (z_1..z_v).
 
     The syzygies are built on first access, which checks that their R-span
     is all of ker P; a module that is only acted on never needs them.
@@ -885,7 +893,7 @@ class FreeCover:
         d, v = self.algebra.dim, len(self.generators)
         free = free_module(self.algebra, v)
         ker = Submodule(free, kernel(self.matrix), check=False)
-        flat = [ker.carrier.vector(z) for z in minimal_generators(ker.as_module())[1]]
+        flat = submodule_generators(ker)
         if span_submodule(free, flat).carrier != ker.carrier:
             raise InternalCheckError("the syzygies do not generate the kernel of the free cover")
         return tuple(tuple(z[i * d : (i + 1) * d] for i in range(v)) for z in flat)

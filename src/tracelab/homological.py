@@ -20,13 +20,14 @@ Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
 constrained by the syzygies, and Hom(M, N) is kept in those generator
 coordinates, a subspace of N^v: the trace is the span of the values, and
 Ext1 and the maps x |-> (r |-> r x) read their coordinates from the values
-g_i x.  M tensor N is N^v modulo the syzygies acting on N.  Dense
-dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
-their values on the generators, and only where the maps themselves are
-needed: the cotrace's joint kernel, commutativity of endomorphisms, and
-ModuleRep.element_action, multiplication by r being the map with values
-r g_i.  Only HomModule.dense_space, for the verifier's deliberately broken
-trace, works in a space of size dim M * dim N.
+g_i x.  Syzygies and Hom find their generators in R^v and N^v, and Hom's own
+rep is built only for Ext1.  M tensor N is N^v modulo the syzygies acting on
+N.  Dense dim N x dim M matrices of maps are built in one place,
+FreeCover.maps, from their values on the generators, and only where the maps
+themselves are needed: the cotrace's joint kernel, commutativity of
+endomorphisms, and ModuleRep.element_action, multiplication by r being the
+map with values r g_i.  Only HomModule.dense_space, for the verifier's
+deliberately broken trace, works in a space of size dim M * dim N.
 
 Matlis duality is plain transposition: for an Artinian local k-algebra with
 residue field k the k-linear dual of R is the injective hull of k, so
@@ -51,10 +52,10 @@ from .artin import (
     ideal_generators,
     ideal_times_module,
     ideal_times_submodule,
-    minimal_generators,
     power_module,
     socle,
     span_submodule,
+    submodule_generators,
     torsion_submodule,
 )
 from .artin import colon as colon_submodule
@@ -81,21 +82,19 @@ class HomModule:
     solution space, a canonical subspace of N^v with block i holding n_i, so
     Hom is solved for and held with v * dim N coordinates.  x_j acts on f
     through its values, (x_j f)(g_i) = x_j n_i, so `values` is a submodule
-    of N^v and rep is its as_module; the coordinates of a map are those of
-    its values in `values`.
+    of N^v; the coordinates of a map are those of its values in `values`.
 
-    The dense dim N x dim M matrices are built only on demand: maps() for a
-    joint kernel or a composition, dense_space() for the canonical basis of
-    the intertwiner space.
+    All else is built on demand: rep (for Ext1) on first access, generator
+    maps from generators read in N^v, and the dense dim N x dim M matrices
+    in maps() and dense_space() (the intertwiner space).
     """
 
-    __slots__ = ("source", "target", "values", "rep")
+    __slots__ = ("source", "target", "values", "_memo")
 
-    def __init__(self, source, target, values, rep):
+    def __init__(self, source, target, values):
         self.source = source
         self.target = target
         self.values = values
-        self.rep = rep
 
     @property
     def dim(self):
@@ -105,13 +104,23 @@ class HomModule:
         """The dim N x dim M matrix of the map with each given value tuple."""
         return self.source.free_cover().maps(self.target, tuples)
 
+    def _in_power(self):  # `values` as a submodule of N^v
+        v = len(self.source.free_cover().generators)
+        return Submodule(power_module(self.target, v), self.values, check=False)
+
+    @property
+    @_memoised("self")
+    def rep(self):
+        """Hom as an R-module, in the coordinates of `values`."""
+        return self._in_power().as_module()
+
     def generator_maps(self):
         """The maps of minimal generators of Hom as an R-module.
 
         A map f = sum_j r_j f_j kills m, or commutes with maps, when the f_j
         do, so these suffice for joint kernels and for commutativity.
         """
-        return self.maps([self.values.vector(c) for c in minimal_generators(self.rep)[1]])
+        return self.maps(submodule_generators(self._in_power()))
 
     def dense_space(self):
         """The maps of the basis, flattened row-major, as the canonical
@@ -141,9 +150,7 @@ def hom_module(source, target):
     rows = []
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
-    values = kernel(Matrix._of(field, tuple(rows), v * dN))
-    rep = Submodule(power_module(target, v), values, check=False).as_module()
-    return HomModule(source, target, values, rep)
+    return HomModule(source, target, kernel(Matrix._of(field, tuple(rows), v * dN)))
 
 
 # -- trace and cotrace -----------------------------------------------------------

@@ -32,6 +32,7 @@ from tracelab.artin import (
     regular_module,
     socle,
     span_submodule,
+    submodule_generators,
     torsion_submodule,
 )
 from tracelab.errors import (
@@ -368,6 +369,35 @@ def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, w
     r = tuple(field.from_int(c) for c in coeffs)
     assert module.element_action(r) == operator_of(module, r)
     assert module.element_action(list(r)) == operator_of(module, r)
+
+
+def restricted_generators(sub):
+    """The route submodule_generators replaces: the standard vectors off the
+    pivots of mU in U's own coordinates (U.as_module()), lifted into M."""
+    rep, field = sub.as_module(), sub.module.algebra.field
+    mu = Subspace.from_vectors(field, rep.dim, [c for a in rep.actions for c in a.cols()])
+    units = Matrix.identity(field, rep.dim).rows
+    return tuple(sub.carrier.vector(units[q]) for q in range(rep.dim) if q not in mu.pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field_name=st.sampled_from(["F2", "F3", "Q"]),
+    index=st.integers(0, 1),
+    which=st.integers(0, ACTION_CASES - 1),
+    data=st.data(),
+)
+def test_submodule_generators_match_the_restriction_route(field_name, index, which, data):
+    module = _action_case(field_name, index)[which]
+    field = module.algebra.field
+    vector = st.lists(st.integers(-2, 2), min_size=module.dim, max_size=module.dim)
+    vectors = [tuple(field.from_int(c) for c in v) for v in data.draw(st.lists(vector, max_size=3))]
+    for sub in (span_submodule(module, vectors), module.zero_submodule(), module.full_submodule()):
+        gens = submodule_generators(sub)
+        assert gens == restricted_generators(sub)
+        assert span_submodule(module, gens) == sub
+    assert submodule_generators(module.zero_submodule()) == ()
+    assert list(submodule_generators(module.full_submodule())) == minimal_generators(module)[1]
 
 
 def test_socle_is_the_max_ideal_torsion():

@@ -1,10 +1,12 @@
 """Memoisation: results live on the object they describe and die with it."""
 
 import ast
+import contextlib
 import gc
 import inspect
 import pathlib
 import re
+import sys
 import weakref
 
 import pytest
@@ -22,14 +24,34 @@ from tracelab.artin import (
     ideal_generators,
     module_from_presentation,
     regular_module,
+    span_submodule,
 )
 from tracelab.cli import main
-from tracelab.errors import EnumerationCapExceeded
-from tracelab.homological import cotrace, hom_module, matlis_dual, tensor_product, trace
+from tracelab.errors import EnumerationCapExceeded, ParseError
+from tracelab.homological import HomModule, cotrace, ext1, hom_module, matlis_dual, tensor_product, trace
 from tracelab.linalg import Matrix
 from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tracelab"
+
+
+@contextlib.contextmanager
+def body_runs(fn, read=lambda args: None):
+    """Yield a list that gets read(arguments) for each run of fn's own body,
+    past any memo in front of it, while the block runs.  Blocks nest."""
+    code, runs, outer = inspect.unwrap(fn).__code__, [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if outer is not None:
+            outer(frame, event, arg)
+        if event == "call" and frame.f_code is code:
+            runs.append(read(frame.f_locals))
+
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(outer)
 
 
 def algebra(field, variables, relations):
@@ -48,6 +70,7 @@ def test_repeated_calls_return_the_same_object():
     assert cotrace(ideal, dual) is cotrace(ideal, dual)
     assert hom_module(rep, dual) is hom_module(rep, dual)
     assert tensor_product(dual, rep) is tensor_product(dual, rep)
+    assert R.parse_element("x + y") is R.parse_element("x + y")
     # Different arguments are different entries on the same owner.
     assert trace(ideal, dual) is not trace(R.max_ideal(), dual)
 
@@ -77,11 +100,54 @@ def test_equal_modules_are_one_object(monkeypatch):
     ry = ideal_from_elements(R, ["y"]).as_module()
     assert rx is ry
     bodies = []
-    body = homological.power_module  # called once per hom_module body
-    monkeypatch.setattr(homological, "power_module", lambda *a: bodies.append(a) or body(*a))
+    body = homological.kernel  # called once per hom_module body
+    monkeypatch.setattr(homological, "kernel", lambda *a: bodies.append(a) or body(*a))
     reg = regular_module(R)
     assert hom_module(rx, reg) is hom_module(ry, reg)
     assert len(bodies) == 1
+
+
+def test_equal_submodules_restrict_and_quotient_once():
+    # Two routes to the ideal (x): two Submodule objects, one value, so one
+    # restriction and one quotient, memoised on R and keyed by the carrier.
+    R = algebra("F2", ["x", "y"], ["x^3", "y^2"])
+    reg = regular_module(R)
+    with body_runs(Submodule.as_module) as restricted, body_runs(Submodule.quotient) as quotients:
+        for sub in (ideal_from_elements(R, ["x"]), span_submodule(reg, [R.parse_element("x")])):
+            assert sub.as_module().dim == 4
+            assert sub.quotient()[0].dim == 2
+    assert len(restricted) == len(quotients) == 1
+
+
+def test_a_trace_builds_no_hom_rep_and_ext1_builds_one():
+    R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
+    ideal, dual = ideal_from_elements(R, ["x", "y"]), matlis_dual(regular_module(R)).rep
+    with body_runs(HomModule.rep.fget) as reps:
+        trace(ideal, dual)
+        assert reps == []
+        assert ext1(ideal, dual).dim == 0  # dual(R) is injective
+        assert ext1(ideal, dual) is ext1(ideal, dual)
+    assert len(reps) == 1
+
+
+def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys):
+    live, repeats = {}, []  # id of a living module -> carriers restricted in it
+
+    def read(args):
+        sub = args["self"]
+        key = id(sub.module)
+        if key not in live:
+            live[key] = set()
+            weakref.finalize(sub.module, live.pop, key)
+        if sub.carrier in live[key]:
+            repeats.append(repr(sub))
+        live[key].add(sub.carrier)
+
+    with body_runs(Submodule.as_module, read) as runs:
+        assert main(["verify", "--suite", "3", "--seed", "20260810"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(runs) > 100
+    assert repeats == []
 
 
 def test_one_zero_action_rep_from_four_routes():
@@ -153,6 +219,9 @@ def test_exceptions_are_not_memoised():
     for _ in range(2):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_cyclic_ideals(R, 1)
+        with pytest.raises(ParseError):
+            R.parse_element("x + z")
+    assert not any("x + z" in key[1] for key in R._memo)
     ideals = enumerate_cyclic_ideals(R)
     assert len(ideals) == 5  # 0, (x), (y), (x + y), R
     assert enumerate_cyclic_ideals(R) is ideals
