@@ -342,7 +342,7 @@ class ArtinAlgebra:
             v = [self.field.zero] * self.dim
             v[i] = self.field.one
             vecs.append(v)
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        return Subspace.from_vectors(self.field, self.dim, vecs, check=False)
 
     @_memoised("self")
     def regular_module(self):
@@ -458,15 +458,14 @@ def build_algebra(presentation):
     basis = sorted((e for j, e in enumerate(order) if j not in pivset), key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(basis)}
     dim = len(basis)
-    place = [(j, index[e]) for j, e in enumerate(order) if e in index]
     # A standard monomial is its basis vector; a pivot monomial is minus the
     # standard part of its reduced row, because that row is zero in R.
     normal = {e: [field.one if i == k else field.zero for i in range(dim)] for e, k in index.items()}
     for row, c in zip(red, pivots):
         vec = [field.zero] * dim
-        for j, i in place:
-            if row[j]:
-                vec[i] = -row[j]
+        for j, x in row.items():
+            if j != c:
+                vec[index[order[j]]] = -x
         normal[order[c]] = field.canonical(vec)
     actions = [
         Matrix.from_cols(field, [normal[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in basis], nrows=dim)
@@ -518,13 +517,15 @@ def _relation_multiples(field, relations, nvars, top, cut):
     <= top are taken (the Macaulay span).  Each row is sparse, a dict from
     column to coefficient, as _row_reduce takes it.
     """
-    order = sorted(_monomials_up_to(nvars, top), key=lambda e: (-sum(e), e))
+    order = sorted(monomials := _monomials_up_to(nvars, top), key=lambda e: (-sum(e), e))
     col_of = {e: i for i, e in enumerate(order)}
     rows = []
     for _, rel in relations:
         terms = [(e, field.from_int(c)) for e, c in rel.items()]
         degrees = [sum(e) for e in rel]
-        for shift in _monomials_up_to(nvars, top - (min(degrees) if cut else max(degrees))):
+        # The shifts of degree <= k lead the low-degree-first list.
+        k = top - (min(degrees) if cut else max(degrees))
+        for shift in monomials[: math.comb(k + nvars, nvars) if k >= 0 else 0]:
             row = {}
             for exp, coeff in terms:
                 j = col_of.get(tuple(x + y for x, y in zip(exp, shift)))
@@ -542,18 +543,19 @@ def _spans_degree(field, order, rows, degree):
     """Whether the rows span every monomial of the given degree.
 
     In a row echelon form the rows with a pivot of degree <= `degree` span
-    every combination of degree <= `degree`, so only they are fully reduced.
+    every combination of degree <= `degree`, so only they are fully reduced,
+    re-indexed from the first such column: no entry lies left of a pivot.
     """
     red, pivots = _row_reduce(field, rows, len(order), echelon=True)
     first = next(j for j, e in enumerate(order) if sum(e) <= degree)
-    low = [row[first:] for row, c in zip(red, pivots) if c >= first]
+    low = [{j - first: x for j, x in row.items()} for row, c in zip(red, pivots) if c >= first]
     return _has_degree(order[first:], *_row_reduce(field, low, len(order) - first), degree)
 
 
 def _has_degree(order, red, pivots, degree):
-    """Whether a reduced row echelon form spans every monomial of the degree:
-    each must be a pivot whose reduced row is that monomial alone."""
-    units = {c for row, c in zip(red, pivots) if sum(1 for x in row if x) == 1}
+    """Whether reduced dict rows span every monomial of the degree: each must
+    be a pivot whose row holds that monomial alone, its one entry."""
+    units = {c for row, c in zip(red, pivots) if len(row) == 1}
     return all(j in units for j, e in enumerate(order) if sum(e) == degree)
 
 
@@ -745,7 +747,8 @@ def span_submodule(module, vectors):
     orbits.
     """
     orbits = [w for v in vectors for w in module.orbit(v)]
-    return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, orbits), check=False)
+    span = Subspace.from_vectors(module.algebra.field, module.dim, orbits, check=False)
+    return Submodule(module, span, check=False)
 
 
 def _require_ideal(ideal, algebra):
@@ -771,7 +774,8 @@ def ideal_times_module(ideal, module):
     """IM = g_1 M + ... + g_v M over the ideal generators g_i."""
     _require_ideal(ideal, module.algebra)
     vecs = [c for g in ideal_generators(ideal) for c in module.element_action(g).cols()]
-    return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, vecs), check=False)
+    span = Subspace.from_vectors(module.algebra.field, module.dim, vecs, check=False)
+    return Submodule(module, span, check=False)
 
 
 def ideal_times_submodule(ideal, sub):
@@ -783,7 +787,8 @@ def ideal_times_submodule(ideal, sub):
     _require_ideal(ideal, module.algebra)
     actions = [module.element_action(g) for g in ideal_generators(ideal)]
     vecs = [a.apply(row) for a in actions for row in sub.carrier.rows]
-    return Submodule(module, Subspace.from_vectors(module.algebra.field, module.dim, vecs), check=False)
+    span = Subspace.from_vectors(module.algebra.field, module.dim, vecs, check=False)
+    return Submodule(module, span, check=False)
 
 
 @_memoised("module")
@@ -984,8 +989,9 @@ def _cyclic_submodules(module):
             if v in skip:
                 skip.remove(v)  # each candidate is met once
                 continue
-            rad = Subspace.from_vectors(field, n, module.orbit(v)[1:])
-            found.append(Submodule(module, Subspace.from_vectors(field, n, rad.rows + (v,)), check=False))
+            rad = Subspace.from_vectors(field, n, module.orbit(v)[1:], check=False)
+            span = Subspace.from_vectors(field, n, rad.rows + (v,), check=False)
+            found.append(Submodule(module, span, check=False))
             if not any(tail) and set(range(k + 1, n)) <= set(rad.pivots):
                 break
             coset = [v]  # v + mJ, grown one basis vector of mJ at a time

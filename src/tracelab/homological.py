@@ -128,7 +128,7 @@ class HomModule:
         maps = self.maps(self.values.rows)
         vecs = [tuple(x for row in f.rows for x in row) for f in maps]
         field = self.target.algebra.field
-        return Subspace.from_vectors(field, self.target.dim * self.source.dim, vecs)
+        return Subspace.from_vectors(field, self.target.dim * self.source.dim, vecs, check=False)
 
     def __repr__(self):
         return "HomModule(dim %d: %r -> %r)" % (self.dim, self.source, self.target)
@@ -170,7 +170,7 @@ def trace(ideal, module):
     hom = hom_module(ideal_rep, module)
     d = module.dim
     vecs = [n[i : i + d] for n in hom.values.rows for i in range(0, len(n), d)]
-    result = Submodule(module, Subspace.from_vectors(field, d, vecs), check=False)
+    result = Submodule(module, Subspace.from_vectors(field, d, vecs, check=False), check=False)
     lower = ideal_times_module(ideal, module)
     upper = torsion_submodule(module, annihilator(ideal_rep))
     if not result.carrier.contains(lower.carrier) or not upper.carrier.contains(result.carrier):
@@ -353,7 +353,7 @@ def tensor_product(left, right):
     vecs = []
     for blocks in _syzygy_actions(cover, right):
         vecs.extend(vstack(blocks).cols())
-    relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs), check=False)
+    relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False)
     rep, proj, section = relations.quotient()
     return TensorProduct(rep, proj, section, relations)
 
@@ -410,7 +410,7 @@ def ext1(ideal, module):
     hom = hom_module(ideal_rep, module)
     identity = Matrix.identity(field, module.dim).rows
     restriction = _multiplication_coords(hom, ideal, module, identity)
-    image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction), check=False)
+    image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction, check=False), check=False)
     rep, _, _ = image.quotient()
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, annihilator(ideal_rep))
@@ -487,7 +487,7 @@ def trace_via_colon(member, ideal):
     result = ideal_times_submodule(ideal, inside)
     definitional = trace(ideal, member.as_module())
     lifted = [member.carrier.vector(row) for row in definitional.carrier.rows]
-    if Subspace.from_vectors(ambient.algebra.field, ambient.dim, lifted) != result.carrier:
+    if Subspace.from_vectors(ambient.algebra.field, ambient.dim, lifted, check=False) != result.carrier:
         raise InternalCheckError("colon route disagrees with the definitional trace")
     return result
 

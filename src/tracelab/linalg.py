@@ -16,11 +16,11 @@ apply() and keeps them, so a product with a vector touches only nonzeros.
 There is one elimination core, _row_reduce, and it is sparse: rows become
 dicts of their nonzero entries, each is reduced against the pivot rows found
 so far, keyed by leading column, and back substitution follows (Macaulay
-matrices, whose rows are one relation times one monomial, go in as dicts).
-A Subspace holds the rows of its reduced row echelon basis, exactly as the
-elimination returns them; that form is unique per subspace, so structural
-equality of Subspace values decides equality of subspaces, and the column
-basis matrix is only built on demand.
+rows, one relation times one monomial, go in as dicts).  Reduced rows come
+out as such dicts, made dense only where they are stored: a Subspace holds
+its reduced row echelon basis, a form unique per subspace, so structural
+equality of Subspace values decides equality of subspaces.  Internal spans
+pass from_vectors(check=False), skipping a scalar check they cannot fail.
 """
 
 from __future__ import annotations
@@ -336,15 +336,15 @@ def _transposed(rows, ncols):
 
 
 def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
-    """(reduced row lists, pivot column list) by sparse Gauss-Jordan elimination.
+    """(reduced dict rows, pivot column list) by sparse Gauss-Jordan elimination.
 
     Rows go in dense or as dicts {column: nonzero canonical scalar}.  Each is
     reduced at its leading column by the pivot rows found so far, keyed by
     leading column, until it leads at a new pivot (scaled to 1), at or beyond
     `pivot_limit`, or nowhere.  Unless echelon, back substitution then clears
-    each pivot row at the later pivots.  Rows come out dense, as many as went
-    in: the pivot rows in column order, then rows zero left of `pivot_limit`
-    (nonzero beyond it is what solve() tests for consistency), then zero rows.
+    each pivot row at the later pivots.  Rows come out as such dicts, as many
+    as went in: the pivot rows in column order, then the rows zero left of
+    `pivot_limit` (solve()'s inconsistent ones), then {} for each zero row.
     """
     if pivot_limit is None:
         pivot_limit = ncols
@@ -373,12 +373,7 @@ def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
             row = pivot_rows[c]
             for k in [k for k in row if k != c and k in pivot_rows]:
                 _subtract(row, row[k], pivot_rows[k], p)
-    out = []
-    for row in [pivot_rows[c] for c in pivots] + rest + [{}] * zero_rows:
-        out.append(dense := [field.zero] * ncols)
-        for j, x in row.items():
-            dense[j] = x
-    return out, pivots
+    return [pivot_rows[c] for c in pivots] + rest + [{}] * zero_rows, pivots
 
 
 def _subtract(row, f, prow, p):
@@ -394,10 +389,18 @@ def _subtract(row, f, prow, p):
             del row[j]
 
 
+def _dense(row, ncols, zero):
+    """A {column: scalar} row as a length-ncols tuple."""
+    out = [zero] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
 def reduce(m):
     """Unique reduced row echelon form of a matrix; rank = pivot count."""
     red, _ = _row_reduce(m.field, m.rows, m.ncols)
-    return Matrix._of(m.field, tuple(map(tuple, red)), m.ncols)
+    return Matrix._of(m.field, tuple(_dense(row, m.ncols, m.field.zero) for row in red), m.ncols)
 
 
 def rank(m):
@@ -419,12 +422,11 @@ def solve(m, rhs):
     if not aug:
         return Matrix.zeros(field, m.ncols, rhs.ncols)
     red, pivots = _row_reduce(field, aug, m.ncols + rhs.ncols, pivot_limit=m.ncols)
-    for i in range(len(pivots), len(red)):
-        if any(red[i][m.ncols:]):
-            return None
+    if any(red[len(pivots) :]):
+        return None
     out = [(field.zero,) * rhs.ncols] * m.ncols
-    for i, c in enumerate(pivots):
-        out[c] = tuple(red[i][m.ncols :])
+    for row, c in zip(red, pivots):
+        out[c] = tuple(row.get(j, field.zero) for j in range(m.ncols, m.ncols + rhs.ncols))
     return Matrix._of(field, tuple(out), rhs.ncols)
 
 
@@ -448,18 +450,21 @@ class Subspace:
         self.pivots = tuple(pivots)
 
     @classmethod
-    def from_vectors(cls, field, ambient_dim, vectors):
-        """Canonical subspace spanned by the given length-n vectors."""
-        vectors = _scalar_rows(field, vectors)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length %d != ambient %d" % (len(v), ambient_dim))
+    def from_vectors(cls, field, ambient_dim, vectors, check=True):
+        """Canonical subspace spanned by the given length-n vectors; check=False
+        trusts them to be length-n rows of canonical scalars already."""
+        if check:
+            vectors = _scalar_rows(field, vectors)
+            for v in vectors:
+                if len(v) != ambient_dim:
+                    raise DimensionMismatch("vector length %d != ambient %d" % (len(v), ambient_dim))
         red, pivots = _row_reduce(field, vectors, ambient_dim)
-        return cls(field, ambient_dim, tuple(map(tuple, red[: len(pivots)])), pivots)
+        rows = tuple(_dense(row, ambient_dim, field.zero) for row in red[: len(pivots)])
+        return cls(field, ambient_dim, rows, pivots)
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls.from_vectors(field, ambient_dim, [])
+        return cls.from_vectors(field, ambient_dim, [], check=False)
 
     @classmethod
     def full(cls, field, ambient_dim):
@@ -475,7 +480,7 @@ class Subspace:
 
     def image(self, m):
         """The canonical subspace m(self) of k^(m.nrows)."""
-        return Subspace.from_vectors(self.field, m.nrows, [m.apply(row) for row in self.rows])
+        return Subspace.from_vectors(self.field, m.nrows, [m.apply(row) for row in self.rows], check=False)
 
     def vector(self, coords):
         """The vector with the given coordinates in the canonical basis."""
@@ -511,7 +516,7 @@ class Subspace:
 
     def sum(self, other):
         self._check_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim, self.rows + other.rows)
+        return Subspace.from_vectors(self.field, self.ambient_dim, self.rows + other.rows, check=False)
 
     def intersect(self, other):
         """Intersection via the kernel of [A | B], A and B the two bases."""
@@ -520,7 +525,7 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient_dim)
         stacked = Matrix._of(self.field, tuple(zip(*self.rows, *other.rows)), self.dim + other.dim)
         vecs = [self.vector(col[: self.dim]) for col in kernel(stacked).rows]
-        return Subspace.from_vectors(self.field, self.ambient_dim, vecs)
+        return Subspace.from_vectors(self.field, self.ambient_dim, vecs, check=False)
 
     def quotient_maps(self):
         """(proj, section) matrices realizing k^n -> k^n / self.
@@ -600,8 +605,7 @@ def kernel(m):
         v = [z] * n
         v[f] = o
         for row, p in zip(red, pivots):
-            x = row[last - f]
-            if x:
+            if x := row.get(last - f):
                 v[last - p] = -x
         vecs.append(tuple(field.canonical(v)))
     return Subspace(field, n, tuple(vecs), free)

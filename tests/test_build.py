@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from tracelab.artin import PolynomialPresentation, build_algebra, parse_poly
+from tracelab.artin import PolynomialPresentation, _monomials_up_to, _relation_multiples, build_algebra, parse_poly
 from tracelab.errors import DimensionCapExceeded, NotArtinian
 from tracelab.linalg import GF, QQ
 
@@ -108,3 +108,38 @@ def test_local_step_stops_at_the_last_degree_within_the_ceiling(variables, top):
     # last degree t whose monomial count comb(t + n, n) is within 1,000.
     with pytest.raises(NotArtinian, match="at t = %d, " % top):
         build_algebra(PolynomialPresentation(GF(2), list(variables), [], dim_cap=1000))
+
+
+def relation_multiples_per_relation(field, relations, nvars, top, cut):
+    """The Macaulay (columns, rows) as first built, enumerating the shifts of
+    each relation anew: the oracle of _relation_multiples."""
+    order = sorted(_monomials_up_to(nvars, top), key=lambda e: (-sum(e), e))
+    col_of = {e: i for i, e in enumerate(order)}
+    rows = []
+    for _, rel in relations:
+        terms = [(e, field.from_int(c)) for e, c in rel.items()]
+        degrees = [sum(e) for e in rel]
+        for shift in _monomials_up_to(nvars, top - (min(degrees) if cut else max(degrees))):
+            row = {}
+            for exp, coeff in terms:
+                j = col_of.get(tuple(x + y for x, y in zip(exp, shift)))
+                if j is not None:
+                    row[j] = coeff
+            rows.append(row)
+    rows.sort(key=len)
+    return order, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_macaulay_rows_match_the_per_relation_enumeration(data):
+    field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    nvars = data.draw(st.integers(1, 3))
+    # Terms of degree 1..12, so some relations outgrow top and get no shift.
+    exponent = st.tuples(*[st.integers(0, 4)] * nvars).filter(any)
+    coeff = st.integers(1, field.char - 1) if field.char else st.integers(-3, 3).filter(bool)
+    polys = st.dictionaries(exponent, coeff, min_size=1, max_size=3)
+    relations = [(str(rel), rel) for rel in data.draw(st.lists(polys, min_size=1, max_size=3))]
+    top, cut = data.draw(st.integers(0, 8)), data.draw(st.booleans())
+    got = _relation_multiples(field, relations, nvars, top, cut)
+    assert got == relation_multiples_per_relation(field, relations, nvars, top, cut)

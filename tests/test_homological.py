@@ -51,7 +51,8 @@ from tracelab.homological import (
     trace,
     trace_via_colon,
 )
-from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, rank
+from tracelab.cli import main as cli_main
+from tracelab.linalg import GF, QQ, Matrix, Subspace, _scalar_rows, kernel, rank
 from tracelab.verifier import _built, default_catalog, module_pool
 
 
@@ -763,6 +764,39 @@ def test_functors_never_row_reduce_the_dense_hom_space(monkeypatch, field):
     homothety_map(ideal, reg)
     assert widths
     assert max(widths) < min(rep.dim * reg.dim, rep.dim * image_rep.dim)
+
+
+def test_trusted_spans_are_handed_canonical_rows(monkeypatch, capsys):
+    # from_vectors(check=False) skips _scalar_rows, so every internal caller
+    # must pass length-n rows that the check would return unchanged (an
+    # integral Fraction over Q or a residue out of range over F_p is raw).
+    from_vectors = Subspace.from_vectors.__func__
+    trusted, raw = [], []
+
+    def checking(cls, field, ambient_dim, vectors, check=True):
+        if not check:
+            vectors = list(vectors)
+            trusted.append(len(vectors))
+            try:
+                canonical = _scalar_rows(field, vectors)
+            except TypeError:
+                canonical = None
+            if canonical is None or any(
+                len(v) != ambient_dim or [(type(x), x) for x in v] != [(type(x), x) for x in w]
+                for v, w in zip(vectors, canonical)
+            ):
+                raw.append(vectors)
+        return from_vectors(cls, field, ambient_dim, vectors, check)
+
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(checking))
+    assert cli_main(["verify", "--suite", "all", "--seed", "20260810"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    for field in (QQ, GF(2)):
+        R = algebra(field, ["x", "y"], ["x^5", "y^5"])
+        ideal = ideal_from_elements(R, ["x", "y^2"])
+        trace(ideal, regular_module(R))
+        ext1(ideal, regular_module(R))
+    assert trusted and not raw, raw[:1]
 
 
 def test_tensor_dim_equals_kronecker_quotient():

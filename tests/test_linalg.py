@@ -462,11 +462,29 @@ def test_constructors_reject_inexact_scalars():
 # -- kernel from one elimination ----------------------------------------------
 
 
+def dense_rows(rows, ncols):
+    """_row_reduce's {column: scalar} rows as the dense lists the oracles read."""
+    out = []
+    for row in rows:
+        out.append(dense := [0] * ncols)
+        for j, x in row.items():
+            dense[j] = x
+    return out
+
+
+def assert_sparse_rows(field, rows, ncols):
+    """Dict rows keyed inside range(ncols), with canonical nonzero values."""
+    for row in rows:
+        assert type(row) is dict and all(j in range(ncols) for j in row), row
+        assert all(x and is_canonical_scalar(field, x) for x in row.values()), row
+
+
 def two_elimination_kernel(m):
     """The kernel as it was computed before: the free-column vectors of the
     reduced form of m, put through a second elimination."""
     field = m.field
     red, pivots = _row_reduce(field, m.rows, m.ncols)
+    red = dense_rows(red, m.ncols)
     pivset = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivset]
     z, o = field.zero, field.one
@@ -742,7 +760,8 @@ def test_sparse_core_matches_the_dense_oracle(data):
 
     assert pivots == oracle_pivots
     assert len(red) == len(oracle) == nrows
-    assert all(type(row) is list and len(row) == ncols for row in red)
+    assert_sparse_rows(field, red, ncols)
+    red = dense_rows(red, ncols)
     assert_exact(field, red)
     left, k = (ncols if limit is None else limit), len(pivots)
     for row, c in zip(red, pivots):
@@ -782,6 +801,8 @@ def test_sparse_core_matches_the_dense_oracle(data):
 def test_sparse_core_keeps_every_row(field, rows, ncols, limit, pivots, leftover):
     red, got = _row_reduce(field, [vec(field, r) for r in rows], ncols, pivot_limit=limit)
     assert got == pivots and len(red) == len(rows)
+    assert_sparse_rows(field, red, ncols)
+    red = dense_rows(red, ncols)
     zero_rows = len(rows) - len(pivots) - leftover
     assert [any(row) for row in red[len(pivots) :]] == [True] * leftover + [False] * zero_rows
 
