@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     ResidueFieldError,
 )
-from .linalg import FIELDS, Matrix, Subspace, _row_reduce, kernel, solve, vstack
+from .linalg import FIELDS, Matrix, Subspace, _row_reduce, _scalar_rows, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
 MONOMIAL_CEILING = 1000  # columns of any one elimination in build_algebra
@@ -744,8 +744,9 @@ def span_submodule(module, vectors):
     """Rv_1 + ... + Rv_k, the smallest submodule containing the vectors.
 
     Rv is the k-span of module.orbit(v), so this is one elimination of the
-    orbits.
+    orbits.  Only the given vectors are checked: Matrix.apply makes the rest canonical.
     """
+    vectors = _scalar_rows(module.algebra.field, vectors, module.dim)
     orbits = [w for v in vectors for w in module.orbit(v)]
     span = Subspace.from_vectors(module.algebra.field, module.dim, orbits, check=False)
     return Submodule(module, span, check=False)

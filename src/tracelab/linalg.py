@@ -320,13 +320,16 @@ def vstack(matrices):
     return Matrix._of(matrices[0].field, rows, ncols)
 
 
-def _scalar_rows(field, rows):
-    """User rows as tuples of canonical scalars: ints or, over Q, Fractions."""
+def _scalar_rows(field, rows, length=None):
+    """User rows as tuples of canonical scalars (ints or, over Q, Fractions), each `length` long if given."""
     rows = [list(r) for r in rows]
     allowed = (int,) if field.char else (int, Fraction)
     for x in itertools.chain.from_iterable(rows):
         if type(x) not in allowed:
             raise TypeError("%r is not a scalar of %s" % (x, field))
+    for r in rows:
+        if length is not None and len(r) != length:
+            raise DimensionMismatch("vector length %d != ambient %d" % (len(r), length))
     return tuple(tuple(field.canonical(r)) for r in rows)
 
 
@@ -453,11 +456,7 @@ class Subspace:
     def from_vectors(cls, field, ambient_dim, vectors, check=True):
         """Canonical subspace spanned by the given length-n vectors; check=False
         trusts them to be length-n rows of canonical scalars already."""
-        if check:
-            vectors = _scalar_rows(field, vectors)
-            for v in vectors:
-                if len(v) != ambient_dim:
-                    raise DimensionMismatch("vector length %d != ambient %d" % (len(v), ambient_dim))
+        vectors = _scalar_rows(field, vectors, ambient_dim) if check else vectors
         red, pivots = _row_reduce(field, vectors, ambient_dim)
         rows = tuple(_dense(row, ambient_dim, field.zero) for row in red[: len(pivots)])
         return cls(field, ambient_dim, rows, pivots)

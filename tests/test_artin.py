@@ -36,6 +36,7 @@ from tracelab.artin import (
     torsion_submodule,
 )
 from tracelab.errors import (
+    DimensionMismatch,
     FieldNotFinite,
     NotArtinian,
     NotSubmodule,
@@ -196,6 +197,24 @@ def test_span_submodule(fat_point):
     assert span_submodule(R, [fat_point.unit]).dim == 3
     x = fat_point.parse_element("x")
     assert span_submodule(R, [x]).dim == 1  # x*m = 0
+
+
+def test_span_submodule_checks_the_given_vectors():
+    # The orbit rows after the first come out of Matrix.apply canonical; the
+    # first is the caller's own vector and is checked like from_vectors input.
+    F2 = algebra(GF(2), ["x"], ["x^2"])
+    M = free_module(F2, 2)
+    assert span_submodule(M, [(1, 0, 3, 0)]) == span_submodule(M, [(1, 0, 1, 0)])
+    assert span_submodule(M, [(1, 0, 3, 0)]).carrier.rows == ((1, 0, 1, 0), (0, 1, 0, 1))
+    Q = algebra(QQ, ["x"], ["x^2"])
+    with pytest.raises(TypeError):
+        span_submodule(regular_module(Q), [(1.0, 0)])
+    with pytest.raises(TypeError):
+        span_submodule(regular_module(Q), [(True, 0)])
+    point = algebra(QQ, ["x"], ["x"])  # dim 1: the orbit applies no action
+    assert point.dim == 1
+    with pytest.raises(DimensionMismatch):
+        span_submodule(regular_module(point), [(1, 0)])
 
 
 def test_submodule_rejects_a_carrier_that_is_not_closed():
