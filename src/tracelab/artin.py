@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 import weakref
 
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
     ResidueFieldError,
 )
-from .linalg import FIELDS, Matrix, Subspace, _row_reduce, _scalar_rows, kernel, solve, vstack
+from .linalg import FIELDS, Matrix, Subspace, _row_reduce, _scalar_rows, _sparse, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
 MONOMIAL_CEILING = 1000  # columns of any one elimination in build_algebra
@@ -258,7 +259,7 @@ class PolynomialPresentation:
 def _monomials_up_to(nvars, degree):
     """All exponent tuples of total degree <= degree, low degree first."""
     return [
-        tuple(c.count(v) for v in range(nvars))
+        tuple(map(c.count, range(nvars)))
         for d in range(degree + 1)
         for c in itertools.combinations_with_replacement(range(nvars), d)
     ]
@@ -335,23 +336,15 @@ class ArtinAlgebra:
             rep = self._modules[key] = ModuleRep(self, dim, actions, is_regular)
         return rep
 
-    # The maximal ideal is the span of the non-unit basis monomials.
-    def max_ideal_subspace(self):
-        vecs = []
-        for i in range(1, self.dim):
-            v = [self.field.zero] * self.dim
-            v[i] = self.field.one
-            vecs.append(v)
-        return Subspace.from_vectors(self.field, self.dim, vecs, check=False)
-
     @_memoised("self")
     def regular_module(self):
         return self.module(self.dim, self.actions, is_regular=True)
 
     @_memoised("self")
     def max_ideal(self):
-        """The maximal ideal as a Submodule of the regular module."""
-        return Submodule(self.regular_module(), self.max_ideal_subspace())
+        """The maximal ideal of R, spanned by the non-unit basis monomials."""
+        rows = Matrix.identity(self.field, self.dim).rows[1:]
+        return Submodule(self.regular_module(), Subspace(self.field, self.dim, rows, range(1, self.dim)))
 
     def element_from_poly(self, poly):
         """Coordinates of a polynomial's residue class."""
@@ -510,14 +503,14 @@ def build_algebra(presentation):
 def _relation_multiples(field, relations, nvars, top, cut):
     """(columns, rows): the relation multiples in the monomials of degree <= top.
 
-    Columns run high degree first, so the pivot of a reduced row is its
-    leading monomial for a degree order.  With cut, every multiple is
-    truncated at degree top (its image modulo m^(top+1)), and multiples the
-    cut would zero are never built; without, only the multiples of degree
-    <= top are taken (the Macaulay span).  Each row is sparse, a dict from
-    column to coefficient, as _row_reduce takes it.
+    Columns run high degree first (the monomial list reversed), so the pivot
+    of a reduced row is its leading monomial for a degree order.  With cut,
+    every multiple is truncated at degree top (its image modulo m^(top+1)),
+    and multiples the cut would zero are never built; without, only the
+    multiples of degree <= top are taken (the Macaulay span).  Each row is
+    sparse, a dict from column to coefficient, as _row_reduce takes it.
     """
-    order = sorted(monomials := _monomials_up_to(nvars, top), key=lambda e: (-sum(e), e))
+    order = (monomials := _monomials_up_to(nvars, top))[::-1]
     col_of = {e: i for i, e in enumerate(order)}
     rows = []
     for _, rel in relations:
@@ -528,7 +521,7 @@ def _relation_multiples(field, relations, nvars, top, cut):
         for shift in monomials[: math.comb(k + nvars, nvars) if k >= 0 else 0]:
             row = {}
             for exp, coeff in terms:
-                j = col_of.get(tuple(x + y for x, y in zip(exp, shift)))
+                j = col_of.get(tuple(map(operator.add, exp, shift)))
                 if j is not None:
                     row[j] = coeff
             rows.append(row)
@@ -588,6 +581,13 @@ class ModuleRep:
         out = [tuple(vec)]
         for var, base in self.algebra.monomial_steps:
             out.append(self.actions[var].apply(out[base]))
+        return out
+
+    def _sparse_orbit(self, vec):
+        """orbit() from a {column: scalar} vector, each image such a dict too."""
+        out = [vec]
+        for var, base in self.algebra.monomial_steps:
+            out.append(self.actions[var]._sparse_apply(out[base]))
         return out
 
     def element_action(self, r_vec):
@@ -744,10 +744,10 @@ def span_submodule(module, vectors):
     """Rv_1 + ... + Rv_k, the smallest submodule containing the vectors.
 
     Rv is the k-span of module.orbit(v), so this is one elimination of the
-    orbits.  Only the given vectors are checked: Matrix.apply makes the rest canonical.
+    orbits, walked as dicts.  Only the given vectors need the scalar check.
     """
     vectors = _scalar_rows(module.algebra.field, vectors, module.dim)
-    orbits = [w for v in vectors for w in module.orbit(v)]
+    orbits = [w for v in vectors for w in module._sparse_orbit(_sparse(v))]
     span = Subspace.from_vectors(module.algebra.field, module.dim, orbits, check=False)
     return Submodule(module, span, check=False)
 
@@ -773,10 +773,7 @@ def ideal_generators(ideal):
 @_memoised("module")
 def ideal_times_module(ideal, module):
     """IM = g_1 M + ... + g_v M over the ideal generators g_i."""
-    _require_ideal(ideal, module.algebra)
-    vecs = [c for g in ideal_generators(ideal) for c in module.element_action(g).cols()]
-    span = Subspace.from_vectors(module.algebra.field, module.dim, vecs, check=False)
-    return Submodule(module, span, check=False)
+    return ideal_times_submodule(ideal, module.full_submodule())
 
 
 def ideal_times_submodule(ideal, sub):
@@ -786,8 +783,7 @@ def ideal_times_submodule(ideal, sub):
     """
     module = sub.module
     _require_ideal(ideal, module.algebra)
-    actions = [module.element_action(g) for g in ideal_generators(ideal)]
-    vecs = [a.apply(row) for a in actions for row in sub.carrier.rows]
+    vecs = sub.carrier._images([module.element_action(g) for g in ideal_generators(ideal)])
     span = Subspace.from_vectors(module.algebra.field, module.dim, vecs, check=False)
     return Submodule(module, span, check=False)
 
@@ -845,13 +841,12 @@ def socle(module):
 
 def submodule_generators(sub):
     """Minimal generators of U, as vectors of M: the carrier rows whose pivot
-    is not one of mU, spanned by the variables' actions on the rows.  A
-    subspace of U leads only at pivots of U, so these are the rows, in
-    order, that minimal_generators(U.as_module()) would lift."""
-    module, rows = sub.module, sub.carrier.rows
-    mu = [a.apply(u) for a in module.actions for u in rows]
+    is not one of mU, the span of the actions on the rows (on their columns
+    if U = M).  A subspace of U leads only at pivots of U, so these are the
+    rows, in order, that minimal_generators(U.as_module()) would lift."""
+    module, mu = sub.module, sub.carrier._images(sub.module.actions)
     pivots = set(_row_reduce(module.algebra.field, mu, module.dim, echelon=True)[1])
-    return tuple(u for u, p in zip(rows, sub.carrier.pivots) if p not in pivots)
+    return tuple(u for u, p in zip(sub.carrier.rows, sub.carrier.pivots) if p not in pivots)
 
 
 def minimal_generators(module):
@@ -990,7 +985,7 @@ def _cyclic_submodules(module):
             if v in skip:
                 skip.remove(v)  # each candidate is met once
                 continue
-            rad = Subspace.from_vectors(field, n, module.orbit(v)[1:], check=False)
+            rad = Subspace.from_vectors(field, n, module._sparse_orbit(_sparse(v))[1:], check=False)
             span = Subspace.from_vectors(field, n, rad.rows + (v,), check=False)
             found.append(Submodule(module, span, check=False))
             if not any(tail) and set(range(k + 1, n)) <= set(rad.pivots):

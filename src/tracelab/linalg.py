@@ -11,16 +11,17 @@ scalar computed here, so structural equality is value equality.
 Everything is row-major.  Matrices are dense, immutable tuples of row
 tuples; the public constructors canonicalise their input and reject any
 scalar but an int or, over Q, a Fraction, and results take the trusted path
-Matrix._of.  A matrix builds the nonzero entries of each column on its first
-apply() and keeps them, so a product with a vector touches only nonzeros.
-There is one elimination core, _row_reduce, and it is sparse: rows become
-dicts of their nonzero entries, each is reduced against the pivot rows found
-so far, keyed by leading column, and back substitution follows (Macaulay
-rows, one relation times one monomial, go in as dicts).  Reduced rows come
-out as such dicts, made dense only where they are stored: a Subspace holds
-its reduced row echelon basis, a form unique per subspace, so structural
-equality of Subspace values decides equality of subspaces.  Internal spans
-pass from_vectors(check=False), skipping a scalar check they cannot fail.
+Matrix._of.  A matrix keeps the nonzero entries of each column once built:
+apply() walks them for a dense vector, and _sparse_apply() takes a
+{column: scalar} dict to one, canonicalising only the entries it touched.
+There is one elimination core, _row_reduce, and it is sparse: rows are dicts
+of their nonzero entries, each reduced against the pivot rows found so far,
+keyed by leading column, then back substitution.  Vectors that only feed an
+elimination (orbits, images, Macaulay rows) are built as such dicts, and
+reduced rows come out as dicts, made dense only where they are stored: a
+Subspace holds its reduced row echelon basis, a form unique per subspace, so
+structural equality of Subspace values decides equality of subspaces.
+Internal spans pass from_vectors(check=False), skipping the scalar check.
 """
 
 from __future__ import annotations
@@ -250,14 +251,27 @@ class Matrix:
         """Matrix-vector product; vec is a length-ncols sequence."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length %d != %d columns" % (len(vec), self.ncols))
-        if not hasattr(self, "_support"):
-            self._support = [tuple([(i, a) for i, a in enumerate(c) if a]) for c in self.cols()]
         acc = [self.field.zero] * self.nrows
-        for col, x in zip(self._support, vec):
+        for col, x in zip(self._columns(), vec):
             if x:
                 for i, a in col:
                     acc[i] += a * x
         return tuple(self.field.canonical(acc))
+
+    def _sparse_apply(self, vec):
+        """apply() from a {column: scalar} vector to one: only the entries it
+        touched are canonicalised, and those that cancel are dropped."""
+        columns, acc = self._columns(), {}
+        for j, x in vec.items():
+            for i, a in columns[j]:
+                acc[i] = acc.get(i, 0) + a * x
+        return {i: y for i, y in zip(acc, self.field.canonical(acc.values())) if y}
+
+    def _columns(self):
+        """Each column's nonzero entries as (row, entry) pairs, built on first use."""
+        if not hasattr(self, "_support"):
+            self._support = [tuple([(i, a) for i, a in enumerate(c) if a]) for c in self.cols()]
+        return self._support
 
     def is_zero(self):
         return not any(any(r) for r in self.rows)
@@ -354,7 +368,7 @@ def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
     canon, p = field.canonical, field.char
     pivot_rows, rest, zero_rows = {}, [], 0
     for row in rows:
-        row = dict(row) if type(row) is dict else {j: x for j, x in enumerate(row) if x}
+        row = dict(row) if type(row) is dict else _sparse(row)
         while row:
             c = min(row)
             prow = pivot_rows.get(c)
@@ -392,6 +406,11 @@ def _subtract(row, f, prow, p):
             del row[j]
 
 
+def _sparse(row):
+    """A dense row as a {column: nonzero scalar} dict."""
+    return dict(itertools.compress(enumerate(row), row))
+
+
 def _dense(row, ncols, zero):
     """A {column: scalar} row as a length-ncols tuple."""
     out = [zero] * ncols
@@ -422,8 +441,6 @@ def solve(m, rhs):
         raise DimensionMismatch("rhs has %d rows, matrix has %d" % (rhs.nrows, m.nrows))
     field = m.field
     aug = [r + s for r, s in zip(m.rows, rhs.rows)]
-    if not aug:
-        return Matrix.zeros(field, m.ncols, rhs.ncols)
     red, pivots = _row_reduce(field, aug, m.ncols + rhs.ncols, pivot_limit=m.ncols)
     if any(red[len(pivots) :]):
         return None
@@ -479,7 +496,17 @@ class Subspace:
 
     def image(self, m):
         """The canonical subspace m(self) of k^(m.nrows)."""
-        return Subspace.from_vectors(self.field, m.nrows, [m.apply(row) for row in self.rows], check=False)
+        if m.ncols != self.ambient_dim:
+            raise DimensionMismatch("vector length %d != %d columns" % (self.ambient_dim, m.ncols))
+        return Subspace.from_vectors(self.field, m.nrows, self._images([m]), check=False)
+
+    def _images(self, matrices):
+        """a(u) for each matrix a and basis row u, as {column: scalar} dicts:
+        for the whole space the rows are the identity, so the columns of a."""
+        if self.dim == self.ambient_dim:
+            return [dict(col) for a in matrices for col in a._columns()]
+        rows = [_sparse(row) for row in self.rows]
+        return [a._sparse_apply(row) for a in matrices for row in rows]
 
     def vector(self, coords):
         """The vector with the given coordinates in the canonical basis."""

@@ -143,3 +143,13 @@ def test_macaulay_rows_match_the_per_relation_enumeration(data):
     top, cut = data.draw(st.integers(0, 8)), data.draw(st.booleans())
     got = _relation_multiples(field, relations, nvars, top, cut)
     assert got == relation_multiples_per_relation(field, relations, nvars, top, cut)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_reversed_monomials_run_high_degree_first(nvars):
+    # _relation_multiples takes its columns as the low-degree-first list
+    # reversed, in place of sorting by (-degree, exponent).
+    for top in range(13):
+        monomials = _monomials_up_to(nvars, top)
+        assert monomials[::-1] == sorted(monomials, key=lambda e: (-sum(e), e))
+        assert _relation_multiples(GF(2), [], nvars, top, False)[0] == monomials[::-1]

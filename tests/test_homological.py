@@ -8,6 +8,7 @@ functors that read Hom in generator coordinates against the dense maps.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -766,10 +767,28 @@ def test_functors_never_row_reduce_the_dense_hom_space(monkeypatch, field):
     assert max(widths) < min(rep.dim * reg.dim, rep.dim * image_rep.dim)
 
 
+def is_raw_row(field, n, row):
+    """Whether a row handed to from_vectors(check=False) is not one the
+    scalar check would pass unchanged.  A dense row must be n long; a
+    {column: scalar} row needs int keys in range(n) and nonzero values.
+    Either way the values must keep their (type, value) under _scalar_rows
+    (an integral Fraction over Q or a residue out of range over F_p is raw)."""
+    if type(row) is dict:
+        values = list(row.values())
+        if not all(type(j) is int and j in range(n) for j in row) or not all(values):
+            return True
+    elif len(values := list(row)) != n:
+        return True
+    try:
+        (canonical,) = _scalar_rows(field, [values])
+    except TypeError:
+        return True
+    return [(type(x), x) for x in values] != [(type(x), x) for x in canonical]
+
+
 def test_trusted_spans_are_handed_canonical_rows(monkeypatch, capsys):
     # from_vectors(check=False) skips _scalar_rows, so every internal caller
-    # must pass length-n rows that the check would return unchanged (an
-    # integral Fraction over Q or a residue out of range over F_p is raw).
+    # must pass dense rows or {column: scalar} rows that it would not change.
     from_vectors = Subspace.from_vectors.__func__
     trusted, raw = [], []
 
@@ -777,26 +796,43 @@ def test_trusted_spans_are_handed_canonical_rows(monkeypatch, capsys):
         if not check:
             vectors = list(vectors)
             trusted.append(len(vectors))
-            try:
-                canonical = _scalar_rows(field, vectors)
-            except TypeError:
-                canonical = None
-            if canonical is None or any(
-                len(v) != ambient_dim or [(type(x), x) for x in v] != [(type(x), x) for x in w]
-                for v, w in zip(vectors, canonical)
-            ):
+            if any(is_raw_row(field, ambient_dim, v) for v in vectors):
                 raw.append(vectors)
         return from_vectors(cls, field, ambient_dim, vectors, check)
 
     monkeypatch.setattr(Subspace, "from_vectors", classmethod(checking))
     assert cli_main(["verify", "--suite", "all", "--seed", "20260810"]) == 0
     assert '"passed": true' in capsys.readouterr().out
-    for field in (QQ, GF(2)):
-        R = algebra(field, ["x", "y"], ["x^5", "y^5"])
-        ideal = ideal_from_elements(R, ["x", "y^2"])
+    # y^3 = x^2/2 in the last ring, so y (2y^2) is an integral Fraction until canonicalised.
+    for field, relations, gens in [
+        (QQ, ["x^5", "y^5"], ["x", "y^2"]),
+        (GF(2), ["x^5", "y^5"], ["x", "y^2"]),
+        (QQ, ["x^2 - 2*y^3", "x^3"], ["x", "2*y^2"]),
+    ]:
+        R = algebra(field, ["x", "y"], relations)
+        ideal = ideal_from_elements(R, gens)
         trace(ideal, regular_module(R))
         ext1(ideal, regular_module(R))
     assert trusted and not raw, raw[:1]
+
+
+@pytest.mark.parametrize(
+    "field, row",
+    [
+        (GF(2), (1, 0)),
+        (GF(2), {0: 1, 3: 1}),
+        (GF(2), {0: 0}),
+        (GF(2), {True: 1}),
+        (GF(2), {0: 3}),
+        (GF(2), (1, 0, 3)),
+        (QQ, {1: Fraction(2, 1)}),
+        (QQ, {1: 0.5}),
+    ],
+    ids=["short", "key-out-of-range", "zero-value", "bool-key", "residue", "dense-residue", "integral-fraction", "float"],
+)
+def test_raw_trusted_rows_are_flagged(field, row):
+    assert is_raw_row(field, 3, row)
+    assert not is_raw_row(field, 3, (1, 0, 1)) and not is_raw_row(field, 3, {0: 1, 2: 1})
 
 
 def test_tensor_dim_equals_kronecker_quotient():

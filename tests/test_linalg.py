@@ -1,5 +1,6 @@
 """Exact linear algebra: frozen examples plus property tests."""
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from tracelab.linalg import (
     Matrix,
     Subspace,
     _row_reduce,
+    _sparse,
     hstack,
     kernel,
     rank,
@@ -20,6 +22,7 @@ from tracelab.linalg import (
     solve,
     vstack,
 )
+from tracelab.artin import PolynomialPresentation, build_algebra, ideal_from_elements, module_from_presentation, regular_module
 from test_homological import kron
 
 
@@ -434,6 +437,14 @@ def test_image_is_the_span_of_the_mapped_basis(data):
     assert Subspace.full(field, n).image(m).dim == rank(m)
 
 
+def test_image_refuses_a_map_of_another_width():
+    # The whole space maps by reading columns, so its width is checked up front.
+    m = mat(GF(3), [[1, 0, 2]])
+    for space in (Subspace.full(GF(3), 2), Subspace.from_vectors(GF(3), 2, [vec(GF(3), [1, 1])])):
+        with pytest.raises(DimensionMismatch):
+            space.image(m)
+
+
 # -- constructors canonicalise and validate -----------------------------------
 
 
@@ -822,6 +833,49 @@ def test_apply_matches_a_dense_product_and_leaves_equality_alone(data):
     assert m == twin and twin == m
     assert hash(m) == hash(twin) == first_hash == hash(Matrix(field, m.rows, ncols=m.ncols))
     assert len({m, twin}) == 1
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_apply_matches_apply(data):
+    # Over Q the entries include Fractions, so sums can cancel or turn integral.
+    field = data.draw(fields)
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    m = Matrix(field, data.draw(mostly_zero_rows(field, nrows, ncols)), ncols=ncols)
+    (v,) = data.draw(mostly_zero_rows(field, 1, ncols))
+    given_vec = _sparse(v)
+    got = m._sparse_apply(given_vec)
+    assert given_vec == _sparse(v)
+    assert_sparse_rows(field, [got], nrows)
+    assert dense_rows([got], nrows) == [list(m.apply(v))]
+
+
+@functools.cache
+def orbit_modules():
+    """Regular, cokernel and ideal modules over Q (y^3 = x^2/2 puts a Fraction
+    in an action), F2, F3 and F5."""
+    modules = []
+    for field, relations in [
+        ("Q", ["x^2 - 2*y^3", "x^3"]),
+        ("F2", ["x^3", "y^2"]),
+        ("F3", ["x^2", "x*y", "y^3"]),
+        ("F5", ["x^2 - y^2", "x*y"]),
+    ]:
+        R = build_algebra(PolynomialPresentation(field, ["x", "y"], relations))
+        cokernel = module_from_presentation(R, [["x", "0"], ["y", "x"]])
+        modules += [regular_module(R), cokernel, ideal_from_elements(R, ["y"]).as_module()]
+    return modules
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_orbit_matches_orbit(data):
+    module = data.draw(st.sampled_from(orbit_modules()))
+    field = module.algebra.field
+    (v,) = data.draw(mostly_zero_rows(field, 1, module.dim))
+    got = module._sparse_orbit(_sparse(v))
+    assert_sparse_rows(field, got, module.dim)
+    assert [tuple(row) for row in dense_rows(got, module.dim)] == module.orbit(v)
 
 
 @given(field_and_matrix(max_dim=5))

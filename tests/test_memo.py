@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from tracelab import homological
+from tracelab import artin, homological, linalg
 from tracelab.artin import (
     ArtinAlgebra,
     ModuleRep,
@@ -22,14 +22,17 @@ from tracelab.artin import (
     enumerate_submodules,
     ideal_from_elements,
     ideal_generators,
+    ideal_times_submodule,
+    minimal_generators,
     module_from_presentation,
     regular_module,
     span_submodule,
+    submodule_generators,
 )
 from tracelab.cli import main
 from tracelab.errors import EnumerationCapExceeded, ParseError
 from tracelab.homological import HomModule, cotrace, ext1, hom_module, matlis_dual, tensor_product, trace
-from tracelab.linalg import Matrix
+from tracelab.linalg import Matrix, Subspace
 from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tracelab"
@@ -212,6 +215,46 @@ def test_verify_section1_computes_few_hom_spaces(monkeypatch, capsys):
     assert main(["verify", "--suite", "1", "--seed", "20260810"]) == 0
     assert '"passed": true' in capsys.readouterr().out
     assert len(bodies) <= 848, len(bodies)
+
+
+def test_module_generators_read_the_action_columns():
+    # For U = M the carrier rows are the identity, so mM is read off the
+    # actions' column supports: no action is applied to a vector.
+    R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
+    for module in (regular_module(R), module_from_presentation(R, [["x", "0"], ["y", "x"]])):
+        with body_runs(Matrix.apply) as applies:
+            count, lifts = minimal_generators(module)
+        assert applies == [] and count == len(lifts) > 0
+
+
+def test_internal_spans_reach_the_core_as_dict_rows(monkeypatch):
+    # A guard against dense orbits and images coming back: these four hand
+    # the elimination core {column: scalar} rows, never dense tuples.
+    callers = {
+        inspect.unwrap(f).__code__: f.__name__
+        for f in (span_submodule, submodule_generators, ideal_times_submodule, Subspace.image)
+    }
+    from_vectors, core, seen = Subspace.from_vectors.__func__.__code__, linalg._row_reduce, {}
+
+    def spy(field, rows, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is from_vectors:
+            caller = caller.f_back
+        if caller.f_code in callers:
+            rows = list(rows)
+            seen.setdefault(callers[caller.f_code], set()).update(type(row) for row in rows)
+        return core(field, rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_row_reduce", spy)
+    monkeypatch.setattr(artin, "_row_reduce", spy)
+    for field in ("Q", "F2"):
+        R = algebra(field, ["x", "y"], ["x^5", "y^5"])
+        ideal, reg = ideal_from_elements(R, ["x", "y^2"]), regular_module(R)
+        trace(ideal, reg)
+        ext1(ideal, reg)
+        ideal_times_submodule(ideal, ideal)
+        ideal.carrier.image(reg.element_action(R.parse_element("x")))
+    assert seen == dict.fromkeys(callers.values(), {dict}), seen
 
 
 def test_exceptions_are_not_memoised():
