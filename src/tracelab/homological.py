@@ -147,7 +147,9 @@ def hom_module(source, target):
     field = source.algebra.field
     cover = source.free_cover()
     v, dN = len(cover.generators), target.dim
-    rows = [row for blocks in _syzygy_actions(cover, target) for row in hstack(blocks).rows]
+    rows = []
+    for blocks in _syzygy_actions(cover, target):
+        rows.extend(hstack(blocks).rows)
     return HomModule(source, target, kernel(Matrix._of(field, tuple(rows), v * dN)))
 
 
@@ -348,7 +350,9 @@ def tensor_product(left, right):
     field = left.algebra.field
     cover = left.free_cover()
     ambient = power_module(right, len(cover.generators))
-    vecs = [col for blocks in _syzygy_actions(cover, right) for col in vstack(blocks).cols()]
+    vecs = []
+    for blocks in _syzygy_actions(cover, right):
+        vecs.extend(vstack(blocks).cols())
     relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False)
     rep, proj, section = relations.quotient()
     return TensorProduct(rep, proj, section, relations)

@@ -259,8 +259,8 @@ class Matrix:
         return tuple(self.field.canonical(acc))
 
     def _sparse_apply(self, vec):
-        """apply() from a {column: scalar} vector to one: only the entries it
-        touched are canonicalised, and those that cancel are dropped."""
+        """apply() from a {column: scalar} vector to one, canonicalising only the touched
+        entries and dropping cancelled ones (apply()'s dense list wins on narrow rows)."""
         columns, acc = self._columns(), {}
         for j, x in vec.items():
             for i, a in columns[j]:
