@@ -9,18 +9,18 @@ Q it computes with exact rationals, over F_p with residues.
 from tracelab.linalg import GF, QQ, Matrix, Subspace, kernel, rank, reduce, solve
 
 # Exact reduced row echelon form: no pivots are ever "almost zero".
-m = Matrix.from_int_rows(QQ, [[1, 2], [2, 4]])
+m = Matrix(QQ, [[1, 2], [2, 4]])
 print("matrix:        ", m)
 print("echelon form:  ", reduce(m))
 print("rank:          ", rank(m))
 
 # Solving returns an exact witness or None, never a least-squares guess.
-lhs = Matrix.from_int_rows(QQ, [[2, 1], [1, 1], [3, 2]])
-rhs = Matrix.from_int_rows(QQ, [[3], [2], [5]])
+lhs = Matrix(QQ, [[2, 1], [1, 1], [3, 2]])
+rhs = Matrix(QQ, [[3], [2], [5]])
 x = solve(lhs, rhs)
 print("solution:      ", x)
 print("reconstructs:  ", lhs @ x == rhs)
-print("inconsistent:  ", solve(Matrix.from_int_rows(QQ, [[0]]), Matrix.from_int_rows(QQ, [[1]])))
+print("inconsistent:  ", solve(Matrix(QQ, [[0]]), Matrix(QQ, [[1]])))
 
 # Subspaces are stored as the rows of their reduced row echelon form, a unique
 # normal form, so structural equality decides subspace equality.
@@ -37,6 +37,6 @@ print("dim a + dim c =", a.dim + c.dim, "= dim(a+c) + dim(a&c) =", s.dim + i.dim
 
 # Over a finite field a subspace is a finite set you can walk through.
 f2 = GF(2)
-plane = kernel(Matrix.from_int_rows(f2, [[1, 1, 0]]))
+plane = kernel(Matrix(f2, [[1, 1, 0]]))
 points = list(plane.vectors())
 print("points of a plane over F_2:", len(points), "=", 2 ** plane.dim)

@@ -8,7 +8,8 @@ not local, are rejected in bounded time and told apart.
 
 Modules are always held as commuting action matrices; ideals are submodules
 of the regular module, and act through their minimal generators
-(ideal_generators), one action per generator, never one per k-basis vector.
+(submodule_generators), one action per generator, never one per k-basis
+vector.
 Generated submodules rest on one fact: Rv is the k-span of module.orbit(v).
 span_submodule eliminates the orbits once, the cyclic submodules are orbit
 spans found with a Nakayama skip, and every submodule is a sum of cyclic
@@ -59,7 +60,12 @@ def _memoised(owner):
     live on its module, keyed by its carrier.  The owner is left out of its
     own keys: an entry whose result does not point back at it makes no
     reference cycle, and is freed without waiting for the cyclic garbage
-    collector.  Exceptions are not memoised.
+    collector.  These entries do point back, and wait for it: the algebra's
+    regular_module and max_ideal (R points at its algebra), a module's own
+    submodules (socle, torsion_submodule, ideal_times_module, trace,
+    cotrace, the enumerations, and annihilator when the module is R), and
+    hom_module and matlis_dual, whose HomModule.source and
+    DualModule.primal are their owner.  Exceptions are not memoised.
     """
 
     def decorate(fn):
@@ -324,27 +330,24 @@ class ArtinAlgebra:
         self.monomial_steps = tuple(steps)
         self._modules = weakref.WeakValueDictionary()
 
-    def module(self, dim, actions, is_regular=False):
+    def module(self, dim, actions):
         """The one ModuleRep with these actions: every rep is interned here,
-        in a weak-valued table keyed by (is_regular, dim, actions), and leaves
-        it with the last reference to it.  is_regular marks R itself, which
-        alone may carry ideals and has the identity as its free cover."""
+        in a weak-valued table keyed by (dim, actions), and leaves it with the
+        last reference to it.  R is the rep with the algebra's own actions
+        (regular_module), however it was reached: Hom(R, R), R^1, the double
+        dual of R and R's full submodule are that one object."""
         actions = tuple(actions)
-        key = (is_regular, dim, actions)
+        key = (dim, actions)
         rep = self._modules.get(key)
         if rep is None:
-            rep = self._modules[key] = ModuleRep(self, dim, actions, is_regular)
+            rep = self._modules[key] = ModuleRep(self, dim, actions)
         return rep
-
-    @_memoised("self")
-    def regular_module(self):
-        return self.module(self.dim, self.actions, is_regular=True)
 
     @_memoised("self")
     def max_ideal(self):
         """The maximal ideal of R, spanned by the non-unit basis monomials."""
         rows = Matrix.identity(self.field, self.dim).rows[1:]
-        return Submodule(self.regular_module(), Subspace(self.field, self.dim, rows, range(1, self.dim)))
+        return Submodule(regular_module(self), Subspace(self.field, self.dim, rows, range(1, self.dim)))
 
     def element_from_poly(self, poly):
         """Coordinates of a polynomial's residue class."""
@@ -558,20 +561,19 @@ def _has_degree(order, red, pivots, degree):
 class ModuleRep:
     """A finitely generated R-module as commuting action matrices.
 
-    One object per (algebra, is_regular, actions): reps are built only by
-    the interning constructor ArtinAlgebra.module, so identity (there is no
+    One object per (algebra, dim, actions): reps are built only by the
+    interning constructor ArtinAlgebra.module, so identity (there is no
     __eq__) is equality, and a rep is never changed once built.
     What is computed about a module (its free cover, its trace for an ideal,
     Hom out of it, its submodules' structure, ...) is memoised in its `_memo`.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "is_regular", "_memo", "__weakref__")
+    __slots__ = ("algebra", "dim", "actions", "_memo", "__weakref__")
 
-    def __init__(self, algebra, dim, actions, is_regular):
+    def __init__(self, algebra, dim, actions):
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
-        self.is_regular = is_regular
 
     def orbit(self, vec):
         """[b_s * vec for every algebra basis monomial b_s], in basis order.
@@ -686,14 +688,15 @@ class Submodule:
         return "Submodule(dim %d of %r)" % (self.dim, self.module)
 
 
+@_memoised("algebra")
 def regular_module(algebra):
-    """R as a module over itself."""
-    return algebra.regular_module()
+    """R as a module over itself: the rep with the algebra's own actions."""
+    return algebra.module(algebra.dim, algebra.actions)
 
 
 def free_module(algebra, n):
     """R^n with block-diagonal action."""
-    return power_module(algebra.regular_module(), n)
+    return power_module(regular_module(algebra), n)
 
 
 def power_module(module, n):
@@ -753,21 +756,10 @@ def span_submodule(module, vectors):
 
 
 def _require_ideal(ideal, algebra):
-    if not isinstance(ideal, Submodule) or not ideal.module.is_regular:
+    if not isinstance(ideal, Submodule) or ideal.module is not regular_module(ideal.module.algebra):
         raise NotSubmodule("expected an ideal, i.e. a submodule of the regular module")
     if ideal.module.algebra is not algebra:
         raise AlgebraMismatch("ideal belongs to a different algebra")
-
-
-@_memoised("ideal")
-def ideal_generators(ideal):
-    """The ideal's minimal generators g_1..g_v as ring elements.
-
-    They are the inclusions into R of the cover generators of the ideal as a
-    module, so a map out of I is read on the same g_i.  Every action of I
-    goes through them: r = sum_i s_i g_i gives r x = sum_i s_i (g_i x).
-    """
-    return submodule_generators(ideal)
 
 
 @_memoised("module")
@@ -783,7 +775,7 @@ def ideal_times_submodule(ideal, sub):
     """
     module = sub.module
     _require_ideal(ideal, module.algebra)
-    vecs = sub.carrier._images([module.element_action(g) for g in ideal_generators(ideal)])
+    vecs = sub.carrier._images([module.element_action(g) for g in submodule_generators(ideal)])
     span = Subspace.from_vectors(module.algebra.field, module.dim, vecs, check=False)
     return Submodule(module, span, check=False)
 
@@ -792,7 +784,7 @@ def ideal_times_submodule(ideal, sub):
 def torsion_submodule(module, ideal):
     """M[I] = {x in M : I x = 0}, the joint kernel of the ideal generators."""
     _require_ideal(ideal, module.algebra)
-    gens = ideal_generators(ideal)
+    gens = submodule_generators(ideal)
     if not gens:
         return module.full_submodule()
     stacked = vstack([module.element_action(g) for g in gens])
@@ -807,7 +799,7 @@ def colon(sub, ideal):
     """
     module = sub.module
     _require_ideal(ideal, module.algebra)
-    gens = ideal_generators(ideal)
+    gens = submodule_generators(ideal)
     if not gens:
         return module.full_submodule()
     proj, _ = sub.carrier.quotient_maps()
@@ -827,7 +819,7 @@ def annihilator(module):
     for g in minimal_generators(module)[1]:
         rows.extend(zip(*module.orbit(g)))
     ker = kernel(Matrix._of(algebra.field, tuple(rows), algebra.dim))
-    return Submodule(algebra.regular_module(), ker, check=False)
+    return Submodule(regular_module(algebra), ker, check=False)
 
 
 @_memoised("module")
@@ -839,11 +831,17 @@ def socle(module):
     return Submodule(module, kernel(vstack(module.actions)), check=False)
 
 
+@_memoised("sub")
 def submodule_generators(sub):
     """Minimal generators of U, as vectors of M: the carrier rows whose pivot
     is not one of mU, the span of the actions on the rows (on their columns
     if U = M).  A subspace of U leads only at pivots of U, so these are the
-    rows, in order, that minimal_generators(U.as_module()) would lift."""
+    rows, in order, that minimal_generators(U.as_module()) would lift.
+
+    For an ideal they are ring elements g_1..g_v, the inclusions into R of
+    the cover generators of the ideal as a module, so a map out of I is read
+    on the same g_i.  Every action of I goes through them: r = sum_i s_i g_i
+    gives r x = sum_i s_i (g_i x)."""
     module, mu = sub.module, sub.carrier._images(sub.module.actions)
     pivots = set(_row_reduce(module.algebra.field, mu, module.dim, echelon=True)[1])
     return tuple(u for u, p in zip(sub.carrier.rows, sub.carrier.pivots) if p not in pivots)
@@ -861,8 +859,9 @@ class FreeCover:
     generators: the lifts g_1..g_v from minimal_generators(M);
     matrix: P, dim M x v*dim R, the map R^v -> M in free_module(R, v)
         coordinates: column i*dim R + s is b_s * g_i for the s-th basis
-        monomial b_s; for R itself, the generator is 1 and P = I with no
-        orbit walk, as b_s * 1 is the s-th basis vector;
+        monomial b_s; for R (regular_module, the one rep with the algebra's
+        own actions), the generator is 1 and P = I with no orbit walk, as
+        b_s * 1 is the s-th basis vector;
     section: S with P @ S = I, so column j of S writes the j-th basis vector
         of M as sum_i r_i g_i, with r_i in rows i*dim R .. (i+1)*dim R; S is
         P itself, with no elimination, when P = I (as for R and R^n);
@@ -878,7 +877,7 @@ class FreeCover:
     def __init__(self, module):
         self.algebra = algebra = module.algebra
         identity = Matrix.identity(algebra.field, module.dim)
-        if module.is_regular:
+        if module is regular_module(algebra):
             self.generators, self.matrix = (algebra.unit,), identity
         else:
             self.generators = tuple(minimal_generators(module)[1])
@@ -961,7 +960,7 @@ def enumerate_cyclic_ideals(algebra, cap=ENUMERATION_CAP):
     count = field.order ** algebra.dim
     if count > cap:
         raise EnumerationCapExceeded("would enumerate %d ring elements (cap %d)" % (count, cap))
-    return _cyclic_submodules(algebra.regular_module())
+    return _cyclic_submodules(regular_module(algebra))
 
 
 @_memoised("module")
@@ -1028,4 +1027,4 @@ def enumerate_submodules(module, cap=4096):
 def ideal_from_elements(algebra, elements):
     """The ideal generated by ring elements (coordinate vectors or strings)."""
     vecs = [algebra.parse_element(e) if isinstance(e, str) else tuple(e) for e in elements]
-    return span_submodule(algebra.regular_module(), vecs)
+    return span_submodule(regular_module(algebra), vecs)

@@ -49,10 +49,10 @@ from .artin import (
     enumerate_cyclic_ideals,
     free_module,
     ideal_from_elements,
-    ideal_generators,
     ideal_times_module,
     ideal_times_submodule,
     power_module,
+    regular_module,
     socle,
     span_submodule,
     submodule_generators,
@@ -219,8 +219,7 @@ class DualModule:
 def matlis_dual(module):
     """Matlis dual of M, realized as the coordinate dual with transposed
     actions.  Dualizing twice restores the original action matrices, so it
-    gives M's own interned rep back, except for R: a dual is never marked
-    regular."""
+    gives M's own interned rep back, R included."""
     actions = [a.transpose() for a in module.actions]
     return DualModule(module.algebra.module(module.dim, actions), module)
 
@@ -263,7 +262,7 @@ def _multiplication_coords(hom, ideal, module, vectors, target=None):
     when given.  A tuple outside hom.values breaks a syzygy, so it is no
     homomorphism.
     """
-    ops = [module.element_action(g) for g in ideal_generators(ideal)]
+    ops = [module.element_action(g) for g in submodule_generators(ideal)]
     rows = []
     for x in vectors:
         images = [op.apply(x) for op in ops]
@@ -441,7 +440,7 @@ def tor1(module, ideal):
 
 def is_cyclic_ideal(ideal):
     """Whether the ideal is generated by one element (v(I) <= 1)."""
-    return len(ideal_generators(ideal)) <= 1
+    return len(submodule_generators(ideal)) <= 1
 
 
 # -- injective embeddings and the colon route ----------------------------------------
@@ -512,7 +511,7 @@ def is_good_ideal(ideal):
 
 def is_quasi_frobenius(algebra):
     """Whether R is Quasi-Frobenius, i.e. has a simple socle."""
-    return socle(algebra.regular_module()).dim == 1
+    return socle(regular_module(algebra)).dim == 1
 
 
 def has_commutative_endomorphisms(ideal):
@@ -558,7 +557,7 @@ def random_element(algebra, rng):
 def sampled_ideals(algebra, seed):
     """Deterministic ideal sample: 0, m, R, and seeded random cyclics."""
     rng = random.Random(seed)
-    reg = algebra.regular_module()
+    reg = regular_module(algebra)
     ideals = [
         ideal_from_elements(algebra, []),
         algebra.max_ideal(),

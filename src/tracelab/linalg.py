@@ -194,11 +194,6 @@ class Matrix:
             raise DimensionMismatch("ragged columns")
         return cls._of(field, _transposed(cols, nrows), len(cols))
 
-    @classmethod
-    def from_int_rows(cls, field, rows, ncols=None):
-        conv = field.from_int
-        return cls(field, [[conv(x) for x in r] for r in rows], ncols=ncols)
-
     def cols(self):
         return list(_transposed(self.rows, self.ncols))
 
@@ -272,9 +267,6 @@ class Matrix:
         if not hasattr(self, "_support"):
             self._support = [tuple([(i, a) for i, a in enumerate(c) if a]) for c in self.cols()]
         return self._support
-
-    def is_zero(self):
-        return not any(any(r) for r in self.rows)
 
     def _check_same_shape(self, other):
         _check_fields((self, other))
@@ -532,13 +524,10 @@ class Subspace:
         coords = tuple(vec[p] for p in self.pivots)
         return coords if self.vector(coords) == vec else None
 
-    def contains_vector(self, vec):
-        return self.coords_of(vec) is not None
-
     def contains(self, other):
         """Whether other is a subspace of self (same ambient space)."""
         self._check_ambient(other)
-        return all(self.contains_vector(c) for c in other.rows)
+        return all(self.coords_of(c) is not None for c in other.rows)
 
     def sum(self, other):
         self._check_ambient(other)

@@ -18,6 +18,7 @@ canonical subspaces, enough to reconstruct the instance exactly.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -266,24 +267,14 @@ def _rng(spec_seed, *tags):
     return random.Random("tracelab:%s:%s" % (spec_seed, ":".join(str(t) for t in tags)))
 
 
-def _monomial_strings(variables, max_degree=2):
-    out = []
-    for d in range(1, max_degree + 1):
-        def build(prefix, remaining, start):
-            if remaining == 0:
-                out.append("*".join(prefix))
-                return
-            for i in range(start, len(variables)):
-                build(prefix + [variables[i]], remaining - 1, i)
-        build([], d, 0)
-    return out
+def _monomial_strings(variables):
+    """The monomials of degree 1 and 2, each as "x" or "x*y"."""
+    return ["*".join(c) for d in (1, 2) for c in itertools.combinations_with_replacement(variables, d)]
 
 
-def random_poly_string(algebra, rng, allow_constant=False):
+def random_poly_string(algebra, rng):
     """A reproducible random polynomial string with small coefficients."""
     monos = _monomial_strings(algebra.variables)
-    if allow_constant:
-        monos = ["1"] + monos
     field = algebra.field
     terms = []
     for _ in range(rng.randint(1, 2)):
@@ -312,7 +303,7 @@ def random_module_presentations(algebra, rng, count):
         n_gens = rng.randint(1, 2)
         n_cols = rng.randint(1, 3)
         rows = [
-            [random_poly_string(algebra, rng, allow_constant=False) for _ in range(n_cols)]
+            [random_poly_string(algebra, rng) for _ in range(n_cols)]
             for _ in range(n_gens)
         ]
         out.append(rows)

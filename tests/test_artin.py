@@ -20,7 +20,6 @@ from tracelab.artin import (
     enumerate_submodules,
     free_module,
     ideal_from_elements,
-    ideal_generators,
     ideal_times_module,
     ideal_times_submodule,
     is_essential,
@@ -156,9 +155,9 @@ def test_nonzero_constant_term_rejected():
 def test_commutation_and_relations_hold(fat_point):
     a0, a1 = fat_point.actions
     assert a0 @ a1 == a1 @ a0
-    assert (a0 @ a0).is_zero()
-    assert (a0 @ a1).is_zero()
-    assert (a1 @ a1).is_zero()
+    assert not any(map(any, (a0 @ a0).rows))
+    assert not any(map(any, (a0 @ a1).rows))
+    assert not any(map(any, (a1 @ a1).rows))
 
 
 def test_nilpotency_within_dimension():
@@ -267,7 +266,7 @@ def test_ideal_times_module(dual_numbers):
     m = dual_numbers.max_ideal()
     mr = ideal_times_module(m, R)
     assert mr.dim == 1
-    assert mr.carrier.contains_vector(dual_numbers.parse_element("x"))
+    assert mr.carrier.coords_of(dual_numbers.parse_element("x")) is not None
     full = ideal_from_elements(dual_numbers, ["1"])
     assert ideal_times_module(full, R).dim == 2
     zero = ideal_from_elements(dual_numbers, [])
@@ -278,7 +277,7 @@ def test_torsion_submodule(dual_numbers, fat_point):
     R = regular_module(dual_numbers)
     ix = ideal_from_elements(dual_numbers, ["x"])
     t = torsion_submodule(R, ix)
-    assert t.dim == 1 and t.carrier.contains_vector(dual_numbers.parse_element("x"))
+    assert t.dim == 1 and t.carrier.coords_of(dual_numbers.parse_element("x")) is not None
     zero = ideal_from_elements(dual_numbers, [])
     assert torsion_submodule(R, zero).dim == R.dim
     R2 = regular_module(fat_point)
@@ -293,7 +292,7 @@ def test_colon(dual_numbers):
     zero_sub = R.zero_submodule()
     assert colon(zero_sub, ix).carrier == torsion_submodule(R, ix).carrier
     c = colon(zero_sub, ix)
-    assert c.dim == 1 and c.carrier.contains_vector(dual_numbers.parse_element("x"))
+    assert c.dim == 1 and c.carrier.coords_of(dual_numbers.parse_element("x")) is not None
 
 
 def test_colon_with_unit_ideal_is_submodule_itself(fat_point):
@@ -542,8 +541,8 @@ def test_ideal_actions_through_generators_equal_kbasis_actions(field_name, index
     assert product.module is module
     assert product.carrier == kbasis_ideal_times(ideal, module, sub.carrier.rows)
 
-    gens = ideal_generators(ideal)
-    reg = R.regular_module()
+    gens = submodule_generators(ideal)
+    reg = regular_module(R)
     m_ideal = kbasis_ideal_times(R.max_ideal(), reg, ideal.carrier.rows)
     assert len(gens) == ideal.dim - m_ideal.dim
     inclusion = ideal.carrier.basis
@@ -575,7 +574,7 @@ def test_direct_sum_shapes(dual_numbers):
     s, (ia, ib), (pa, pb) = direct_sum(R, R)
     assert s.dim == 4
     assert (pa @ ia).nrows == 2
-    assert (pa @ ib).is_zero()
+    assert pa @ ib == Matrix.zeros(dual_numbers.field, 2, 2)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -650,7 +649,7 @@ def all_vectors_submodules(module):
     found = [Subspace.zero(field, module.dim)]
     for current in found:
         for v in vectors:
-            if not current.contains_vector(v):
+            if current.coords_of(v) is None:
                 bigger = fixpoint_closure(module, list(current.rows) + [v])
                 if bigger not in found:
                     found.append(bigger)

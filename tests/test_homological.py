@@ -166,7 +166,7 @@ def test_hom_rep_action_is_postcomposition(qf_ring_f2):
     assert hom.rep.dim == 2
     # x acts nilpotently on End(R) for R = k[x]/(x^2)
     act = hom.rep.actions[0]
-    assert (act @ act).is_zero()
+    assert not any(map(any, (act @ act).rows))
 
 
 # -- trace -----------------------------------------------------------------------

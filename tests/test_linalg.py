@@ -27,7 +27,7 @@ from test_homological import kron
 
 
 def mat(field, rows, ncols=None):
-    return Matrix.from_int_rows(field, rows, ncols=ncols)
+    return Matrix(field, rows, ncols=ncols)
 
 
 def vec(field, xs):
@@ -82,8 +82,8 @@ def test_kernel_single_equation():
     # x + y = 0 has solution line spanned by (1, -1).
     k = kernel(mat(QQ, [[1, 1]]))
     assert k.dim == 1
-    assert k.contains_vector(vec(QQ, [1, -1]))
-    assert not k.contains_vector(vec(QQ, [1, 1]))
+    assert k.coords_of(vec(QQ, [1, -1])) is not None
+    assert k.coords_of(vec(QQ, [1, 1])) is None
 
 
 def test_kernel_vectors_satisfy_system():
@@ -139,7 +139,7 @@ def test_quotient_maps_shapes_and_identities():
     assert (proj.nrows, proj.ncols) == (2, 3)
     assert (section.nrows, section.ncols) == (3, 2)
     assert proj @ section == Matrix.identity(QQ, 2)
-    assert (proj @ u.basis).is_zero()
+    assert proj @ u.basis == Matrix.zeros(QQ, 2, 1)
 
 
 def test_subspace_enumeration_count():
@@ -188,7 +188,7 @@ def test_kron_identities():
 def test_kron_with_zero():
     a = mat(QQ, [[1, 2], [3, 4]])
     z = Matrix.zeros(QQ, 2, 2)
-    assert kron(a, z).is_zero()
+    assert kron(a, z) == Matrix.zeros(QQ, 4, 4)
 
 
 def test_kron_scalar_blowup():
@@ -227,7 +227,7 @@ def field_and_matrix(draw, max_dim=4, field_strategy=fields):
     field = draw(field_strategy)
     nrows = draw(st.integers(0, max_dim))
     ncols = draw(st.integers(0, max_dim))
-    return Matrix.from_int_rows(field, draw(int_rows(nrows, ncols)), ncols=ncols)
+    return Matrix(field, draw(int_rows(nrows, ncols)), ncols=ncols)
 
 
 @given(field_and_matrix())
@@ -326,7 +326,7 @@ def test_mixed_fields_raise(left, right, op):
 def test_entries_stay_canonical_over_prime_fields(data):
     m = data.draw(field_and_matrix(field_strategy=prime_fields))
     field = m.field
-    n = Matrix.from_int_rows(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
+    n = Matrix(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
     proj, section = kernel(m).quotient_maps()
     results = [
         m @ n.transpose(),
@@ -376,7 +376,7 @@ def assert_trusted(result):
 def test_internal_results_are_trusted_rows(data):
     m = data.draw(field_and_matrix(field_strategy=trusted_fields))
     field = m.field
-    n = Matrix.from_int_rows(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
+    n = Matrix(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
     k = data.draw(st.integers(0, 4))
     results = [
         m @ n.transpose(),
@@ -430,7 +430,7 @@ def test_subspace_rows_match_the_column_echelon_basis(data):
 def test_image_is_the_span_of_the_mapped_basis(data):
     field = data.draw(fields)
     n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    m = Matrix.from_int_rows(field, data.draw(int_rows(k, n)), ncols=n)
+    m = Matrix(field, data.draw(int_rows(k, n)), ncols=n)
     vectors = [vec(field, r) for r in data.draw(int_rows(data.draw(st.integers(0, 3)), n))]
     space = Subspace.from_vectors(field, n, vectors)
     assert space.image(m) == Subspace.from_vectors(field, k, (m @ space.basis).cols())

@@ -20,8 +20,8 @@ from tracelab.artin import (
     build_algebra,
     enumerate_cyclic_ideals,
     enumerate_submodules,
+    free_module,
     ideal_from_elements,
-    ideal_generators,
     ideal_times_submodule,
     minimal_generators,
     module_from_presentation,
@@ -30,7 +30,7 @@ from tracelab.artin import (
     submodule_generators,
 )
 from tracelab.cli import main
-from tracelab.errors import EnumerationCapExceeded, ParseError
+from tracelab.errors import AlgebraMismatch, EnumerationCapExceeded, NotSubmodule, ParseError
 from tracelab.homological import HomModule, cotrace, ext1, hom_module, matlis_dual, tensor_product, trace
 from tracelab.linalg import Matrix, Subspace
 from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
@@ -86,7 +86,7 @@ def test_an_ideal_with_memoised_generators_is_freed_without_the_collector():
     gc.disable()
     try:
         ideal = ideal_from_elements(R, ["x", "y"])
-        assert len(ideal_generators(ideal)) == 2
+        assert len(submodule_generators(ideal)) == 2
         assert ideal.as_module().dim == 2
         marker = id(ideal)
         del ideal
@@ -191,30 +191,45 @@ def test_equal_ideals_are_one_memo_key(monkeypatch):
     assert len(bodies) == 1
 
 
-def test_equal_carriers_in_different_reps_are_different_submodules():
-    # R and Hom(R, R) have the same actions, but only R is regular, so
-    # they are two reps and their full submodules differ.
-    R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+def test_every_rep_with_the_actions_of_r_is_r():
+    # A rep is its actions alone, so each route to R's actions gives R, and
+    # an ideal spanned in any of them is the same memo key as in R.
+    R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
     reg = regular_module(R)
-    end = hom_module(reg, reg).rep
-    assert end.actions == reg.actions and end is not reg
-    full, end_full = reg.full_submodule(), end.full_submodule()
-    assert full.carrier == end_full.carrier
-    assert full != end_full
-    assert full == reg.full_submodule()
+    routes = [
+        hom_module(reg, reg).rep,
+        free_module(R, 1),
+        matlis_dual(matlis_dual(reg).rep).rep,
+        reg.full_submodule().as_module(),
+    ]
+    assert all(rep is reg for rep in routes)
+    ideal = ideal_from_elements(R, ["x", "x^2"])
+    for rep in routes:
+        same = span_submodule(rep, [R.parse_element("x")])
+        assert same == ideal and hash(same) == hash(ideal)
+        assert trace(same, reg) is trace(ideal, reg)
+    # The dual of R has the transposed actions, so it is another rep and
+    # its submodules are not ideals; nor is an ideal of another algebra.
+    dual = matlis_dual(reg).rep
+    assert dual is not reg and dual.dim == reg.dim
+    with pytest.raises(NotSubmodule):
+        artin._require_ideal(dual.full_submodule(), R)
+    other = algebra("F3", ["x", "y"], ["x^3", "y^2"])
+    with pytest.raises(AlgebraMismatch):
+        artin._require_ideal(ideal_from_elements(other, ["x"]), R)
 
 
 def test_verify_section1_computes_few_hom_spaces(monkeypatch, capsys):
     # A guard against silent re-duplication of reps or ideals: section 1 at
     # the catalog seed ran 1,149 Hom bodies with labelled reps and
-    # identity-keyed ideals, and 771 once both compare by value.  The bound
-    # is 771 plus 10%.
+    # identity-keyed ideals, 771 once both compare by value, and 727 once
+    # every rep with R's actions is R.  The bound is 727 plus 5%.
     bodies = []
     built = homological.HomModule  # constructed once per hom_module body
     monkeypatch.setattr(homological, "HomModule", lambda *a: bodies.append(a) or built(*a))
     assert main(["verify", "--suite", "1", "--seed", "20260810"]) == 0
     assert '"passed": true' in capsys.readouterr().out
-    assert len(bodies) <= 848, len(bodies)
+    assert len(bodies) <= 763, len(bodies)
 
 
 def test_module_generators_read_the_action_columns():
