@@ -63,9 +63,11 @@ def _memoised(owner):
     collector.  These entries do point back, and wait for it: the algebra's
     regular_module and max_ideal (R points at its algebra), a module's own
     submodules (socle, torsion_submodule, ideal_times_module, trace,
-    cotrace, the enumerations, and annihilator when the module is R), and
-    hom_module and matlis_dual, whose HomModule.source and
-    DualModule.primal are their owner.  Exceptions are not memoised.
+    cotrace, the enumerations, and annihilator when the module is R),
+    as_module of M's full submodule, which is M, and hom_module(M, M),
+    whose target is M: a HomModule holds its source's FreeCover, not the
+    source, and a DualModule holds only its rep.  Exceptions are not
+    memoised.
     """
 
     def decorate(fn):
@@ -731,16 +733,13 @@ def module_from_presentation(algebra, rows, n_gens=None):
     for r in rows:
         if len(r) != ncols:
             raise ParseError("ragged presentation matrix")
-    free = free_module(algebra, n_gens)
-    if not ncols:
-        return free
 
     def element(entry):
         return algebra.parse_element(entry) if isinstance(entry, str) else algebra.element_from_poly(entry)
 
     # Column j of the presentation, as a vector of R^n.
     cols = [tuple(x for row in rows for x in element(row[j])) for j in range(ncols)]
-    return span_submodule(free, cols).quotient()[0]
+    return span_submodule(free_module(algebra, n_gens), cols).quotient()[0]
 
 
 def span_submodule(module, vectors):
@@ -780,15 +779,20 @@ def ideal_times_submodule(ideal, sub):
     return Submodule(module, span, check=False)
 
 
+def _joint_kernel(module, maps):
+    """The submodule of M on which every given map out of M (a matrix with
+    dim M columns) vanishes: all of M when the maps have no row."""
+    rows = tuple(itertools.chain.from_iterable(f.rows for f in maps))
+    if not rows:
+        return module.full_submodule()
+    return Submodule(module, kernel(Matrix._of(module.algebra.field, rows, module.dim)), check=False)
+
+
 @_memoised("module")
 def torsion_submodule(module, ideal):
     """M[I] = {x in M : I x = 0}, the joint kernel of the ideal generators."""
     _require_ideal(ideal, module.algebra)
-    gens = submodule_generators(ideal)
-    if not gens:
-        return module.full_submodule()
-    stacked = vstack([module.element_action(g) for g in gens])
-    return Submodule(module, kernel(stacked), check=False)
+    return _joint_kernel(module, [module.element_action(g) for g in submodule_generators(ideal)])
 
 
 def colon(sub, ideal):
@@ -800,11 +804,10 @@ def colon(sub, ideal):
     module = sub.module
     _require_ideal(ideal, module.algebra)
     gens = submodule_generators(ideal)
-    if not gens:
+    if not gens:  # I = 0: all of M, as _joint_kernel says too, without building proj first
         return module.full_submodule()
     proj, _ = sub.carrier.quotient_maps()
-    stacked = vstack([proj @ module.element_action(g) for g in gens])
-    return Submodule(module, kernel(stacked), check=False)
+    return _joint_kernel(module, [proj @ module.element_action(g) for g in gens])
 
 
 @_memoised("module")
@@ -812,23 +815,19 @@ def annihilator(module):
     """Ann_R(M) as an ideal (submodule of the regular module).
 
     r = sum_s r_s b_s kills M iff r g = sum_s r_s (b_s g) = 0 for each
-    minimal generator g, so Ann is the kernel of the orbits of the generators.
+    minimal generator g, so Ann is the joint kernel of the maps r |-> r g,
+    each the matrix with the orbit of its g as columns.
     """
-    algebra = module.algebra
-    rows = []
-    for g in minimal_generators(module)[1]:
-        rows.extend(zip(*module.orbit(g)))
-    ker = kernel(Matrix._of(algebra.field, tuple(rows), algebra.dim))
-    return Submodule(regular_module(algebra), ker, check=False)
+    algebra, gens = module.algebra, minimal_generators(module)[1]
+    maps = [Matrix.from_cols(algebra.field, module.orbit(g), nrows=module.dim) for g in gens]
+    return _joint_kernel(regular_module(algebra), maps)
 
 
 @_memoised("module")
 def socle(module):
     """So(M) = M[m], the largest semisimple submodule: the joint kernel of
     the variables, which generate m."""
-    if not module.actions:
-        return module.full_submodule()
-    return Submodule(module, kernel(vstack(module.actions)), check=False)
+    return _joint_kernel(module, module.actions)
 
 
 @_memoised("sub")
@@ -892,7 +891,7 @@ class FreeCover:
     def syzygies(self):
         d, v = self.algebra.dim, len(self.generators)
         free = free_module(self.algebra, v)
-        ker = Submodule(free, kernel(self.matrix), check=False)
+        ker = _joint_kernel(free, [self.matrix])
         flat = submodule_generators(ker)
         if span_submodule(free, flat).carrier != ker.carrier:
             raise InternalCheckError("the syzygies do not generate the kernel of the free cover")

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from .artin import (
     ModuleRep,
     Submodule,
+    _joint_kernel,
     _memoised,
     _require_ideal,
     annihilator,
@@ -77,22 +78,23 @@ class HomModule:
     """Hom_R(M, N) in generator coordinates, with its R-structure.
 
     A map f: M -> N is fixed by its values n_i = f(g_i) on the generators
-    g_1..g_v of the source's free cover, and (n_1..n_v) in N^v gives a map
-    exactly when sum_i z_i n_i = 0 for every syzygy z.  `values` is that
-    solution space, a canonical subspace of N^v with block i holding n_i, so
-    Hom is solved for and held with v * dim N coordinates.  x_j acts on f
-    through its values, (x_j f)(g_i) = x_j n_i, so `values` is a submodule
-    of N^v; the coordinates of a map are those of its values in `values`.
+    g_1..g_v of the source's free cover, `cover`, and (n_1..n_v) in N^v
+    gives a map exactly when sum_i z_i n_i = 0 for every syzygy z.  `values`
+    is that solution space, a canonical subspace of N^v with block i holding
+    n_i, so Hom is solved for and held with v * dim N coordinates.  x_j acts
+    on f through its values, (x_j f)(g_i) = x_j n_i, so `values` is a
+    submodule of N^v; the coordinates of a map are those of its values in
+    `values`.
 
     All else is built on demand: rep (for Ext1) on first access, generator
     maps from generators read in N^v, and the dense dim N x dim M matrices
     in maps() and dense_space() (the intertwiner space).
     """
 
-    __slots__ = ("source", "target", "values", "_memo")
+    __slots__ = ("cover", "target", "values", "_memo")
 
-    def __init__(self, source, target, values):
-        self.source = source
+    def __init__(self, cover, target, values):
+        self.cover = cover
         self.target = target
         self.values = values
 
@@ -102,11 +104,10 @@ class HomModule:
 
     def maps(self, tuples):
         """The dim N x dim M matrix of the map with each given value tuple."""
-        return self.source.free_cover().maps(self.target, tuples)
+        return self.cover.maps(self.target, tuples)
 
     def _in_power(self):  # `values` as a submodule of N^v
-        v = len(self.source.free_cover().generators)
-        return Submodule(power_module(self.target, v), self.values, check=False)
+        return Submodule(power_module(self.target, len(self.cover.generators)), self.values, check=False)
 
     @property
     @_memoised("self")
@@ -128,10 +129,10 @@ class HomModule:
         maps = self.maps(self.values.rows)
         vecs = [tuple(x for row in f.rows for x in row) for f in maps]
         field = self.target.algebra.field
-        return Subspace.from_vectors(field, self.target.dim * self.source.dim, vecs, check=False)
+        return Subspace.from_vectors(field, self.target.dim * self.cover.matrix.nrows, vecs, check=False)
 
     def __repr__(self):
-        return "HomModule(dim %d: %r -> %r)" % (self.dim, self.source, self.target)
+        return "HomModule(dim %d into %r)" % (self.dim, self.target)
 
 
 def _syzygy_actions(cover, module):
@@ -150,7 +151,7 @@ def hom_module(source, target):
     rows = []
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
-    return HomModule(source, target, kernel(Matrix._of(field, tuple(rows), v * dN)))
+    return HomModule(cover, target, kernel(Matrix._of(field, tuple(rows), v * dN)))
 
 
 # -- trace and cotrace -----------------------------------------------------------
@@ -188,10 +189,8 @@ def cotrace(ideal, module):
     ideal_rep = ideal.as_module()
     dual_ideal = matlis_dual(ideal_rep).rep
     hom = hom_module(module, dual_ideal)
-    if hom.dim == 0:
-        result = module.full_submodule()
-    else:
-        result = Submodule(module, kernel(vstack(hom.generator_maps())), check=False)
+    # Hom = 0 (I = 0 or M = 0): all of M, as _joint_kernel says too, before any generator map is built.
+    result = module.full_submodule() if hom.dim == 0 else _joint_kernel(module, hom.generator_maps())
     lower = ideal_times_module(annihilator(ideal_rep), module)
     upper = torsion_submodule(module, ideal)
     if not result.carrier.contains(lower.carrier) or not upper.carrier.contains(result.carrier):
@@ -203,16 +202,16 @@ def cotrace(ideal, module):
 
 
 class DualModule:
-    """The k-linear dual with transposed actions, paired with its primal."""
+    """The k-linear dual, whose rep has the transposed actions.  It holds no
+    reference to its primal: it is memoised on it (matlis_dual)."""
 
-    __slots__ = ("rep", "primal")
+    __slots__ = ("rep",)
 
-    def __init__(self, rep, primal):
+    def __init__(self, rep):
         self.rep = rep
-        self.primal = primal
 
     def __repr__(self):
-        return "DualModule(of %r)" % (self.primal,)
+        return "DualModule(%r)" % (self.rep,)
 
 
 @_memoised("module")
@@ -221,7 +220,7 @@ def matlis_dual(module):
     actions.  Dualizing twice restores the original action matrices, so it
     gives M's own interned rep back, R included."""
     actions = [a.transpose() for a in module.actions]
-    return DualModule(module.algebra.module(module.dim, actions), module)
+    return DualModule(module.algebra.module(module.dim, actions))
 
 
 def ann_in_dual(dual, sub):
@@ -229,14 +228,11 @@ def ann_in_dual(dual, sub):
 
     Its dimension is dim M - dim U, which is asserted.
     """
-    if sub.module is not dual.primal:
+    if matlis_dual(sub.module) is not dual:
         raise AlgebraMismatch("submodule does not live in the primal of this dual")
-    if sub.dim == 0:
-        result = dual.rep.full_submodule()
-    else:
-        rows = Matrix._of(sub.carrier.field, sub.carrier.rows, sub.carrier.ambient_dim)
-        result = Submodule(dual.rep, kernel(rows), check=False)
-    if result.dim != dual.primal.dim - sub.dim:
+    carrier = sub.carrier
+    result = _joint_kernel(dual.rep, [Matrix._of(carrier.field, carrier.rows, carrier.ambient_dim)])
+    if result.dim != sub.module.dim - sub.dim:
         raise InternalCheckError("annihilator in dual has wrong dimension")
     return result
 
@@ -429,7 +425,7 @@ def tor1(module, ideal):
     ideal_rep = ideal.as_module()
     tp = tensor_product(module, ideal_rep)
     evaluation = _evaluation(module, ideal, module.free_cover().generators, tp)
-    rep = Submodule(tp.rep, kernel(evaluation), check=False).as_module()
+    rep = _joint_kernel(tp.rep, [evaluation]).as_module()
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, ideal)
         lower = ideal_times_module(annihilator(ideal_rep), module)
@@ -466,7 +462,7 @@ def embed_into_injective(module):
     for bm, bx in zip(module.actions, injective_rep.actions):
         if inclusion @ bm != bx @ inclusion:
             raise InternalCheckError("inclusion into the injective is not a module map")
-    if module.dim and ext1(algebra.max_ideal(), injective_rep).dim != 0:
+    if ext1(algebra.max_ideal(), injective_rep).dim != 0:
         raise InternalCheckError("constructed module is not injective: Ext1(R/m, X) != 0")
     return injective_rep, inclusion
 

@@ -536,8 +536,6 @@ class Subspace:
     def intersect(self, other):
         """Intersection via the kernel of [A | B], A and B the two bases."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
         stacked = Matrix._of(self.field, tuple(zip(*self.rows, *other.rows)), self.dim + other.dim)
         vecs = [self.vector(col[: self.dim]) for col in kernel(stacked).rows]
         return Subspace.from_vectors(self.field, self.ambient_dim, vecs, check=False)

@@ -209,11 +209,7 @@ class _Recorder:
 
     def equal(self, name, instance, left, right):
         """Record equality of two canonical subspaces, serializing both on failure."""
-        self.checks += 1
-        if left != right:
-            self.failures.append(
-                Failure(name, dict(instance), subspace_json(left), subspace_json(right))
-            )
+        self.check(name, instance, left == right, left, right)
 
     def result(self):
         return SuiteResult(

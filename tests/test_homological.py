@@ -17,6 +17,7 @@ from tracelab.artin import (
     PolynomialPresentation,
     annihilator,
     build_algebra,
+    colon,
     free_module,
     ideal_from_elements,
     ideal_times_module,
@@ -257,6 +258,23 @@ def test_ann_in_dual_extremes(fat_point):
     assert ann_in_dual(dual, R.zero_submodule()).dim == R.dim
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_zero_cuts_out_nothing(field):
+    # M[0], (N :_M 0) and cotrace(0, M) are joint kernels of no map (0 has no
+    # generators, and Hom(M, dual(0)) = 0), so each is all of M; and the
+    # annihilator of 0 in the dual is the whole dual.
+    R = algebra(field, ["x", "y"], ["x^3", "y^2"])
+    reg, zero = regular_module(R), ideal_from_elements(R, [])
+    for module in (reg, matlis_dual(reg).rep, module_from_presentation(R, [["x", "0"], ["y", "x"]])):
+        full = module.full_submodule()
+        assert torsion_submodule(module, zero) == full
+        assert cotrace(zero, module) == full
+        for sub in (module.zero_submodule(), socle(module), full):
+            assert colon(sub, zero) == full
+        dual = matlis_dual(module)
+        assert ann_in_dual(dual, module.zero_submodule()) == dual.rep.full_submodule()
+
+
 def test_ann_in_dual_of_socle_is_radical_of_dual(fat_point):
     # Ann_{M*}(M[m]) = m M*, here with M = R.
     R = regular_module(fat_point)
@@ -417,6 +435,13 @@ def test_embed_residue_field(qf_ring):
     k = module_from_presentation(qf_ring, [["x"]])
     X, incl = embed_into_injective(k)
     assert X.dim == 2  # one copy of the dual of R
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_embed_zero_module(field):
+    zero = module_from_presentation(algebra(field, ["x", "y"], ["x^3", "y^2"]), [], n_gens=0)
+    X, incl = embed_into_injective(zero)
+    assert X.dim == 0 and (incl.nrows, incl.ncols) == (0, 0)
 
 
 def test_embed_qf_ring_into_itself_sized(qf_ring):

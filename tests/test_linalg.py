@@ -103,6 +103,14 @@ def test_sum_and_intersection_of_axes():
     assert a.intersect(b).dim == 0
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("n", [0, 3])
+def test_intersection_with_the_zero_space_is_zero(field, n):
+    zero = Subspace.zero(field, n)
+    for other in (zero, Subspace.full(field, n), Subspace.from_vectors(field, n, [vec(field, [1] * n)])):
+        assert zero.intersect(other) == other.intersect(zero) == zero
+
+
 def test_sum_intersect_idempotent():
     a = Subspace.from_vectors(QQ, 3, [vec(QQ, [1, 1, 0]), vec(QQ, [0, 0, 2])])
     assert a.sum(a) == a

@@ -95,6 +95,26 @@ def test_an_ideal_with_memoised_generators_is_freed_without_the_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("field", ["F2", "F3", "Q"])
+def test_a_module_with_memoised_hom_and_dual_is_freed_without_the_collector(field):
+    # Hom out of M holds M's free cover, not M, and the dual holds only its
+    # own rep, so neither entry points back at M.  M's presenting R^2 is not
+    # kept, so nothing else holds M either.
+    R = algebra(field, ["x", "y"], ["x^3", "y^2"])
+    reg = regular_module(R)
+    gc.collect()
+    gc.disable()
+    try:
+        module = module_from_presentation(R, [["x", "0"], ["y", "x"]])
+        assert hom_module(module, reg).dim > 0 and matlis_dual(module).rep.dim == module.dim
+        assert {"hom_module", "matlis_dual"} <= {key[0].__name__ for key in module._memo}
+        ref = weakref.ref(module)
+        del module
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_equal_modules_are_one_object(monkeypatch):
     # In F2[x,y]/(x^2, xy, y^2) the ideals (x) and (y) are both k, with zero
     # action, so they restrict to one rep and share what is memoised on it.
