@@ -676,15 +676,12 @@ class Submodule:
 
     @_memoised("self")
     def quotient(self):
-        """(rep, projection, section) presenting module/self."""
-        proj, section = self.carrier.quotient_maps()
-        pivots = set(self.carrier.pivots)
-        keep = [q for q in range(self.module.dim) if q not in pivots]
-        actions = []
-        for a in self.module.actions:  # a @ section: the section lifts to the non-pivots
-            picked = tuple(tuple(row[q] for q in keep) for row in a.rows)
-            actions.append(proj @ Matrix._of(a.field, picked, len(keep)))
-        return self.module.algebra.module(len(keep), actions), proj, section
+        """(rep, proj) presenting module/self: proj is the carrier's
+        projection, and each action of the rep is proj @ a on the lifts
+        (the standard vectors at the carrier's non-pivot columns)."""
+        proj = self.carrier.projection()
+        actions = [proj @ self.carrier._on_lifts(a) for a in self.module.actions]
+        return self.module.algebra.module(proj.nrows, actions), proj
 
     def __repr__(self):
         return "Submodule(dim %d of %r)" % (self.dim, self.module)
@@ -796,7 +793,8 @@ def torsion_submodule(module, ideal):
 
 
 def colon(sub, ideal):
-    """(N :_M I) = {x in M : g x in N for each ideal generator g}.
+    """(N :_M I) = {x in M : g x in N for each ideal generator g}, the
+    preimage of (M/N)[I] under the projection M -> M/N.
 
     That is all of (N :_M I) because N is a submodule: g x in N gives
     s g x in N.
@@ -806,7 +804,7 @@ def colon(sub, ideal):
     gens = submodule_generators(ideal)
     if not gens:  # I = 0: all of M, as _joint_kernel says too, without building proj first
         return module.full_submodule()
-    proj, _ = sub.carrier.quotient_maps()
+    proj = sub.carrier.projection()
     return _joint_kernel(module, [proj @ module.element_action(g) for g in gens])
 
 

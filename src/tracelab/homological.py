@@ -66,7 +66,7 @@ from .errors import (
     FieldNotFinite,
     InternalCheckError,
 )
-from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
+from .linalg import Matrix, Subspace, _dense, hstack, kernel, rank, vstack
 
 SAMPLED_IDEALS = 24  # seeded random cyclic ideals in a sampled verdict, besides 0, m and R
 
@@ -323,13 +323,12 @@ class TensorProduct:
 
     With M = R^v / K, M tensor N = N^v / (K tensor N): the relations are
     spanned by (z_1 n, ..., z_v n) over the syzygies z of M's free cover and
-    the basis vectors n of N.  rep, proj, section and relations all use the
-    N^v coordinates, block i holding the coefficient of the generator g_i.
+    the basis vectors n of N.  relations is that submodule of N^v, block i
+    holding the coefficient of the generator g_i, and rep is the quotient,
+    with the standard vectors at the relations' non-pivot columns as basis.
     """
 
     rep: ModuleRep
-    proj: Matrix
-    section: Matrix
     relations: Submodule
 
     @property
@@ -349,24 +348,24 @@ def tensor_product(left, right):
     for blocks in _syzygy_actions(cover, right):
         vecs.extend(vstack(blocks).cols())
     relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False)
-    rep, proj, section = relations.quotient()
-    return TensorProduct(rep, proj, section, relations)
+    return TensorProduct(relations.quotient()[0], relations)
 
 
 def _evaluation(module, ideal, generators, tp):
     """Matrix of the evaluation tp -> M induced by (n_1..n_v) |-> sum_i n_i g_i.
 
     The g_i are the left factor's cover generators as vectors of M, and I^v
-    is in TensorProduct coordinates, so block i is the k-basis rows of I
+    is in the N^v coordinates of tp, so block i is the k-basis rows of I
     under the orbit matrix of g_i (column s is b_s g_i).  The map on I^v
-    must kill the tensor relations exactly; that is checked here.
+    must kill the tensor relations exactly; that is checked here.  On tp it
+    is the map on the lifts of tp's basis vectors.
     """
     field = module.algebra.field
     orbits = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) for g in generators]
     full = Matrix.from_cols(field, [o.apply(row) for o in orbits for row in ideal.carrier.rows], nrows=module.dim)
     if any(any(full.apply(row)) for row in tp.relations.carrier.rows):
         raise InternalCheckError("tensor evaluation does not kill the tensor relations")
-    return full @ tp.section
+    return tp.relations.carrier._on_lifts(full)
 
 
 @dataclass(frozen=True)
@@ -376,18 +375,19 @@ class TensorEvalMap:
     matrix: Matrix
     injective: bool
     tensor: TensorProduct
-    quotient_rep: ModuleRep
 
 
 def tensor_eval(module, ideal):
     """Matrix of (M/M[I]) tensor_R I -> M with injectivity flag."""
     _require_ideal(ideal, module.algebra)
     torsion = torsion_submodule(module, ideal)
-    quotient_rep, _, section = torsion.quotient()
+    quotient_rep, _ = torsion.quotient()
     tp = tensor_product(quotient_rep, ideal.as_module())
-    lifts = [section.apply(g) for g in quotient_rep.free_cover().generators]
+    # A generator of M/M[I] lifts to M with its coordinates at the non-pivots of M[I].
+    keep, zero = torsion.carrier.nonpivots(), module.algebra.field.zero
+    lifts = [_dense(dict(zip(keep, g)), module.dim, zero) for g in quotient_rep.free_cover().generators]
     matrix = _evaluation(module, ideal, lifts, tp)
-    return TensorEvalMap(matrix, rank(matrix) == tp.rep.dim, tp, quotient_rep)
+    return TensorEvalMap(matrix, rank(matrix) == tp.rep.dim, tp)
 
 
 # -- Ext1 and Tor1 -----------------------------------------------------------------
@@ -406,7 +406,7 @@ def ext1(ideal, module):
     identity = Matrix.identity(field, module.dim).rows
     restriction = _multiplication_coords(hom, ideal, module, identity)
     image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction, check=False), check=False)
-    rep, _, _ = image.quotient()
+    rep, _ = image.quotient()
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, annihilator(ideal_rep))
         lower = ideal_times_module(ideal, module)

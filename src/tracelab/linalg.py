@@ -200,28 +200,6 @@ class Matrix:
     def transpose(self):
         return Matrix._of(self.field, _transposed(self.rows, self.ncols), self.nrows)
 
-    def __add__(self, other):
-        self._check_same_shape(other)
-        canon = self.field.canonical
-        rows = [canon([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)]
-        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        canon = self.field.canonical
-        rows = [canon([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)]
-        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
-
-    def __neg__(self):
-        canon = self.field.canonical
-        rows = [canon([-a for a in r]) for r in self.rows]
-        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
-
-    def scale(self, s):
-        canon = self.field.canonical
-        rows = [canon([s * a for a in r]) for r in self.rows]
-        return Matrix._of(self.field, tuple(map(tuple, rows)), self.ncols)
-
     def __matmul__(self, other):
         _check_fields((self, other))
         if self.ncols != other.nrows:
@@ -267,11 +245,6 @@ class Matrix:
         if not hasattr(self, "_support"):
             self._support = [tuple([(i, a) for i, a in enumerate(c) if a]) for c in self.cols()]
         return self._support
-
-    def _check_same_shape(self, other):
-        _check_fields((self, other))
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("shape mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -540,29 +513,31 @@ class Subspace:
         vecs = [self.vector(col[: self.dim]) for col in kernel(stacked).rows]
         return Subspace.from_vectors(self.field, self.ambient_dim, vecs, check=False)
 
-    def quotient_maps(self):
-        """(proj, section) matrices realizing k^n -> k^n / self.
+    def nonpivots(self):
+        """The columns that are not pivots: the standard vectors there are a
+        basis of k^n / self."""
+        pivots = set(self.pivots)
+        return [q for q in range(self.ambient_dim) if q not in pivots]
 
-        proj is (n-dim) x n, section is n x (n-dim); proj @ section is the
-        identity and proj kills the subspace.  The section lifts quotient
-        basis vectors to the ambient standard basis vectors at non-pivot
-        columns.
-        """
-        field = self.field
-        n = self.ambient_dim
-        pivset = set(self.pivots)
-        nonpivots = [q for q in range(n) if q not in pivset]
-        z, o = field.zero, field.one
+    def projection(self):
+        """The (n-dim) x n matrix of k^n -> k^n / self in that basis: it kills
+        the subspace, and its non-pivot columns are the identity."""
+        field, n = self.field, self.ambient_dim
         proj = []
-        for q in nonpivots:
-            row = [z] * n
-            row[q] = o
+        for q in self.nonpivots():
+            row = [field.zero] * n
+            row[q] = field.one
             for p, prow in zip(self.pivots, self.rows):
                 if prow[q]:
                     row[p] = -prow[q]
             proj.append(tuple(field.canonical(row)))
-        section = tuple(tuple(o if q == t else z for t in nonpivots) for q in range(n))
-        return Matrix._of(field, tuple(proj), n), Matrix._of(field, section, len(nonpivots))
+        return Matrix._of(field, tuple(proj), n)
+
+    def _on_lifts(self, m):
+        """m on the lift of each basis vector of k^n / self to its standard
+        vector: the non-pivot columns of m."""
+        keep = self.nonpivots()
+        return Matrix._of(m.field, tuple(tuple(row[q] for q in keep) for row in m.rows), len(keep))
 
     def vectors(self):
         """All vectors of the subspace; finite fields only (p^dim many)."""

@@ -522,7 +522,7 @@ def suite_section1(spec, trace_fn=trace):
                     inst,
                     not excellence_verdict(a_rep).holds,
                 )
-                quotient_rep, _, _ = a.quotient()
+                quotient_rep, _ = a.quotient()
                 rec.check(
                     "proper_quotient_never_excellent",
                     inst,
@@ -790,7 +790,7 @@ def suite_section3(spec):
             )
             b_sub = span_submodule(free, [vec])
             inst = dict(base, **idesc, module={"label": "R^2 / <random vector>"})
-            quotient_rep, proj, _ = b_sub.quotient()
+            quotient_rep, proj = b_sub.quotient()
             ib = ideal_times_submodule(ideal_sub, b_sub)
             big_colon = colon_submodule(ib, ideal_sub)
             rec.equal(

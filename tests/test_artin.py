@@ -389,6 +389,33 @@ def test_element_action_is_sum_of_scaled_monomial_operators(field_name, index, w
     assert module.element_action(list(r)) == operator_of(module, r)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    field_name=st.sampled_from(["F2", "F3", "Q"]),
+    index=st.integers(0, 1),
+    which=st.integers(0, ACTION_CASES - 1),
+    kind=st.sampled_from(["zero", "full", "span"]),
+    data=st.data(),
+)
+def test_quotient_projection_intertwines_the_actions(field_name, index, which, kind, data):
+    module = _action_case(field_name, index)[which]
+    field = module.algebra.field
+    if kind == "zero":
+        sub = Submodule(module, Subspace.zero(field, module.dim))
+    elif kind == "full":
+        sub = module.full_submodule()
+    else:
+        vec = st.lists(st.integers(-4, 4), min_size=module.dim, max_size=module.dim)
+        vecs = data.draw(st.lists(vec, min_size=1, max_size=2))
+        sub = span_submodule(module, [tuple(field.from_int(c) for c in v) for v in vecs])
+    rep, proj = sub.quotient()
+    assert rep.algebra is module.algebra and rep.dim == module.dim - sub.dim
+    assert (proj.nrows, proj.ncols) == (rep.dim, module.dim)
+    for a, b in zip(module.actions, rep.actions, strict=True):
+        assert proj @ a == b @ proj
+    assert not any(any(proj.apply(u)) for u in sub.carrier.rows)
+
+
 def restricted_generators(sub):
     """The route submodule_generators replaces: the standard vectors off the
     pivots of mU in U's own coordinates (U.as_module()), lifted into M."""
@@ -497,10 +524,13 @@ def test_deep_monomial_operators_are_built_without_recursion():
 
 def operator_of(module, r):
     """The action of r on module as the sum of its scaled monomial operators."""
-    total = Matrix.zeros(module.algebra.field, module.dim, module.dim)
+    field, n = module.algebra.field, module.dim
+    total = [[field.zero] * n for _ in range(n)]
     for op, c in zip(monomial_operators(module), r):
-        total = total + op.scale(c)
-    return total
+        for acc, row in zip(total, op.rows):
+            for j, x in enumerate(row):
+                acc[j] += c * x
+    return Matrix(field, total, ncols=n)
 
 
 def kbasis_ideal_times(ideal, module, vectors):
@@ -538,7 +568,7 @@ def test_ideal_actions_through_generators_equal_kbasis_actions(field_name, index
     standard = Matrix.identity(field, module.dim).cols()
     assert ideal_times_module(ideal, module).carrier == kbasis_ideal_times(ideal, module, standard)
     assert torsion_submodule(module, ideal).carrier == kbasis_joint_kernel(ideal, module)
-    proj, _ = sub.carrier.quotient_maps()
+    proj = sub.carrier.projection()
     assert colon(sub, ideal).carrier == kbasis_joint_kernel(ideal, module, proj)
     product = ideal_times_submodule(ideal, sub)
     assert product.module is module

@@ -610,7 +610,8 @@ def kronecker_tensor_dim(left, right):
     eye_n = Matrix.identity(field, right.dim)
     vecs = []
     for a, b in zip(left.actions, right.actions):
-        vecs.extend((kron(a, eye_n) - kron(eye_m, b)).cols())
+        rows = [[x - y for x, y in zip(r, s)] for r, s in zip(kron(a, eye_n).rows, kron(eye_m, b).rows)]
+        vecs.extend(Matrix(field, rows, ncols=left.dim * right.dim).cols())
     return left.dim * right.dim - Subspace.from_vectors(field, left.dim * right.dim, vecs).dim
 
 

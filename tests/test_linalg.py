@@ -141,12 +141,12 @@ def test_canonical_form_is_representation_independent():
     assert Subspace.from_vectors(QQ, 3, gens1) == Subspace.from_vectors(QQ, 3, gens2)
 
 
-def test_quotient_maps_shapes_and_identities():
+def test_projection_kills_the_subspace_and_is_the_identity_off_the_pivots():
     u = Subspace.from_vectors(QQ, 3, [vec(QQ, [1, 2, 0])])
-    proj, section = u.quotient_maps()
+    proj = u.projection()
     assert (proj.nrows, proj.ncols) == (2, 3)
-    assert (section.nrows, section.ncols) == (3, 2)
-    assert proj @ section == Matrix.identity(QQ, 2)
+    assert u.nonpivots() == [1, 2]
+    assert u._on_lifts(proj) == Matrix.identity(QQ, 2)
     assert proj @ u.basis == Matrix.zeros(QQ, 2, 1)
 
 
@@ -316,13 +316,11 @@ def test_stack_helpers():
 @pytest.mark.parametrize(
     "op",
     [
-        operator.add,
-        operator.sub,
         operator.matmul,
         lambda a, b: hstack([a, b]),
         lambda a, b: vstack([a, b]),
     ],
-    ids=["add", "sub", "matmul", "hstack", "vstack"],
+    ids=["matmul", "hstack", "vstack"],
 )
 def test_mixed_fields_raise(left, right, op):
     with pytest.raises(DimensionMismatch):
@@ -335,17 +333,12 @@ def test_entries_stay_canonical_over_prime_fields(data):
     m = data.draw(field_and_matrix(field_strategy=prime_fields))
     field = m.field
     n = Matrix(field, data.draw(int_rows(m.nrows, m.ncols)), ncols=m.ncols)
-    proj, section = kernel(m).quotient_maps()
     results = [
         m @ n.transpose(),
-        m + n,
-        m - n,
-        -m,
-        m.scale(field.from_int(-1)),
         reduce(m),
         kernel(m).basis,
-        proj,
-        section,
+        kernel(m).projection(),
+        kernel(m)._on_lifts(m),
         Matrix(field, [n.apply(r) for r in m.rows], ncols=m.nrows),
     ]
     x = solve(m, n)
@@ -388,10 +381,6 @@ def test_internal_results_are_trusted_rows(data):
     k = data.draw(st.integers(0, 4))
     results = [
         m @ n.transpose(),
-        m + n,
-        m - n,
-        -m,
-        m.scale(field.from_int(data.draw(st.integers(-4, 4)))),
         m.transpose(),
         Matrix.identity(field, k),
         Matrix.zeros(field, m.nrows, k),
@@ -400,7 +389,8 @@ def test_internal_results_are_trusted_rows(data):
         vstack([m, n]),
         reduce(m),
         kernel(m).basis,
-        *kernel(m).quotient_maps(),
+        kernel(m).projection(),
+        kernel(m)._on_lifts(m),
     ]
     x = solve(m, n)
     if x is not None:

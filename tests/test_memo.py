@@ -194,7 +194,7 @@ def test_an_unreferenced_module_leaves_the_intern_table():
     del rep
     gc.collect()
     assert ref() is None
-    assert (False, 1, zero) not in R._modules
+    assert (1, zero) not in R._modules
 
 
 def test_equal_ideals_are_one_memo_key(monkeypatch):
