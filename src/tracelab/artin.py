@@ -903,6 +903,8 @@ class FreeCover:
         (i, s) of C the vector b_s n_i; the C of all tuples are stacked to
         share one product with the section S.
         """
+        if not tuples:  # no map: nothing to stack or multiply
+            return []
         field, dN, v = target.algebra.field, target.dim, len(self.generators)
         stacked = []
         for n in tuples:

@@ -68,8 +68,74 @@ from .textio import (
 from .verifier import default_catalog, run_suites, subspace_json
 
 
+_encode_str = json.encoder.encode_basestring  # the C encoder of ensure_ascii=False strings
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def _emit(obj, nl, out):
+    """Append the indented JSON of obj to out; nl is the newline plus the
+    indent of the line obj starts on.  TypeError: a value of another shape."""
+    t = type(obj)
+    if t is str:
+        out.append(_encode_str(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError
+            out.append(sep + _encode_str(key) + ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        types = set(map(type, obj))
+        if types == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+        elif types == {str}:
+            out.append("[" + inner + ("," + inner).join(map(_encode_str, obj)) + nl + "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _emit(item, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif t is bool or obj is None:
+        out.append(_SCALARS[obj])
+    else:
+        raise TypeError
+
+
+def _json_pieces(obj):
+    """canonical_json(obj) as a list of strings, to write or join."""
+    out = []
+    try:
+        _emit(obj, "\n", out)
+    except (TypeError, RecursionError):  # sorted() on mixed keys raises TypeError too
+        return [json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False), "\n"]
+    out.append("\n")
+    return out
+
+
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) plus a newline, which every report and JSON error
+    keeps.  Dicts with str keys, lists, tuples (written as lists), strs,
+    ints, bools and None are emitted here, each all-int or all-str list
+    joined in one pass.  Any other value (a float, a non-str key, a
+    subclass), a cycle or nesting past the recursion limit hands the whole
+    document to json.dumps, so its bytes or its error are json.dumps's."""
+    return "".join(_json_pieces(obj))
 
 
 def _fingerprint(parts):
@@ -382,7 +448,7 @@ def main(argv=None):
         "result": payload,
     }
     if args.format == "json":
-        sys.stdout.write(canonical_json(report))
+        sys.stdout.writelines(_json_pieces(report))  # in pieces: no second copy of a large report
     else:
         _render_text(report, sys.stdout)
     if args.command == "verify" and not payload["passed"]:

@@ -53,8 +53,9 @@ class RationalField:
         n, d = x.numerator, x.denominator
         return "%d" % n if d == 1 else "%d/%d" % (n, d)
 
-    def to_json(self, x):
-        return self.format(x)
+    def row_json(self, row):
+        """A row's JSON values: each scalar as its "p" or "p/q" string."""
+        return list(map(self.format, row))
 
     def sort_key(self, x):
         return (x.numerator, x.denominator)
@@ -100,8 +101,9 @@ class PrimeField:
     def format(self, x):
         return "%d" % x
 
-    def to_json(self, x):
-        return x
+    def row_json(self, row):
+        """A row's JSON values: its ints."""
+        return list(row)
 
     def sort_key(self, x):
         return (x, 1)
@@ -426,7 +428,7 @@ class Subspace:
     with those vectors as columns, built on each access.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash", "_projection")
 
     def __init__(self, field, ambient_dim, rows, pivots):
         self.field = field
@@ -521,17 +523,20 @@ class Subspace:
 
     def projection(self):
         """The (n-dim) x n matrix of k^n -> k^n / self in that basis: it kills
-        the subspace, and its non-pivot columns are the identity."""
-        field, n = self.field, self.ambient_dim
-        proj = []
-        for q in self.nonpivots():
-            row = [field.zero] * n
-            row[q] = field.one
-            for p, prow in zip(self.pivots, self.rows):
-                if prow[q]:
-                    row[p] = -prow[q]
-            proj.append(tuple(field.canonical(row)))
-        return Matrix._of(field, tuple(proj), n)
+        the subspace, and its non-pivot columns are the identity.  Built on
+        first use and kept, as the hash is."""
+        if not hasattr(self, "_projection"):
+            field, n = self.field, self.ambient_dim
+            proj = []
+            for q in self.nonpivots():
+                row = [field.zero] * n
+                row[q] = field.one
+                for p, prow in zip(self.pivots, self.rows):
+                    if prow[q]:
+                        row[p] = -prow[q]
+                proj.append(tuple(field.canonical(row)))
+            self._projection = Matrix._of(field, tuple(proj), n)
+        return self._projection
 
     def _on_lifts(self, m):
         """m on the lift of each basis vector of k^n / self to its standard

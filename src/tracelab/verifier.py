@@ -179,11 +179,10 @@ class SuiteResult:
 
 def subspace_json(sub):
     """Canonical serialization of a Subspace (field-aware entries)."""
-    f = sub.field
     return {
         "ambient_dim": sub.ambient_dim,
         "dim": sub.dim,
-        "basis_columns": [[f.to_json(x) for x in col] for col in sub.rows],
+        "basis_columns": list(map(sub.field.row_json, sub.rows)),
     }
 
 

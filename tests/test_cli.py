@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelab import __version__
-from tracelab.cli import main
+from tracelab.cli import canonical_json, main
 
 FAT_RING = """\
 # fat point
@@ -965,6 +965,82 @@ def test_cli_outputs_are_pinned(capsys, monkeypatch, tmp_path, case):
     for name, data in GOLDEN_FILES.items():
         (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
+    line, digest = GOLDEN_CASES[case]
+    outcome = _golden_outcome(capsys, shlex.split(line))
+    assert hashlib.sha256(outcome.encode("utf-8")).hexdigest() == digest, outcome
+
+
+# -- the report emitter ----------------------------------------------------------
+
+# Strings with quotes, backslashes, control characters, non-ASCII text and the
+# line separator U+2028, besides hypothesis's own text.
+TRICKY_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r", "\u2028\u2029", "é ü 漢字 🜁", "'\"\\/"]),
+)
+# Scalars of every JSON kind, with ints of both signs and beyond 2^64, and
+# floats, which take the json.dumps fallback.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64),
+    st.integers(max_value=-(2 ** 64)),
+    TRICKY_TEXT,
+    st.floats(),
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans(), st.none()), max_size=5),
+        st.lists(TRICKY_TEXT, max_size=4),
+        st.dictionaries(TRICKY_TEXT, children, max_size=4),
+        # int keys take the fallback; int and str keys together fail there.
+        st.dictionaries(st.one_of(st.integers(), TRICKY_TEXT), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(encode, payload):
+    try:
+        return encode(payload)
+    except Exception as exc:  # the same failure as json.dumps, if any
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON_PAYLOADS)
+def test_canonical_json_is_json_dumps(payload):
+    def reference(obj):
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+    assert _outcome(canonical_json, payload) == _outcome(reference, payload)
+
+
+def test_canonical_json_fails_as_json_dumps_on_cycles_and_deep_nesting():
+    cycle, deep = [], []
+    cycle.append({"a": cycle})
+    for _ in range(5000):
+        deep = [deep]
+    for payload in (cycle, deep):
+        assert _outcome(canonical_json, payload) == _outcome(
+            lambda obj: json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n", payload)
+
+
+@pytest.mark.parametrize("case", ["trace", "semigroup-report", "verify", "bad-gens", "bad-suite"])
+def test_reports_never_reach_the_pure_python_encoder(capsys, monkeypatch, tmp_path, case):
+    # json.dumps with an indent runs json.encoder's pure-Python encoder; with
+    # it disabled, reports and JSON errors still print their pinned bytes.
+    def disabled(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    for name, data in GOLDEN_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", disabled)
     line, digest = GOLDEN_CASES[case]
     outcome = _golden_outcome(capsys, shlex.split(line))
     assert hashlib.sha256(outcome.encode("utf-8")).hexdigest() == digest, outcome
