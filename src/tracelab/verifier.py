@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
+import sys
+import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -93,7 +96,8 @@ from .textio import parse_sections, presentation_from_section
 class AlgebraSpec:
     """A reconstructible algebra description (echoed into failure reports).
 
-    `_built` memoises its algebra on it, freed with the spec.
+    `_built` memoises its algebra on it, freed with the spec.  A spec holding
+    its algebra does not pickle: `run_suites` hands it to workers by fork.
     """
 
     name: str
@@ -216,11 +220,13 @@ class _Recorder:
         )
 
 
+def _merged(suite, parts):
+    """One suite's result from its per-algebra results, in catalog order and timed where they ran."""
+    failures = tuple(f for p in parts for f in p.failures)
+    return SuiteResult(suite, sum(p.checks for p in parts), failures, sum(p.elapsed for p in parts))
+
+
 # -- the default catalog ---------------------------------------------------------
-
-
-def _catalog_files():
-    return resources.files("tracelab") / "catalog"
 
 
 def load_algebra_file(path_like, name):
@@ -237,7 +243,7 @@ def load_algebra_file(path_like, name):
 
 def default_catalog(seed=20260810):
     """The checked-in catalog: Q/F2/F3 algebras plus the semigroup list."""
-    base = _catalog_files()
+    base = resources.files("tracelab") / "catalog"
     algebras = []
     for entry in sorted(base.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".ring"):
@@ -370,179 +376,182 @@ def _element_samples(algebra, spec, tag):
 # -- section 1: the trace submodule -------------------------------------------------
 
 
-def suite_section1(spec, trace_fn=trace):
+def _section1_on(spec, aspec, trace_fn=trace):
     rec = _Recorder("section1")
-    for aspec in spec.algebras:
-        algebra = _built(aspec)
-        reg = regular_module(algebra)
-        modules = module_pool(algebra, spec, "s1")
-        ideals = ideal_pool(algebra, spec, "s1")
-        base = {"algebra": aspec.to_json()}
+    algebra = _built(aspec)
+    reg = regular_module(algebra)
+    modules = module_pool(algebra, spec, "s1")
+    ideals = ideal_pool(algebra, spec, "s1")
+    base = {"algebra": aspec.to_json()}
 
-        for ideal_sub, idesc in ideals:
-            ideal_rep = ideal_sub.as_module()
-            for module, mdesc in modules:
-                inst = dict(base, **idesc, module=mdesc)
-                tr = trace_fn(ideal_sub, module)
-                lower = ideal_times_module(ideal_sub, module)
-                upper = torsion_submodule(module, annihilator(ideal_rep))
-                rec.check(
-                    "trace_sandwich",
-                    inst,
-                    tr.carrier.contains(lower.carrier) and upper.carrier.contains(tr.carrier),
-                    left=tr.carrier,
-                    right=upper.carrier,
-                    note="trace must contain IM and sit inside M[Ann I]",
-                )
-                hom_dim = hom_module(ideal_rep, module).dim
-                rec.check(
-                    "trace_zero_iff_hom_zero",
-                    inst,
-                    (tr.dim == 0) == (hom_dim == 0)
-                    and (hom_dim == 0) == (ideal_sub.dim == 0 or module.dim == 0),
-                )
-                onto = None
-                if is_cyclic_ideal(ideal_sub):
-                    rec.equal("cyclic_trace_is_annihilator_torsion", inst, tr.carrier, upper.carrier)
-                    onto = homothety_map(ideal_sub, module).surjective
-                    rec.check("cyclic_homothety_onto", inst, onto)
-                    rec.check(
-                        "cyclic_ext1_dimension_formula",
-                        inst,
-                        ext1(ideal_sub, module).dim == upper.dim - lower.dim,
-                    )
-                rec.check(
-                    "ext1_zero_iff_excellent_and_homothety_onto",
-                    inst,
-                    (ext1(ideal_sub, module).dim == 0)
-                    == (
-                        is_ideal_excellent(ideal_sub, module)
-                        and (homothety_map(ideal_sub, module).surjective if onto is None else onto)
-                    ),
-                )
-
-        # Direct sums: a sum is I-excellent exactly when both summands are
-        # (summands are pure submodules, so both directions hold).
-        pairs = [(modules[0], modules[1]), (modules[0], modules[-1])]
-        for (ma, da), (mb, db) in pairs:
-            total, _, _ = direct_sum(ma, mb)
-            for ideal_sub, idesc in ideals[:4]:
-                inst = dict(base, **idesc, module={"sum_of": [da, db]})
-                rec.check(
-                    "excellent_for_sum_iff_both_summands",
-                    inst,
-                    is_ideal_excellent(ideal_sub, total)
-                    == (is_ideal_excellent(ideal_sub, ma) and is_ideal_excellent(ideal_sub, mb)),
-                )
-
-        # Excellence for two ideals implies excellence for their sum.
-        for i in range(min(4, len(ideals))):
-            for j in range(i + 1, min(4, len(ideals))):
-                ia, da = ideals[i]
-                ib, db = ideals[j]
-                for module, mdesc in modules[:3]:
-                    if is_ideal_excellent(ia, module) and is_ideal_excellent(ib, module):
-                        inst = dict(base, module=mdesc, ideal=[da["ideal"], db["ideal"]])
-                        rec.check(
-                            "excellent_for_ideal_sum",
-                            inst,
-                            is_ideal_excellent(ideal_sum(ia, ib), module),
-                        )
-
-        # Known excellent modules: finite sums of copies of the injective
-        # hull dual(R); over a QF ring also R itself.
-        excellents = [(matlis_dual(reg).rep, {"label": "dual(R)"})]
-        big, _, _ = direct_sum(excellents[0][0], excellents[0][0])
-        excellents.append((big, {"label": "dual(R)^2"}))
-        if is_quasi_frobenius(algebra):
-            excellents.append((reg, {"label": "R"}))
-        socle_ideal, m = socle(reg), algebra.max_ideal()
-        for module, mdesc in excellents:
-            inst = dict(base, module=mdesc)
-            rec.equal("excellent_for_max_ideal", inst,
-                      trace(m, module).carrier, ideal_times_module(m, module).carrier)
-            # Excellence at (r) and the cyclic trace formula: rM = M[Ann r].
-            for element in _element_samples(algebra, spec, "s1ex"):
-                principal = span_submodule(reg, [element])
-                ann = annihilator(principal.as_module())
-                rec.equal("excellent_principal_image_is_annihilator_torsion", inst,
-                          ideal_times_module(principal, module).carrier,
-                          torsion_submodule(module, ann).carrier)
-            if socle(module).dim != 0:
-                rec.check("excellent_socle_implies_faithful", inst, annihilator(module).dim == 0)
-            rec.equal(
-                "excellent_socle_product",
+    for ideal_sub, idesc in ideals:
+        ideal_rep = ideal_sub.as_module()
+        for module, mdesc in modules:
+            inst = dict(base, **idesc, module=mdesc)
+            tr = trace_fn(ideal_sub, module)
+            lower = ideal_times_module(ideal_sub, module)
+            upper = torsion_submodule(module, annihilator(ideal_rep))
+            rec.check(
+                "trace_sandwich",
                 inst,
-                ideal_times_module(socle_ideal, module).carrier,
-                socle(module).carrier,
+                tr.carrier.contains(lower.carrier) and upper.carrier.contains(tr.carrier),
+                left=tr.carrier,
+                right=upper.carrier,
+                note="trace must contain IM and sit inside M[Ann I]",
             )
-            if module.dim:
+            hom_dim = hom_module(ideal_rep, module).dim
+            rec.check(
+                "trace_zero_iff_hom_zero",
+                inst,
+                (tr.dim == 0) == (hom_dim == 0)
+                and (hom_dim == 0) == (ideal_sub.dim == 0 or module.dim == 0),
+            )
+            onto = None
+            if is_cyclic_ideal(ideal_sub):
+                rec.equal("cyclic_trace_is_annihilator_torsion", inst, tr.carrier, upper.carrier)
+                onto = homothety_map(ideal_sub, module).surjective
+                rec.check("cyclic_homothety_onto", inst, onto)
                 rec.check(
-                    "reduced_excellent_socle_image_essential",
+                    "cyclic_ext1_dimension_formula",
                     inst,
-                    is_essential(ideal_times_module(socle_ideal, module)),
+                    ext1(ideal_sub, module).dim == upper.dim - lower.dim,
                 )
-                rec.check("reduced_excellent_faithful", inst, annihilator(module).dim == 0)
-            if module.dim and minimal_generators(module)[0] <= 1:
-                rec.check(
-                    "cyclic_excellent_is_ring_and_qf",
-                    inst,
-                    module.dim == algebra.dim
-                    and annihilator(module).dim == 0
-                    and is_quasi_frobenius(algebra),
-                )
+            rec.check(
+                "ext1_zero_iff_excellent_and_homothety_onto",
+                inst,
+                (ext1(ideal_sub, module).dim == 0)
+                == (
+                    is_ideal_excellent(ideal_sub, module)
+                    and (homothety_map(ideal_sub, module).surjective if onto is None else onto)
+                ),
+            )
 
-        # QF <=> excellent (exhaustive over F_p, sampled over Q).  A sampled
-        # "holds" only means no sampled ideal is a witness, so on sampled
-        # evidence only QF => excellent is checked.
-        if algebra.field.is_finite:
-            verdict = excellence_verdict(reg)
-        else:
-            verdict = excellence_verdict(reg, ideals=[i for i, _ in ideals])
-        if verdict.evidence == "exhaustive":
-            qf_ok = verdict.holds == is_quasi_frobenius(algebra)
-        else:
-            qf_ok = verdict.holds or not is_quasi_frobenius(algebra)
-        rec.check("qf_iff_excellent", dict(base, evidence=verdict.evidence), qf_ok)
+    # Direct sums: a sum is I-excellent exactly when both summands are
+    # (summands are pure submodules, so both directions hold).
+    pairs = [(modules[0], modules[1]), (modules[0], modules[-1])]
+    for (ma, da), (mb, db) in pairs:
+        total, _, _ = direct_sum(ma, mb)
+        for ideal_sub, idesc in ideals[:4]:
+            inst = dict(base, **idesc, module={"sum_of": [da, db]})
+            rec.check(
+                "excellent_for_sum_iff_both_summands",
+                inst,
+                is_ideal_excellent(ideal_sub, total)
+                == (is_ideal_excellent(ideal_sub, ma) and is_ideal_excellent(ideal_sub, mb)),
+            )
 
-        # No proper nonzero ideal, and no proper quotient, is excellent.
-        if algebra.field.is_finite and algebra.dim <= 4:
-            try:
-                all_ideals = enumerate_submodules(reg, cap=spec.submodule_cap)
-            except EnumerationCapExceeded:
-                all_ideals = enumerate_cyclic_ideals(algebra)
-            for a in all_ideals:
-                if a.dim == 0 or a.dim == algebra.dim:
-                    continue
-                inst = dict(base, ideal=_ideal_desc(algebra, a))
-                a_rep = a.as_module()
-                rec.check(
-                    "proper_ideal_never_excellent",
-                    inst,
-                    not excellence_verdict(a_rep).holds,
-                )
-                quotient_rep, _ = a.quotient()
-                rec.check(
-                    "proper_quotient_never_excellent",
-                    inst,
-                    not excellence_verdict(quotient_rep).holds,
-                )
-
-        # Trace ideals are good; colons of good ideals by integral ideals are good.
-        for ideal_sub, idesc in ideals:
-            inst = dict(base, **idesc)
-            tr = trace_fn(ideal_sub, reg)
-            rec.check("trace_ideal_is_good", inst, trace(tr, reg).carrier == tr.carrier)
-            if is_ideal_excellent(ideal_sub, reg):
-                for other, odesc in ideals[:3]:
-                    inst2 = dict(base, ideal=[idesc["ideal"], odesc["ideal"]])
-                    cln = colon_submodule(ideal_sub, other)
+    # Excellence for two ideals implies excellence for their sum.
+    for i in range(min(4, len(ideals))):
+        for j in range(i + 1, min(4, len(ideals))):
+            ia, da = ideals[i]
+            ib, db = ideals[j]
+            for module, mdesc in modules[:3]:
+                if is_ideal_excellent(ia, module) and is_ideal_excellent(ib, module):
+                    inst = dict(base, module=mdesc, ideal=[da["ideal"], db["ideal"]])
                     rec.check(
-                        "colon_of_good_ideal_is_good",
-                        inst2,
-                        trace(cln, reg).carrier == cln.carrier,
+                        "excellent_for_ideal_sum",
+                        inst,
+                        is_ideal_excellent(ideal_sum(ia, ib), module),
                     )
+
+    # Known excellent modules: finite sums of copies of the injective
+    # hull dual(R); over a QF ring also R itself.
+    excellents = [(matlis_dual(reg).rep, {"label": "dual(R)"})]
+    big, _, _ = direct_sum(excellents[0][0], excellents[0][0])
+    excellents.append((big, {"label": "dual(R)^2"}))
+    if is_quasi_frobenius(algebra):
+        excellents.append((reg, {"label": "R"}))
+    socle_ideal, m = socle(reg), algebra.max_ideal()
+    for module, mdesc in excellents:
+        inst = dict(base, module=mdesc)
+        rec.equal("excellent_for_max_ideal", inst,
+                  trace(m, module).carrier, ideal_times_module(m, module).carrier)
+        # Excellence at (r) and the cyclic trace formula: rM = M[Ann r].
+        for element in _element_samples(algebra, spec, "s1ex"):
+            principal = span_submodule(reg, [element])
+            ann = annihilator(principal.as_module())
+            rec.equal("excellent_principal_image_is_annihilator_torsion", inst,
+                      ideal_times_module(principal, module).carrier,
+                      torsion_submodule(module, ann).carrier)
+        if socle(module).dim != 0:
+            rec.check("excellent_socle_implies_faithful", inst, annihilator(module).dim == 0)
+        rec.equal(
+            "excellent_socle_product",
+            inst,
+            ideal_times_module(socle_ideal, module).carrier,
+            socle(module).carrier,
+        )
+        if module.dim:
+            rec.check(
+                "reduced_excellent_socle_image_essential",
+                inst,
+                is_essential(ideal_times_module(socle_ideal, module)),
+            )
+            rec.check("reduced_excellent_faithful", inst, annihilator(module).dim == 0)
+        if module.dim and minimal_generators(module)[0] <= 1:
+            rec.check(
+                "cyclic_excellent_is_ring_and_qf",
+                inst,
+                module.dim == algebra.dim
+                and annihilator(module).dim == 0
+                and is_quasi_frobenius(algebra),
+            )
+
+    # QF <=> excellent (exhaustive over F_p, sampled over Q).  A sampled
+    # "holds" only means no sampled ideal is a witness, so on sampled
+    # evidence only QF => excellent is checked.
+    if algebra.field.is_finite:
+        verdict = excellence_verdict(reg)
+    else:
+        verdict = excellence_verdict(reg, ideals=[i for i, _ in ideals])
+    if verdict.evidence == "exhaustive":
+        qf_ok = verdict.holds == is_quasi_frobenius(algebra)
+    else:
+        qf_ok = verdict.holds or not is_quasi_frobenius(algebra)
+    rec.check("qf_iff_excellent", dict(base, evidence=verdict.evidence), qf_ok)
+
+    # No proper nonzero ideal, and no proper quotient, is excellent.
+    if algebra.field.is_finite and algebra.dim <= 4:
+        try:
+            all_ideals = enumerate_submodules(reg, cap=spec.submodule_cap)
+        except EnumerationCapExceeded:
+            all_ideals = enumerate_cyclic_ideals(algebra)
+        for a in all_ideals:
+            if a.dim == 0 or a.dim == algebra.dim:
+                continue
+            inst = dict(base, ideal=_ideal_desc(algebra, a))
+            a_rep = a.as_module()
+            rec.check(
+                "proper_ideal_never_excellent",
+                inst,
+                not excellence_verdict(a_rep).holds,
+            )
+            quotient_rep, _ = a.quotient()
+            rec.check(
+                "proper_quotient_never_excellent",
+                inst,
+                not excellence_verdict(quotient_rep).holds,
+            )
+
+    # Trace ideals are good; colons of good ideals by integral ideals are good.
+    for ideal_sub, idesc in ideals:
+        inst = dict(base, **idesc)
+        tr = trace_fn(ideal_sub, reg)
+        rec.check("trace_ideal_is_good", inst, trace(tr, reg).carrier == tr.carrier)
+        if is_ideal_excellent(ideal_sub, reg):
+            for other, odesc in ideals[:3]:
+                inst2 = dict(base, ideal=[idesc["ideal"], odesc["ideal"]])
+                cln = colon_submodule(ideal_sub, other)
+                rec.check(
+                    "colon_of_good_ideal_is_good",
+                    inst2,
+                    trace(cln, reg).carrier == cln.carrier,
+                )
     return rec.result()
+
+
+def suite_section1(spec, trace_fn=trace):
+    return _merged("section1", [_section1_on(spec, aspec, trace_fn) for aspec in spec.algebras])
 
 
 # -- section 2: the ring case and the semigroup model ---------------------------------
@@ -664,220 +673,223 @@ def _member_of(module, incl):
     )
 
 
-def suite_section3(spec):
+def _section3_on(spec, aspec):
     rec = _Recorder("section3")
-    for aspec in spec.algebras:
-        algebra = _built(aspec)
-        reg = regular_module(algebra)
-        base = {"algebra": aspec.to_json()}
-        modules = module_pool(algebra, spec, "s3")
-        ideals = ideal_pool(algebra, spec, "s3")
+    algebra = _built(aspec)
+    reg = regular_module(algebra)
+    base = {"algebra": aspec.to_json()}
+    modules = module_pool(algebra, spec, "s3")
+    ideals = ideal_pool(algebra, spec, "s3")
 
-        # The (I, M) battery: canonical modules x pool ideals, then seeded
-        # random pairs up to duality_samples for infinite fields.
-        battery = [(i, idesc, m, mdesc) for (i, idesc) in ideals for (m, mdesc) in modules]
-        if not algebra.field.is_finite:
-            rng = _rng(spec.seed, "s3pairs", algebra.variables, algebra.presentation.relations)
-            while len(battery) < spec.duality_samples:
-                rows = random_module_presentations(algebra, rng, 1)[0]
-                module = module_from_presentation(algebra, rows)
-                gens = [random_poly_string(algebra, rng)]
-                ideal_sub = ideal_from_elements(algebra, gens)
-                battery.append((ideal_sub, {"ideal": gens}, module, {"presentation": rows}))
+    # The (I, M) battery: canonical modules x pool ideals, then seeded
+    # random pairs up to duality_samples for infinite fields.
+    battery = [(i, idesc, m, mdesc) for (i, idesc) in ideals for (m, mdesc) in modules]
+    if not algebra.field.is_finite:
+        rng = _rng(spec.seed, "s3pairs", algebra.variables, algebra.presentation.relations)
+        while len(battery) < spec.duality_samples:
+            rows = random_module_presentations(algebra, rng, 1)[0]
+            module = module_from_presentation(algebra, rows)
+            gens = [random_poly_string(algebra, rng)]
+            ideal_sub = ideal_from_elements(algebra, gens)
+            battery.append((ideal_sub, {"ideal": gens}, module, {"presentation": rows}))
 
-        for ideal_sub, idesc, module, mdesc in battery:
-            inst = dict(base, **idesc, module=mdesc)
-            ideal_rep = ideal_sub.as_module()
-            dual = matlis_dual(module)
+    for ideal_sub, idesc, module, mdesc in battery:
+        inst = dict(base, **idesc, module=mdesc)
+        ideal_rep = ideal_sub.as_module()
+        dual = matlis_dual(module)
 
-            co = cotrace(ideal_sub, module)
-            tr = trace(ideal_sub, module)
-            lower = ideal_times_module(annihilator(ideal_rep), module)
-            upper = torsion_submodule(module, ideal_sub)
-            rec.check(
-                "cotrace_sandwich",
-                inst,
-                co.carrier.contains(lower.carrier) and upper.carrier.contains(co.carrier),
-                left=co.carrier,
-                right=upper.carrier,
-                note="cotrace must contain Ann(I)M and sit inside M[I]",
-            )
+        co = cotrace(ideal_sub, module)
+        tr = trace(ideal_sub, module)
+        lower = ideal_times_module(annihilator(ideal_rep), module)
+        upper = torsion_submodule(module, ideal_sub)
+        rec.check(
+            "cotrace_sandwich",
+            inst,
+            co.carrier.contains(lower.carrier) and upper.carrier.contains(co.carrier),
+            left=co.carrier,
+            right=upper.carrier,
+            note="cotrace must contain Ann(I)M and sit inside M[I]",
+        )
+        rec.equal(
+            "dual_trace_is_cotrace_annihilator",
+            inst,
+            trace(ideal_sub, dual.rep).carrier,
+            ann_in_dual(dual, co).carrier,
+        )
+        rec.equal(
+            "dual_cotrace_is_trace_annihilator",
+            inst,
+            cotrace(ideal_sub, dual.rep).carrier,
+            ann_in_dual(dual, tr).carrier,
+        )
+        rec.check(
+            "dual_swaps_excellence",
+            inst,
+            is_ideal_coexcellent(ideal_sub, module) == is_ideal_excellent(ideal_sub, dual.rep)
+            and is_ideal_excellent(ideal_sub, module)
+            == is_ideal_coexcellent(ideal_sub, dual.rep),
+        )
+        rec.check(
+            "cotrace_full_iff_tensor_zero",
+            inst,
+            (co.dim == module.dim)
+            == (tensor_product(module, ideal_rep).dim == 0)
+            and (tensor_product(module, ideal_rep).dim == 0)
+            == (ideal_sub.dim == 0 or module.dim == 0),
+        )
+        into = None
+        if is_cyclic_ideal(ideal_sub):
             rec.equal(
-                "dual_trace_is_cotrace_annihilator",
-                inst,
-                trace(ideal_sub, dual.rep).carrier,
-                ann_in_dual(dual, co).carrier,
+                "cyclic_cotrace_is_annihilator_image", inst, co.carrier, lower.carrier
             )
-            rec.equal(
-                "dual_cotrace_is_trace_annihilator",
-                inst,
-                cotrace(ideal_sub, dual.rep).carrier,
-                ann_in_dual(dual, tr).carrier,
-            )
+            into = tensor_eval(module, ideal_sub).injective
+            rec.check("cyclic_tensor_eval_injective", inst, into)
             rec.check(
-                "dual_swaps_excellence",
+                "cyclic_tor1_dimension_formula",
                 inst,
-                is_ideal_coexcellent(ideal_sub, module) == is_ideal_excellent(ideal_sub, dual.rep)
-                and is_ideal_excellent(ideal_sub, module)
-                == is_ideal_coexcellent(ideal_sub, dual.rep),
+                tor1(module, ideal_sub).dim == upper.dim - lower.dim,
             )
-            rec.check(
-                "cotrace_full_iff_tensor_zero",
-                inst,
-                (co.dim == module.dim)
-                == (tensor_product(module, ideal_rep).dim == 0)
-                and (tensor_product(module, ideal_rep).dim == 0)
-                == (ideal_sub.dim == 0 or module.dim == 0),
-            )
-            into = None
-            if is_cyclic_ideal(ideal_sub):
-                rec.equal(
-                    "cyclic_cotrace_is_annihilator_image", inst, co.carrier, lower.carrier
-                )
-                into = tensor_eval(module, ideal_sub).injective
-                rec.check("cyclic_tensor_eval_injective", inst, into)
-                rec.check(
-                    "cyclic_tor1_dimension_formula",
-                    inst,
-                    tor1(module, ideal_sub).dim == upper.dim - lower.dim,
-                )
-            rec.check(
-                "tor1_zero_iff_coexcellent_and_eval_injective",
-                inst,
-                (tor1(module, ideal_sub).dim == 0)
-                == (
-                    is_ideal_coexcellent(ideal_sub, module)
-                    and (tensor_eval(module, ideal_sub).injective if into is None else into)
-                ),
-            )
-            rec.check(
-                "ext_tor_dual_dimension",
-                inst,
-                ext1(ideal_sub, dual.rep).dim == tor1(module, ideal_sub).dim,
-            )
+        rec.check(
+            "tor1_zero_iff_coexcellent_and_eval_injective",
+            inst,
+            (tor1(module, ideal_sub).dim == 0)
+            == (
+                is_ideal_coexcellent(ideal_sub, module)
+                and (tensor_eval(module, ideal_sub).injective if into is None else into)
+            ),
+        )
+        rec.check(
+            "ext_tor_dual_dimension",
+            inst,
+            ext1(ideal_sub, dual.rep).dim == tor1(module, ideal_sub).dim,
+        )
 
-        # The injective-embedding colon route, plus the colon criterion for
-        # excellence inside the embedding.
-        route_pairs = battery[: spec.colon_route_samples]
-        for ideal_sub, idesc, module, mdesc in route_pairs:
-            inst = dict(base, **idesc, module=mdesc)
-            injective, incl = embed_into_injective(module)
-            member = _member_of(injective, incl)
-            routed = trace_via_colon(member, ideal_sub)
-            direct = trace(ideal_sub, module)
-            rec.equal("colon_route_trace_agrees", inst, routed.carrier, direct.carrier.image(incl))
-            im_mapped = ideal_times_module(ideal_sub, module).carrier.image(incl)
-            im_member = Submodule(injective, im_mapped, check=False)
+    # The injective-embedding colon route, plus the colon criterion for
+    # excellence inside the embedding.
+    route_pairs = battery[: spec.colon_route_samples]
+    for ideal_sub, idesc, module, mdesc in route_pairs:
+        inst = dict(base, **idesc, module=mdesc)
+        injective, incl = embed_into_injective(module)
+        member = _member_of(injective, incl)
+        routed = trace_via_colon(member, ideal_sub)
+        direct = trace(ideal_sub, module)
+        rec.equal("colon_route_trace_agrees", inst, routed.carrier, direct.carrier.image(incl))
+        im_mapped = ideal_times_module(ideal_sub, module).carrier.image(incl)
+        im_member = Submodule(injective, im_mapped, check=False)
+        rec.check(
+            "excellent_iff_colon_comparison",
+            inst,
+            is_ideal_excellent(ideal_sub, module)
+            == (
+                colon_submodule(im_member, ideal_sub).carrier
+                == colon_submodule(member, ideal_sub).carrier
+            ),
+        )
+
+    # Cotrace of a free quotient through the colon formula.
+    rng = _rng(spec.seed, "s3free", algebra.variables, algebra.presentation.relations)
+    free = free_module(algebra, 2)
+    for ideal_sub, idesc in ideals[:4]:
+        vec = tuple(
+            algebra.field.from_int(rng.randint(-2, 2) if not algebra.field.is_finite
+                                   else rng.randrange(algebra.field.order))
+            for _ in range(free.dim)
+        )
+        b_sub = span_submodule(free, [vec])
+        inst = dict(base, **idesc, module={"label": "R^2 / <random vector>"})
+        quotient_rep, proj = b_sub.quotient()
+        ib = ideal_times_submodule(ideal_sub, b_sub)
+        big_colon = colon_submodule(ib, ideal_sub)
+        rec.equal(
+            "free_quotient_cotrace_colon_formula",
+            inst,
+            cotrace(ideal_sub, quotient_rep).carrier,
+            big_colon.carrier.image(proj),
+        )
+
+    # Summand compatibility (pure submodules realized as summands).
+    u_mod = modules[0]
+    w_mod = modules[1]
+    total, (iu, _iw), (_pu, pw) = direct_sum(u_mod[0], w_mod[0])
+    u_member = _member_of(total, iu)
+    for ideal_sub, idesc in ideals[:4]:
+        inst = dict(base, **idesc, module={"sum_of": [u_mod[1], w_mod[1]]})
+        tr_total = trace(ideal_sub, total)
+        co_total = cotrace(ideal_sub, total)
+        tr_u = trace(ideal_sub, u_mod[0])
+        co_u = cotrace(ideal_sub, u_mod[0])
+        rec.equal(
+            "summand_trace_restriction",
+            inst,
+            tr_u.carrier.image(iu),
+            u_member.carrier.intersect(tr_total.carrier),
+        )
+        rec.equal(
+            "summand_cotrace_restriction",
+            inst,
+            co_u.carrier.image(iu),
+            u_member.carrier.intersect(co_total.carrier),
+        )
+        # Quotient forms: M/U along the projection to the other summand.
+        rec.equal(
+            "quotient_trace_image",
+            inst,
+            trace(ideal_sub, w_mod[0]).carrier,
+            tr_total.carrier.image(pw),
+        )
+        rec.equal(
+            "quotient_cotrace_image",
+            inst,
+            cotrace(ideal_sub, w_mod[0]).carrier,
+            co_total.carrier.image(pw),
+        )
+
+    # Coexcellent modules: free modules always; over finite fields any
+    # module whose exhaustive verdict holds.
+    coexcellents = [(reg, {"label": "R"}), (free_module(algebra, 2), {"label": "R^2"})]
+    if algebra.field.is_finite:
+        for module, mdesc in modules:
+            if module.dim and coexcellence_verdict(module).holds:
+                coexcellents.append((module, mdesc))
+    socle_ideal = socle(reg)
+    for module, mdesc in coexcellents:
+        inst = dict(base, module=mdesc)
+        for ideal_sub, _ in ideals[:3]:
+            rec.equal("coexcellent_for_ideal", inst, cotrace(ideal_sub, module).carrier,
+                      torsion_submodule(module, ideal_sub).carrier)
+        # Coexcellence at (r) and the cyclic cotrace formula: M[r] = Ann(r)M.
+        for element in _element_samples(algebra, spec, "s3co"):
+            principal = span_submodule(reg, [element])
+            ann = annihilator(principal.as_module())
+            rec.equal("coexcellent_principal_torsion_is_annihilator_image", inst,
+                      torsion_submodule(module, principal).carrier,
+                      ideal_times_module(ann, module).carrier)
+        if module.dim:
+            rec.check("coexcellent_nonzero_faithful", inst, annihilator(module).dim == 0)
+        rec.equal(
+            "coexcellent_radical_is_socle_torsion",
+            inst,
+            ideal_times_module(algebra.max_ideal(), module).carrier,
+            torsion_submodule(module, socle_ideal).carrier,
+        )
+        rec.check(
+            "socle_torsion_small",
+            inst,
+            is_small(torsion_submodule(module, socle_ideal)),
+        )
+        if module.dim and socle(module).dim == 1:
             rec.check(
-                "excellent_iff_colon_comparison",
+                "cocyclic_coexcellent_is_ring_and_qf",
                 inst,
-                is_ideal_excellent(ideal_sub, module)
-                == (
-                    colon_submodule(im_member, ideal_sub).carrier
-                    == colon_submodule(member, ideal_sub).carrier
-                ),
+                module.dim == algebra.dim
+                and annihilator(module).dim == 0
+                and is_quasi_frobenius(algebra),
             )
-
-        # Cotrace of a free quotient through the colon formula.
-        rng = _rng(spec.seed, "s3free", algebra.variables, algebra.presentation.relations)
-        free = free_module(algebra, 2)
-        for ideal_sub, idesc in ideals[:4]:
-            vec = tuple(
-                algebra.field.from_int(rng.randint(-2, 2) if not algebra.field.is_finite
-                                       else rng.randrange(algebra.field.order))
-                for _ in range(free.dim)
-            )
-            b_sub = span_submodule(free, [vec])
-            inst = dict(base, **idesc, module={"label": "R^2 / <random vector>"})
-            quotient_rep, proj = b_sub.quotient()
-            ib = ideal_times_submodule(ideal_sub, b_sub)
-            big_colon = colon_submodule(ib, ideal_sub)
-            rec.equal(
-                "free_quotient_cotrace_colon_formula",
-                inst,
-                cotrace(ideal_sub, quotient_rep).carrier,
-                big_colon.carrier.image(proj),
-            )
-
-        # Summand compatibility (pure submodules realized as summands).
-        u_mod = modules[0]
-        w_mod = modules[1]
-        total, (iu, _iw), (_pu, pw) = direct_sum(u_mod[0], w_mod[0])
-        u_member = _member_of(total, iu)
-        for ideal_sub, idesc in ideals[:4]:
-            inst = dict(base, **idesc, module={"sum_of": [u_mod[1], w_mod[1]]})
-            tr_total = trace(ideal_sub, total)
-            co_total = cotrace(ideal_sub, total)
-            tr_u = trace(ideal_sub, u_mod[0])
-            co_u = cotrace(ideal_sub, u_mod[0])
-            rec.equal(
-                "summand_trace_restriction",
-                inst,
-                tr_u.carrier.image(iu),
-                u_member.carrier.intersect(tr_total.carrier),
-            )
-            rec.equal(
-                "summand_cotrace_restriction",
-                inst,
-                co_u.carrier.image(iu),
-                u_member.carrier.intersect(co_total.carrier),
-            )
-            # Quotient forms: M/U along the projection to the other summand.
-            rec.equal(
-                "quotient_trace_image",
-                inst,
-                trace(ideal_sub, w_mod[0]).carrier,
-                tr_total.carrier.image(pw),
-            )
-            rec.equal(
-                "quotient_cotrace_image",
-                inst,
-                cotrace(ideal_sub, w_mod[0]).carrier,
-                co_total.carrier.image(pw),
-            )
-
-        # Coexcellent modules: free modules always; over finite fields any
-        # module whose exhaustive verdict holds.
-        coexcellents = [(reg, {"label": "R"}), (free_module(algebra, 2), {"label": "R^2"})]
-        if algebra.field.is_finite:
-            for module, mdesc in modules:
-                if module.dim and coexcellence_verdict(module).holds:
-                    coexcellents.append((module, mdesc))
-        socle_ideal = socle(reg)
-        for module, mdesc in coexcellents:
-            inst = dict(base, module=mdesc)
-            for ideal_sub, _ in ideals[:3]:
-                rec.equal("coexcellent_for_ideal", inst, cotrace(ideal_sub, module).carrier,
-                          torsion_submodule(module, ideal_sub).carrier)
-            # Coexcellence at (r) and the cyclic cotrace formula: M[r] = Ann(r)M.
-            for element in _element_samples(algebra, spec, "s3co"):
-                principal = span_submodule(reg, [element])
-                ann = annihilator(principal.as_module())
-                rec.equal("coexcellent_principal_torsion_is_annihilator_image", inst,
-                          torsion_submodule(module, principal).carrier,
-                          ideal_times_module(ann, module).carrier)
-            if module.dim:
-                rec.check("coexcellent_nonzero_faithful", inst, annihilator(module).dim == 0)
-            rec.equal(
-                "coexcellent_radical_is_socle_torsion",
-                inst,
-                ideal_times_module(algebra.max_ideal(), module).carrier,
-                torsion_submodule(module, socle_ideal).carrier,
-            )
-            rec.check(
-                "socle_torsion_small",
-                inst,
-                is_small(torsion_submodule(module, socle_ideal)),
-            )
-            if module.dim and socle(module).dim == 1:
-                rec.check(
-                    "cocyclic_coexcellent_is_ring_and_qf",
-                    inst,
-                    module.dim == algebra.dim
-                    and annihilator(module).dim == 0
-                    and is_quasi_frobenius(algebra),
-                )
     return rec.result()
+
+
+def suite_section3(spec):
+    return _merged("section3", [_section3_on(spec, aspec) for aspec in spec.algebras])
 
 
 # -- entry points ----------------------------------------------------------------------
@@ -901,16 +913,44 @@ def corrupted_trace(ideal_sub, module):
     )
 
 
+_ON_ALGEBRA = {"section1": _section1_on, "section3": _section3_on}
+_forked = {}  # a pool worker's job, set by its initializer; the spec came by fork (see AlgebraSpec)
+
+
+def _algebra_job(index, job=None):
+    """A job's per-algebra suites on one algebra, in order: later ones reuse the memo."""
+    spec, names = job or _forked["job"]
+    return [_ON_ALGEBRA[name](spec, spec.algebras[index]) for name in names]
+
+
+def _worker_count(jobs):
+    """Processes to spread the jobs over (1: this one); only a one-thread, non-daemonic process forks."""
+    process = sys.modules.get("multiprocessing.process")
+    if jobs < 2 or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return 1 if process and process.current_process().daemon else min(jobs, len(os.sched_getaffinity(0)))
+
+
 def run_suites(spec, suites=("section1", "section2", "section3")):
-    """Run the requested suites; deterministic for a fixed spec."""
-    out = []
+    """Run the requested suites; deterministic for a fixed spec.  Sections 1 and 3 run
+    one job per algebra on forked workers, one per usable CPU, merged in catalog order."""
     for name in suites:
-        if name == "section1":
-            out.append(suite_section1(spec))
-        elif name == "section2":
-            out.append(suite_section2(spec))
-        elif name == "section3":
-            out.append(suite_section3(spec))
-        else:
+        if name not in ("section1", "section2", "section3"):
             raise ValueError("unknown suite %r" % name)
-    return out
+    names = tuple(name for name in suites if name in _ON_ALGEBRA)
+    jobs = range(len(spec.algebras) if names else 0)
+    if (workers := _worker_count(len(jobs))) == 1:
+        per_algebra = [_algebra_job(index, (spec, names)) for index in jobs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        job = {"job": (spec, names)}
+        with ProcessPoolExecutor(workers, get_context("fork"), _forked.update, initargs=(job,)) as pool:
+            try:
+                per_algebra = list(pool.map(_algebra_job, jobs))
+            except BaseException:
+                for process in pool._processes.values():  # stop the running jobs too
+                    process.terminate()
+                raise
+    merged = iter([_merged(name, [r[k] for r in per_algebra]) for k, name in enumerate(names)])
+    return [suite_section2(spec) if name == "section2" else next(merged) for name in suites]

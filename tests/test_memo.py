@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from tracelab import artin, homological, linalg
+from tracelab import artin, homological, linalg, verifier
 from tracelab.artin import (
     ArtinAlgebra,
     ModuleRep,
@@ -153,7 +153,8 @@ def test_a_trace_builds_no_hom_rep_and_ext1_builds_one():
     assert len(reps) == 1
 
 
-def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys):
+def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 1)  # the restrictions happen here
     live, repeats = {}, []  # id of a living module -> carriers restricted in it
 
     def read(args):
@@ -317,7 +318,8 @@ def test_keyword_and_positional_caps_agree():
             call()
 
 
-def test_nothing_built_in_a_run_outlives_its_spec():
+def test_nothing_built_in_a_run_outlives_its_spec(monkeypatch):
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 1)  # the objects are built here
     kinds = (ArtinAlgebra, ModuleRep, Submodule)
     before = [o for o in gc.get_objects() if isinstance(o, kinds)]
     known = {id(o) for o in before}

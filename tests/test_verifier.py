@@ -2,10 +2,17 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from tracelab import verifier
 from tracelab.artin import annihilator, ideal_from_elements, ideal_times_module, torsion_submodule
+from tracelab.errors import ParseError
 from tracelab.homological import cotrace, trace
 from tracelab.verifier import (
     AlgebraSpec,
@@ -81,6 +88,91 @@ def test_deterministic_results():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(SMALL, suites=("section9",))
+
+
+def _on_both_routes(monkeypatch, spec, suites=("section1", "section2", "section3")):
+    """run_suites' JSON, or the exception it raised, with the per-algebra jobs
+    in this process and then over two forked workers; no worker outlives a
+    call."""
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(verifier, "_worker_count", lambda jobs: workers)
+        try:
+            outcomes.append([r.to_json() for r in run_suites(spec, suites)])
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        assert multiprocessing.active_children() == []
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "suites",
+    [("section1", "section2", "section3"), ("section1",), ("section3",), ("section3", "section1")],
+)
+def test_workers_give_the_in_process_results(monkeypatch, suites):
+    in_process, pooled = _on_both_routes(monkeypatch, SMALL, suites)
+    assert [r["suite"] for r in in_process] == list(suites)
+    assert pooled == in_process
+
+
+def test_failures_with_witnesses_cross_from_the_workers(monkeypatch):
+    monkeypatch.setattr(verifier._section1_on, "__defaults__", (corrupted_trace,))
+    in_process, pooled = _on_both_routes(monkeypatch, SMALL, ("section1", "section3"))
+    assert any("left" in f and "right" in f for f in in_process[0]["failures"])
+    assert pooled == in_process
+
+
+def test_workers_take_a_spec_whose_memo_is_filled(monkeypatch):
+    # Jobs are algebra indices and the spec reaches the workers by fork: a
+    # spec holding its built algebras does not pickle.
+    spec = dataclasses.replace(SMALL, algebras=tuple(dataclasses.replace(a) for a in SMALL.algebras))
+    for aspec in spec.algebras:
+        _built(aspec)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(spec)
+    in_process, pooled = _on_both_routes(monkeypatch, spec)
+    assert pooled == in_process
+
+
+def test_an_algebra_that_fails_to_build_raises_alike_on_both_routes(monkeypatch):
+    bad = AlgebraSpec("bad", "F2", ("x",), ("x^2 +",))
+    spec = dataclasses.replace(SMALL, algebras=SMALL.algebras[:2] + (bad,) + SMALL.algebras[2:])
+    for suites in (("section1", "section3"), ("section3",)):
+        in_process, pooled = _on_both_routes(monkeypatch, spec, suites)
+        assert in_process[0] is ParseError
+        assert pooled == in_process
+
+
+def test_a_dead_worker_raises_and_leaves_no_process(monkeypatch):
+    def section3_on(spec, aspec):
+        os._exit(3)
+
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 2)
+    monkeypatch.setitem(verifier._ON_ALGEBRA, "section3", section3_on)
+    with pytest.raises(BrokenProcessPool):
+        run_suites(SMALL, ("section1", "section3"))
+    assert multiprocessing.active_children() == []
+
+
+class _Alarm(BaseException):
+    pass
+
+
+def test_an_alarm_leaves_no_worker_behind(monkeypatch):
+    def on_alarm(signum, frame):
+        raise _Alarm()
+
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 2)
+    spec = default_catalog()
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(_Alarm):
+            run_suites(spec, ("section1", "section3"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_section3_handles_redundant_relations():
