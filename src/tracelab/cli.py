@@ -5,7 +5,8 @@ tool version, and a result payload.  JSON is canonical: sorted keys, exact
 rationals as "p/q" strings, value sets as {"below_conductor": [...],
 "conductor": c}.  Exit codes: 0 success (even when a predicate is false),
 1 only for `verify` runs that find a counterexample, 2 for input errors,
-usage errors included, each with a JSON {"error", "message"} on stderr.
+usage errors included, and for a `verify` worker that died (BrokenProcessPool),
+each with a JSON {"error", "message"} on stderr.
 
 One table, `_COMMANDS`, drives the CLI.  Each command names its payload
 builder, its help text and the inputs it reads after its --ring algebra:
@@ -440,6 +441,10 @@ def main(argv=None):
         return 2
     except OSError as exc:
         sys.stderr.write(canonical_json({"error": "OSError", "message": str(exc)}))
+        return 2
+    # A verify worker died.  Looked up only when an error gets here: cli never imports the pool's module.
+    except getattr(sys.modules.get("concurrent.futures.process"), "BrokenProcessPool", ()) as exc:
+        sys.stderr.write(canonical_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     report = {
         "command": args.command,

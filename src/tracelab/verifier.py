@@ -18,6 +18,7 @@ canonical subspaces, enough to reconstruct the instance exactly.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import os
 import random
@@ -917,6 +918,12 @@ _ON_ALGEBRA = {"section1": _section1_on, "section3": _section3_on}
 _forked = {}  # a pool worker's job, set by its initializer; the spec came by fork (see AlgebraSpec)
 
 
+def _adopt(job):
+    """A pool worker's initializer: its job, and a frozen inherited heap that its collector skips."""
+    _forked["job"] = job
+    gc.freeze()
+
+
 def _algebra_job(index, job=None):
     """A job's per-algebra suites on one algebra, in order: later ones reuse the memo."""
     spec, names = job or _forked["job"]
@@ -932,25 +939,29 @@ def _worker_count(jobs):
 
 
 def run_suites(spec, suites=("section1", "section2", "section3")):
-    """Run the requested suites; deterministic for a fixed spec.  Sections 1 and 3 run
-    one job per algebra on forked workers, one per usable CPU, merged in catalog order."""
+    """Run the requested suites; deterministic for a fixed spec.  Sections 1 and 3 run one job
+    per algebra, largest first, on forked workers (one per usable CPU) that inherit the algebras
+    built here; section 2 runs here meanwhile.  Results merge in catalog order."""
     for name in suites:
         if name not in ("section1", "section2", "section3"):
             raise ValueError("unknown suite %r" % name)
     names = tuple(name for name in suites if name in _ON_ALGEBRA)
-    jobs = range(len(spec.algebras) if names else 0)
+    jobs = sorted(range(len(spec.algebras) if names else 0), key=lambda i: -_built(spec.algebras[i]).dim)
     if (workers := _worker_count(len(jobs))) == 1:
         per_algebra = [_algebra_job(index, (spec, names)) for index in jobs]
+        section2 = "section2" in suites and suite_section2(spec)
     else:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
-        job = {"job": (spec, names)}
-        with ProcessPoolExecutor(workers, get_context("fork"), _forked.update, initargs=(job,)) as pool:
+        with ProcessPoolExecutor(workers, get_context("fork"), _adopt, initargs=((spec, names),)) as pool:
             try:
-                per_algebra = list(pool.map(_algebra_job, jobs))
+                pending = pool.map(_algebra_job, jobs)  # forks every worker before section 2 starts
+                section2 = "section2" in suites and suite_section2(spec)
+                per_algebra = list(pending)
             except BaseException:
                 for process in pool._processes.values():  # stop the running jobs too
                     process.terminate()
                 raise
-    merged = iter([_merged(name, [r[k] for r in per_algebra]) for k, name in enumerate(names)])
-    return [suite_section2(spec) if name == "section2" else next(merged) for name in suites]
+    done = dict(zip(jobs, per_algebra))
+    merged = iter([_merged(name, [done[i][k] for i in sorted(done)]) for k, name in enumerate(names)])
+    return [section2 if name == "section2" else next(merged) for name in suites]

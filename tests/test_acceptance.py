@@ -10,6 +10,9 @@ import json
 import random
 import time
 
+import pytest
+
+from tracelab import verifier
 from tracelab.artin import (
     Submodule,
     annihilator,
@@ -364,6 +367,15 @@ def test_verify_is_deterministic(capsys):
     _report("verify_byte_identical", ok, t0)
     # The canonical report at the default seed is pinned byte for byte.
     digest = hashlib.sha256(out1.encode("utf-8")).hexdigest()
+    assert digest == "5c63178d833783eaab84173f0dfb853b1c1ba6bcdd7f029543dcda1bcfd887d4"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_is_pinned_on_both_routes(monkeypatch, capsys, workers):
+    # One process, or a pool of two, whatever CPUs this machine has.
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: workers)
+    assert cli_main(["verify", "--suite", "all", "--seed", "20260810"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "5c63178d833783eaab84173f0dfb853b1c1ba6bcdd7f029543dcda1bcfd887d4"
 
 

@@ -1,6 +1,7 @@
 """Suite harness: passing catalogs, the mutation self-test, determinism."""
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -10,13 +11,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from tracelab import verifier
+from tracelab import cli, verifier
 from tracelab.artin import annihilator, ideal_from_elements, ideal_times_module, torsion_submodule
 from tracelab.errors import ParseError
 from tracelab.homological import cotrace, trace
 from tracelab.verifier import (
     AlgebraSpec,
     InstanceSpec,
+    SuiteResult,
     _built,
     canonical_modules,
     corrupted_trace,
@@ -152,6 +154,60 @@ def test_a_dead_worker_raises_and_leaves_no_process(monkeypatch):
     with pytest.raises(BrokenProcessPool):
         run_suites(SMALL, ("section1", "section3"))
     assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capsys):
+    def section3_on(spec, aspec):
+        os._exit(3)
+
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 2)
+    monkeypatch.setitem(verifier._ON_ALGEBRA, "section3", section3_on)
+    assert cli.main(["verify", "--suite", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "BrokenProcessPool"
+    assert multiprocessing.active_children() == []
+
+
+def test_job_order_never_reaches_the_report(monkeypatch):
+    # Jobs run largest algebra first; the report lists algebras, and so the
+    # corrupted trace's failures, as the spec does.
+    monkeypatch.setattr(verifier._section1_on, "__defaults__", (corrupted_trace,))
+    by_dim = sorted(SMALL.algebras, key=lambda a: _built(a).dim)
+    assert [_built(a).dim for a in by_dim] == [2, 3, 3]
+    for algebras in (by_dim, by_dim[::-1]):
+        spec = dataclasses.replace(SMALL, algebras=tuple(algebras))
+        in_order = [suite_section1(spec, trace_fn=corrupted_trace).to_json(), suite_section3(spec).to_json()]
+        assert len({f["instance"]["algebra"]["name"] for f in in_order[0]["failures"]}) == 3
+        assert _on_both_routes(monkeypatch, spec, ("section1", "section3")) == [in_order] * 2
+
+
+def test_section2_runs_beside_the_workers_and_fails_cleanly(monkeypatch):
+    seen = []
+
+    def section2(spec):
+        seen.append(len(multiprocessing.active_children()))
+        raise RuntimeError("section 2 failed")
+
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(verifier, "suite_section2", section2)
+    with pytest.raises(RuntimeError, match="section 2 failed"):
+        run_suites(SMALL)
+    assert seen == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_freeze_their_heap_and_leave_the_callers_collector(monkeypatch):
+    def section1_on(spec, aspec):
+        return SuiteResult("section1", int(gc.get_freeze_count() > 0), (), 0.0)
+
+    before = gc.get_freeze_count(), gc.isenabled()
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 2)
+    monkeypatch.setitem(verifier._ON_ALGEBRA, "section1", section1_on)
+    frozen, section2 = run_suites(SMALL, ("section1", "section2"))
+    assert frozen.checks == len(SMALL.algebras)
+    assert section2.passed and section2.checks > 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class _Alarm(BaseException):
