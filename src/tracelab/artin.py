@@ -44,7 +44,8 @@ from .linalg import FIELDS, Matrix, Subspace, _row_reduce, _scalar_rows, _sparse
 
 ENUMERATION_CAP = 10 ** 6
 MONOMIAL_CEILING = 1000  # columns of any one elimination in build_algebra
-MAX_LITERAL_DIGITS = 1000  # per integer literal, and per numeric power over Q
+MAX_LITERAL_DIGITS = 1000  # per integer literal, numeric power over Q, and term coefficient
+_COEFF_CEILING = 10 ** MAX_LITERAL_DIGITS
 _MISSING = object()
 
 
@@ -98,13 +99,17 @@ def _memoised(owner):
 #
 # A polynomial in the presentation variables is a dict {exponent tuple: int}.
 # Grammar (whitespace ignored):
-#   expr   := ['-'] term (('+'|'-') term)*
+#   expr   := ['-' | '+'] term (('+'|'-') term)*
 #   term   := factor ('*' factor)*
 #   factor := atom ('^' uint)?
 #   atom   := uint | variable
+# There are no parentheses, so a term is one coefficient times one monomial:
+# numeric factors multiply into the coefficient, variable exponents add up.
 # Coefficients are integers; signs come from the leading/binary minus.  In
-# characteristic p they are reduced mod p and zero terms dropped, and a
-# numeric power c^k is read as pow(c, k, p).
+# characteristic p a numeric power c^k is read as pow(c, k, p), a bare
+# literal as itself, and the summed coefficients are reduced mod p at the
+# end, zero terms dropped.  A term whose coefficient passes
+# MAX_LITERAL_DIGITS digits is refused, so parsing is linear in the text.
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
 
@@ -121,121 +126,70 @@ def _tokenize(text):
     return out
 
 
-def poly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        c2 = out.get(e, 0) + c
-        if c2:
-            out[e] = c2
-        else:
-            out.pop(e, None)
-    return out
-
-
-def poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-    return out
-
-
 def parse_poly(text, variables, char=0):
     """Parse the grammar into {exponent tuple: nonzero int coeff} in characteristic char."""
     variables = list(variables)
-    n = len(variables)
     var_index = {v: i for i, v in enumerate(variables)}
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial in %r" % text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    one = (0,) * n
+    if tokens[0] not in ("+", "-"):
+        tokens.insert(0, "+")
+    tokens.append(None)  # the end, so every lookahead is an index
 
     def uint(t):
         if len(t) > MAX_LITERAL_DIGITS:
             raise ParseError("literal in %r has over %d digits" % (text[:40], MAX_LITERAL_DIGITS))
         return int(t)
 
-    def parse_atom():
-        t = take()
-        if t is None:
-            raise ParseError("unexpected end of polynomial in %r" % text)
-        if t.isdigit():
-            c = uint(t)
-            return {one: c} if c else {}
-        if t in var_index:
-            e = [0] * n
-            e[var_index[t]] = 1
-            return {tuple(e): 1}
-        if re.match(r"[A-Za-z_]", t):
-            raise ParseError("unknown variable %r in %r (have %s)" % (t, text, variables))
-        raise ParseError("expected a variable or integer, got %r in %r" % (t, text))
-
-    def parse_factor():
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            t = take()
-            if t is None or not t.isdigit():
-                raise ParseError("exponent must be a nonnegative integer in %r" % text)
-            k = uint(t)
-            if not base:
-                return {} if k else {one: 1}
-            # An atom is a single term, so its power is one term too.
-            ((exp, coeff),) = base.items()
-            if char:
-                coeff = pow(coeff, k, char)
-            elif coeff < 2 or k * math.log10(coeff) <= MAX_LITERAL_DIGITS:
-                coeff **= k
-            else:
-                raise ParseError("power in %r has over %d digits" % (text[:40], MAX_LITERAL_DIGITS))
-            return {tuple(k * x for x in exp): coeff} if coeff else {}
-        return base
-
-    def parse_term():
-        acc = parse_factor()
-        while peek() == "*":
-            take()
-            acc = poly_mul(acc, parse_factor())
-        return acc
-
     acc = {}
-    sign = 1
-    if peek() == "-":
-        take()
-        sign = -1
-    elif peek() == "+":
-        take()
-    while True:
-        term = parse_term()
-        if sign < 0:
-            term = {e: -c for e, c in term.items()}
-        acc = poly_add(acc, term)
-        t = peek()
-        if t is None:
-            break
-        if t == "+":
-            sign = 1
-        elif t == "-":
-            sign = -1
-        else:
-            raise ParseError("expected '+' or '-', got %r in %r" % (t, text))
-        take()
+    pos = 0
+    while tokens[pos] is not None:  # at the sign before a term
+        if tokens[pos] not in ("+", "-"):
+            raise ParseError("expected '+' or '-', got %r in %r" % (tokens[pos], text))
+        coeff, exp = -1 if tokens[pos] == "-" else 1, [0] * len(variables)
+        while True:  # at the sign or '*' before a factor
+            t = tokens[pos + 1]
+            c, v = 1, None
+            if t is None:
+                raise ParseError("unexpected end of polynomial in %r" % text)
+            elif t.isdigit():
+                c = uint(t)
+            elif t in var_index:
+                v = var_index[t]
+            elif re.match(r"[A-Za-z_]", t):
+                raise ParseError("unknown variable %r in %r (have %s)" % (t, text, variables))
+            else:
+                raise ParseError("expected a variable or integer, got %r in %r" % (t, text))
+            pos += 2
+            k = 1
+            if tokens[pos] == "^":
+                t = tokens[pos + 1]
+                if t is None or not t.isdigit():
+                    raise ParseError("exponent must be a nonnegative integer in %r" % text)
+                k = uint(t)
+                pos += 2
+                if char:
+                    c = pow(c, k, char)
+                # log10(c) > 1/4, so a k past 4 * MAX_LITERAL_DIGITS is refused without a float
+                elif c < 2 or (k < 4 * MAX_LITERAL_DIGITS and k * math.log10(c) <= MAX_LITERAL_DIGITS):
+                    c **= k
+                else:
+                    raise ParseError("power in %r has over %d digits" % (text[:40], MAX_LITERAL_DIGITS))
+            if v is not None:
+                exp[v] += k
+            coeff *= c
+            if abs(coeff) >= _COEFF_CEILING:
+                raise ParseError("coefficient in %r has over %d digits" % (text[:40], MAX_LITERAL_DIGITS))
+            if tokens[pos] != "*":
+                break
+        if coeff:
+            e = tuple(exp)
+            coeff += acc.get(e, 0)
+            if coeff:
+                acc[e] = coeff
+            else:
+                del acc[e]
     if char:
         acc = {e: c % char for e, c in acc.items() if c % char}
     return acc

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from fractions import Fraction
 
-from .errors import DimensionMismatch, FieldNotFinite
+from .errors import DimensionMismatch, FieldNotFinite, TraceLabError
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -51,7 +52,11 @@ class RationalField:
     def format(self, x):
         """Render a scalar as "p" or "p/q" with den > 0 and gcd(p, q) = 1."""
         n, d = x.numerator, x.denominator
-        return "%d" % n if d == 1 else "%d/%d" % (n, d)
+        try:
+            return "%d" % n if d == 1 else "%d/%d" % (n, d)
+        except ValueError:  # past the interpreter's int-to-str limit, which stays as it is
+            limit = sys.get_int_max_str_digits()
+            raise TraceLabError("a result scalar passes the %d-digit int-to-str limit" % limit) from None
 
     def row_json(self, row):
         """A row's JSON values: each scalar as its "p" or "p/q" string."""

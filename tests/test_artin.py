@@ -3,9 +3,11 @@
 import inspect
 import itertools
 import sys
+import time
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from tracelab.artin import (
@@ -78,16 +80,98 @@ def test_parse_poly_unary_minus_and_cancel():
     assert parse_poly("-x + x", ["x"]) == {}
 
 
-def test_parse_poly_rejects_unknown_variable():
-    with pytest.raises(ParseError):
-        parse_poly("x + z", ["x", "y"])
+# One input per ParseError of parse_poly, then inputs with two faults: the
+# first offending token in reading order reports.
+PARSE_ERRORS = {
+    "character": ("x+$", "unexpected character '$' at position 2 in 'x+$'"),
+    "empty": ("", "empty polynomial in ''"),
+    "literal": ("3*" + "1" * 1001, "literal in '3*%s' has over 1000 digits" % ("1" * 38)),
+    "end": ("x +", "unexpected end of polynomial in 'x +'"),
+    "variable": ("x + z", "unknown variable 'z' in 'x + z' (have ['x', 'y'])"),
+    "atom": ("x +* y", "expected a variable or integer, got '*' in 'x +* y'"),
+    "exponent": ("x ^ y", "exponent must be a nonnegative integer in 'x ^ y'"),
+    "power": ("2^4000*x", "power in '2^4000*x' has over 1000 digits"),
+    "operator": ("x y", "expected '+' or '-', got 'y' in 'x y'"),
+    "coefficient": ("10^999*10*x", "coefficient in '10^999*10*x' has over 1000 digits"),
+    "literal-before-exponent": ("1" * 1001 + "^y", "literal in '%s' has over 1000 digits" % ("1" * 40)),
+    "exponent-literal": ("x^" + "7" * 1001, "literal in 'x^%s' has over 1000 digits" % ("7" * 38)),
+    "exponent-past-float": ("2^" + "9" * 400, "power in '2^%s' has over 1000 digits" % ("9" * 38)),
+    "coefficient-before-variable": ("10^999*10^999*z", "coefficient in '10^999*10^999*z' has over 1000 digits"),
+    "variable-before-coefficient": ("z*10^999*10^999", "unknown variable 'z' in 'z*10^999*10^999' (have ['x', 'y'])"),
+    "power-of-power": ("x^2^3", "expected '+' or '-', got '^' in 'x^2^3'"),
+    "double-sign": ("--x", "expected a variable or integer, got '-' in '--x'"),
+}
 
 
-def test_parse_poly_rejects_garbage():
-    with pytest.raises(ParseError):
-        parse_poly("x +* y", ["x", "y"])
-    with pytest.raises(ParseError):
-        parse_poly("x ^ y", ["x", "y"])
+@pytest.mark.parametrize("text, message", list(PARSE_ERRORS.values()), ids=list(PARSE_ERRORS))
+def test_parse_poly_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, ["x", "y"])
+    assert str(info.value) == message
+
+
+def test_parse_poly_term_bound_edges():
+    # A term's coefficient may have 1000 digits (10^1000 has 1001), a sum of terms more.
+    assert parse_poly("10^999*9 + 10^999*9", ["x"]) == {(0,): 18 * 10 ** 999}
+    assert parse_poly("9" * 1000 + "*x^5000", ["x"]) == {(5000,): 10 ** 1000 - 1}
+    assert parse_poly("0*10^999*10^999 + 2^" + "9" * 400, ["x"], 3) == {(0,): 2}
+    for char in (0, 2):
+        with pytest.raises(ParseError, match="^coefficient in"):
+            parse_poly("-" + "9" * 600 + "*" + "9" * 600, ["x"], char)
+
+
+def test_parse_time_is_linear_in_a_terms_numeric_factors():
+    # The product of 4,000 factors 9^1000 would have 3.8 million digits.
+    text = "*".join(["9^1000"] * 4000) + "*x + x^2"
+    assert len(text) > 28000
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match="^coefficient in"):
+        parse_poly(text, ["x"])
+    assert time.perf_counter() - started < 0.1
+
+
+SYMBOLS = sympy.symbols("x y z")
+
+
+@st.composite
+def polynomial_texts(draw):
+    """(text, sympy expression) over x, y, z: terms of numeric factors and
+    powers (^0 and 0^0 included), repeated variables, signs and spacing."""
+    names = [str(v) for v in SYMBOLS]
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    text, expr = draw(st.sampled_from(["", "-", "+"])), 0
+    sign = -1 if text == "-" else 1
+    for i in range(draw(st.integers(1, 4))):
+        if i:
+            op = draw(st.sampled_from("+-"))
+            text += draw(space) + op + draw(space)
+            sign = -1 if op == "-" else 1
+        value = sympy.Integer(sign)
+        for j in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                n = draw(st.integers(0, 10 ** draw(st.sampled_from([1, 3, 30]))))
+                factor, base = str(n), sympy.Integer(n)
+            else:
+                v = draw(st.integers(0, 2))
+                factor, base = names[v], SYMBOLS[v]
+            if draw(st.booleans()):
+                k = draw(st.integers(0, 5))
+                factor += draw(space) + "^" + draw(space) + str(k)
+                base = base ** k
+            text += (draw(space) + "*" + draw(space) if j else "") + factor
+            value *= base
+        expr += value
+    return text, expr
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_texts(), st.sampled_from([0, 2, 3, 5]))
+def test_parse_poly_agrees_with_sympy(case, char):
+    text, expr = case
+    expected = sympy.Poly(sympy.expand(expr), *SYMBOLS).as_dict()
+    if char:
+        expected = {e: c % char for e, c in expected.items() if c % char}
+    assert parse_poly(text, ["x", "y", "z"], char) == expected
 
 
 # -- algebra construction -------------------------------------------------------

@@ -4,8 +4,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 import shlex
+import sys
 import time
 
 import pytest
@@ -229,6 +232,8 @@ def test_numeric_power_reduces_mod_p(capsys, dual_ring):
         ("fat_ring", "3^3000000000*x"),  # over Q the exact power is refused
         ("dual_ring", "7" * 5000 + "*x"),
         ("fat_ring", "x^" + "7" * 5000),
+        ("fat_ring", "10^999*10^999*10^999*10^999*10^999*x + y"),  # each factor is in bounds, the term is not
+        ("fat_ring", "2^" + "9" * 400 + "*x"),  # an exponent too large for a float
     ],
 )
 def test_oversized_numbers_exit_2(capsys, request, ring, ideal):
@@ -627,7 +632,7 @@ def module_cases(draw, command):
 
 def _check_contract(tmp_path, ring, argv, seconds):
     """Run one case: exit 0, 1 or 2 within `seconds`; on 2, stderr is one
-    JSON error and nothing else.  A ring of None runs without --ring.  The
+    JSON error and nothing else, and on 0 or 1 it is empty.  A ring of None runs without --ring.  The
     value after --module is the text of the module file, written out first.
     Output in --format text is one "key = value" line per field."""
     if ring is not None:
@@ -647,6 +652,7 @@ def _check_contract(tmp_path, ring, argv, seconds):
     elapsed = time.perf_counter() - started
     assert elapsed < seconds, (ring, argv, elapsed)
     assert code in (0, 1, 2), (ring, argv, err.getvalue())
+    assert code == 2 or err.getvalue() == "", (ring, argv, err.getvalue())
     if code == 2:
         error = json.loads(err.getvalue())
         assert set(error) == {"error", "message"} and out.getvalue() == ""
@@ -714,6 +720,60 @@ def flag_cases(draw):
 def test_cli_keeps_its_exit_code_contract_on_flags(tmp_path_factory, case):
     ring, argv = case
     _check_contract(tmp_path_factory.mktemp("fuzz"), ring, argv, seconds=10)
+
+
+# Fixed rings for the --ideal fuzz, both with m^2 = 0 off the squares.  Over Q
+# the echelon basis of n < 8 dense linear forms has entries about n times as
+# long as their coefficients: past 4,300 digits for n >= 5 at 900 digits.
+IDEAL_VARS = ["x%d" % i for i in range(1, 9)]
+IDEAL_RINGS = {
+    field: "[algebra]\nfield = %s\nvariables = %s\nrelations = %s\n" % (
+        field, ", ".join(IDEAL_VARS), ", ".join(
+            "%s*%s" % (a, b) if a != b else "%s^%d" % (a, power)
+            for a, b in itertools.combinations_with_replacement(IDEAL_VARS, 2)))
+    for field, power in (("Q", 2), ("F3", 3))
+}
+# Soup tokens: variables, literals and powers at and past the digit limits,
+# operators, separators and strays.
+IDEAL_TOKENS = IDEAL_VARS + [
+    "0", "7", "9^1000", "10^999", "9" * 1000, "2^4000", "2^" + "9" * 400, "0^0",
+    "^", "*", "+", "-", ",", " ", "w", "(", "\u00e9"]
+
+
+def dense_forms(seed, n_forms):
+    """n_forms linear forms in all IDEAL_VARS, with seeded 900-digit
+    coefficients: hypothesis would draw related big integers, whose forms
+    span little."""
+    rng = random.Random(seed)
+    return ", ".join(
+        " + ".join("%d*%s" % (rng.randrange(10 ** 899, 10 ** 900), v) for v in IDEAL_VARS) for _ in range(n_forms))
+
+
+# An --ideal value as drawn, kept short for hypothesis to report: a list of
+# IDEAL_TOKENS and small integers to join, or the arguments of dense_forms.
+IDEAL_VALUES = st.one_of(
+    st.lists(st.one_of(st.sampled_from(IDEAL_TOKENS), st.integers(0, 10 ** 6).map(str)), min_size=1, max_size=16),
+    st.tuples(st.integers(0, 2 ** 16), st.integers(1, len(IDEAL_VARS))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(field=st.sampled_from(sorted(IDEAL_RINGS)), ideal=IDEAL_VALUES)
+def test_cli_keeps_its_contract_on_ideal_strings(tmp_path_factory, field, ideal):
+    ideal = "".join(ideal) if isinstance(ideal, list) else dense_forms(*ideal)
+    _check_contract(tmp_path_factory.mktemp("ideal"), IDEAL_RINGS[field], ["good", "--ideal=" + ideal], seconds=10)
+
+
+def test_unprintable_rational_scalar_exits_2(capsys, tmp_path):
+    # Each literal is in bounds, but the echelon entries of the span of five
+    # dense forms are too long for Python to print.
+    ring = tmp_path / "q.ring"
+    ring.write_text(IDEAL_RINGS["Q"], encoding="utf-8")
+    code, out, err = run_cli(capsys, "good", "--ring", str(ring), "--ideal", dense_forms(3, 5))
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(err) == {
+        "error": "TraceLabError", "message": "a result scalar passes the %d-digit int-to-str limit" % limit}
 
 
 # -- golden outputs over the command and error matrix ----------------------------
