@@ -111,7 +111,8 @@ def _memoised(owner):
 # end, zero terms dropped.  A term whose coefficient passes
 # MAX_LITERAL_DIGITS digits is refused, so parsing is linear in the text.
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
+# A match is one token (group 1) or a run of blanks; no match, a bad character.
+_TOKEN = re.compile(r"(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)|\s+")
 
 
 def _tokenize(text):
@@ -121,7 +122,8 @@ def _tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError("unexpected character %r at position %d in %r" % (text[pos], pos, text))
-        out.append(m.group(1))
+        if m.group(1):
+            out.append(m.group(1))
         pos = m.end()
     return out
 
@@ -356,12 +358,12 @@ def build_algebra(presentation):
     number h = dim k[x]/(I + m^(t+1)) <= dim R.  Once the span holds every
     monomial of degree t, m^t lies in I + m^(t+1), so by Nakayama it lies
     in I localised at the origin, and the basis and the normal forms are
-    read from that elimination; the nilpotency index D <= t of the maximal
-    ideal is read from the action matrices.  Global step: the uncut
-    multiples of degree <= B (B = D, 2D, 4D, ...) must span every monomial
-    of degree D, which shows m^D in I itself, so k[x]/I is that local
-    algebra.  Both steps stop at MONOMIAL_CEILING monomials, so every input
-    is decided in bounded time.
+    read from that elimination.  So is the nilpotency index D <= t of the
+    maximal ideal: the least degree whose monomials all have normal form 0.
+    Global step: the uncut multiples of degree <= B (B = D, 2D, 4D, ...)
+    must span every monomial of degree D, which shows m^D in I itself, so
+    k[x]/I is that local algebra.  Both steps stop at MONOMIAL_CEILING
+    monomials, so every input is decided in bounded time.
 
     Raises ResidueFieldError when a relation has a nonzero constant term,
     DimensionCapExceeded as soon as h exceeds dim_cap, and NotArtinian when
@@ -423,19 +425,10 @@ def build_algebra(presentation):
         Matrix.from_cols(field, [normal[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in basis], nrows=dim)
         for v in range(nvars)
     ]
-    # The unit generates R, so m^d = 0 iff every monomial of degree d kills
-    # it; each monomial is reached once, by raising its last variable.
-    layer, nil = {(0,) * nvars: [field.one] + [field.zero] * (dim - 1)}, 0
-    while layer:
-        if nil == top:
-            raise InternalCheckError("the maximal ideal is not nilpotent of index <= %d" % top)
-        nil += 1
-        layer = {
-            e[:v] + (e[v] + 1,) + e[v + 1 :]: w
-            for e, vec in layer.items()
-            for v in range(max((i for i, x in enumerate(e) if x), default=0), nvars)
-            if any(w := actions[v].apply(vec))
-        }
+    # m^d = 0 iff every monomial of degree d has normal form 0, and then all of
+    # higher degree have too: D is one past the last degree with a nonzero
+    # normal form, and D <= top, since _has_degree held there.
+    nil = 1 + max(sum(e) for e, vec in normal.items() if any(vec))
     bound = nil
     while not _spans_degree(field, *_relation_multiples(field, relations, nvars, bound, cut=False), nil):
         if bound == top_cap:

@@ -41,6 +41,7 @@ import random
 from dataclasses import dataclass
 
 from .artin import (
+    ENUMERATION_CAP,
     ModuleRep,
     Submodule,
     _joint_kernel,
@@ -564,14 +565,14 @@ def sampled_ideals(algebra, seed):
     return ideals
 
 
-def _all_ideals_verdict(module, predicate, ideals, seed, cap=None):
+def _all_ideals_verdict(module, predicate, ideals, seed, cap):
     algebra = module.algebra
     if ideals is not None:
         evidence = "sampled"
         pool = list(ideals)
     elif algebra.field.is_finite:
         evidence = "exhaustive"
-        pool = enumerate_cyclic_ideals(algebra) if cap is None else enumerate_cyclic_ideals(algebra, cap)
+        pool = enumerate_cyclic_ideals(algebra, cap)
     elif seed is not None:
         evidence = "sampled"
         pool = sampled_ideals(algebra, seed)
@@ -585,7 +586,7 @@ def _all_ideals_verdict(module, predicate, ideals, seed, cap=None):
     return PredicateVerdict(True, evidence, len(pool), None)
 
 
-def excellence_verdict(module, ideals=None, seed=None, cap=None):
+def excellence_verdict(module, ideals=None, seed=None, cap=ENUMERATION_CAP):
     """Whether M is excellent (IM = trace for every ideal I).
 
     Over a finite field all cyclic ideals are tested, which is exhaustive
@@ -595,6 +596,6 @@ def excellence_verdict(module, ideals=None, seed=None, cap=None):
     return _all_ideals_verdict(module, is_ideal_excellent, ideals, seed, cap)
 
 
-def coexcellence_verdict(module, ideals=None, seed=None, cap=None):
+def coexcellence_verdict(module, ideals=None, seed=None, cap=ENUMERATION_CAP):
     """Whether M is coexcellent (cotrace = M[I] for every ideal I)."""
     return _all_ideals_verdict(module, is_ideal_coexcellent, ideals, seed, cap)

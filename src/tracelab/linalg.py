@@ -16,12 +16,13 @@ apply() walks them for a dense vector, and _sparse_apply() takes a
 {column: scalar} dict to one, canonicalising only the entries it touched.
 There is one elimination core, _row_reduce, and it is sparse: rows are dicts
 of their nonzero entries, each reduced against the pivot rows found so far,
-keyed by leading column, then back substitution.  Vectors that only feed an
-elimination (orbits, images, Macaulay rows) are built as such dicts, and
-reduced rows come out as dicts, made dense only where they are stored: a
-Subspace holds its reduced row echelon basis, a form unique per subspace, so
-structural equality of Subspace values decides equality of subspaces.
-Internal spans pass from_vectors(check=False), skipping the scalar check.
+keyed by leading column, then back substitution; it returns the pivot rows
+and nothing else.  Vectors that only feed an elimination (orbits, images,
+Macaulay rows) are built as such dicts, and pivot rows come out as dicts,
+made dense only where they are stored: a Subspace holds its reduced row
+echelon basis, a form unique per subspace, so structural equality of
+Subspace values decides equality of subspaces.  Internal spans pass
+from_vectors(check=False), skipping the scalar check.
 """
 
 from __future__ import annotations
@@ -324,37 +325,27 @@ def _transposed(rows, ncols):
     return tuple(zip(*rows)) if rows else ((),) * ncols
 
 
-def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
-    """(reduced dict rows, pivot column list) by sparse Gauss-Jordan elimination.
+def _row_reduce(field, rows, ncols, echelon=False):
+    """(pivot dict rows in column order, pivot column list) by sparse Gauss-Jordan elimination.
 
     Rows go in dense or as dicts {column: nonzero canonical scalar}.  Each is
     reduced at its leading column by the pivot rows found so far, keyed by
-    leading column, until it leads at a new pivot (scaled to 1), at or beyond
-    `pivot_limit`, or nowhere.  Unless echelon, back substitution then clears
-    each pivot row at the later pivots.  Rows come out as such dicts, as many
-    as went in: the pivot rows in column order, then the rows zero left of
-    `pivot_limit` (solve()'s inconsistent ones), then {} for each zero row.
+    leading column, until it leads at a new pivot (scaled to 1) or vanishes.
+    Unless echelon, back substitution then clears each pivot row at the later
+    pivots, which leaves the reduced row echelon basis of the span.
     """
-    if pivot_limit is None:
-        pivot_limit = ncols
     canon, p = field.canonical, field.char
-    pivot_rows, rest, zero_rows = {}, [], 0
+    pivot_rows = {}
     for row in rows:
         row = dict(row) if type(row) is dict else _sparse(row)
         while row:
             c = min(row)
             prow = pivot_rows.get(c)
-            if prow is not None:
-                _subtract(row, row[c], prow, p)
-                continue
-            if c >= pivot_limit:
-                rest.append(row)
-            else:
+            if prow is None:
                 inv = 1 if row[c] == 1 else field.inverse(row[c])
                 pivot_rows[c] = row if inv == 1 else dict(zip(row, canon([x * inv for x in row.values()])))
-            break
-        else:
-            zero_rows += 1
+                break
+            _subtract(row, row[c], prow, p)
     pivots = sorted(pivot_rows)
     if not echelon:
         # A later pivot row is zero at every other pivot: one pass clears them.
@@ -362,7 +353,7 @@ def _row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
             row = pivot_rows[c]
             for k in [k for k in row if k != c and k in pivot_rows]:
                 _subtract(row, row[k], pivot_rows[k], p)
-    return [pivot_rows[c] for c in pivots] + rest + [{}] * zero_rows, pivots
+    return [pivot_rows[c] for c in pivots], pivots
 
 
 def _subtract(row, f, prow, p):
@@ -394,7 +385,8 @@ def _dense(row, ncols, zero):
 def reduce(m):
     """Unique reduced row echelon form of a matrix; rank = pivot count."""
     red, _ = _row_reduce(m.field, m.rows, m.ncols)
-    return Matrix._of(m.field, tuple(_dense(row, m.ncols, m.field.zero) for row in red), m.ncols)
+    zero_rows = ((m.field.zero,) * m.ncols,) * (m.nrows - len(red))
+    return Matrix._of(m.field, tuple(_dense(row, m.ncols, m.field.zero) for row in red) + zero_rows, m.ncols)
 
 
 def rank(m):
@@ -407,14 +399,15 @@ def solve(m, rhs):
 
     rhs may have several columns; all are solved simultaneously.  Free
     variables are set to zero, so each solution column is supported on the
-    pivot columns of m ("pivot-first" convention).
+    pivot columns of m ("pivot-first" convention).  There is none exactly
+    when [m | rhs] has a pivot in the rhs columns.
     """
     if m.nrows != rhs.nrows:
         raise DimensionMismatch("rhs has %d rows, matrix has %d" % (rhs.nrows, m.nrows))
     field = m.field
     aug = [r + s for r, s in zip(m.rows, rhs.rows)]
-    red, pivots = _row_reduce(field, aug, m.ncols + rhs.ncols, pivot_limit=m.ncols)
-    if any(red[len(pivots) :]):
+    red, pivots = _row_reduce(field, aug, m.ncols + rhs.ncols)
+    if pivots and pivots[-1] >= m.ncols:
         return None
     out = [(field.zero,) * rhs.ncols] * m.ncols
     for row, c in zip(red, pivots):
@@ -447,7 +440,7 @@ class Subspace:
         trusts them to be length-n rows of canonical scalars already."""
         vectors = _scalar_rows(field, vectors, ambient_dim) if check else vectors
         red, pivots = _row_reduce(field, vectors, ambient_dim)
-        rows = tuple(_dense(row, ambient_dim, field.zero) for row in red[: len(pivots)])
+        rows = tuple(_dense(row, ambient_dim, field.zero) for row in red)
         return cls(field, ambient_dim, rows, pivots)
 
     @classmethod

@@ -84,6 +84,7 @@ def test_parse_poly_unary_minus_and_cancel():
 # first offending token in reading order reports.
 PARSE_ERRORS = {
     "character": ("x+$", "unexpected character '$' at position 2 in 'x+$'"),
+    "character-after-blank": ("x + $", "unexpected character '$' at position 4 in 'x + $'"),
     "empty": ("", "empty polynomial in ''"),
     "literal": ("3*" + "1" * 1001, "literal in '3*%s' has over 1000 digits" % ("1" * 38)),
     "end": ("x +", "unexpected end of polynomial in 'x +'"),
@@ -108,6 +109,14 @@ def test_parse_poly_error_messages(text, message):
     with pytest.raises(ParseError) as info:
         parse_poly(text, ["x", "y"])
     assert str(info.value) == message
+
+
+def test_parse_poly_skips_blanks_anywhere(fat_point):
+    assert parse_poly("x ", ["x"]) == parse_poly("x", ["x"]) == {(1,): 1}
+    assert parse_poly(" \tx ^ 2*y\n- 3 ", ["x", "y"]) == {(2, 1): 1, (0, 0): -3}
+    with pytest.raises(ParseError, match="^empty polynomial in '  '$"):
+        parse_poly("  ", ["x"])
+    assert fat_point.parse_element("x ") == fat_point.parse_element(" x") == fat_point.parse_element("x")
 
 
 def test_parse_poly_term_bound_edges():

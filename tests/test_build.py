@@ -3,7 +3,8 @@
 sympy computes a Groebner basis of I for grevlex on the reversed variables,
 which is the order the builder eliminates in (degree first, then the
 smaller exponent tuple leads), so the standard monomials of the two must
-agree exactly, not only in number.
+agree exactly, not only in number.  The nilpotency index must be the least
+d at which every monomial of degree d reduces to 0 modulo that basis.
 """
 
 import itertools
@@ -19,26 +20,35 @@ from tracelab.linalg import GF, QQ
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
 
 
-def groebner_standard_monomials(field, variables, relations, bound):
-    """Exponent tuples outside the Groebner leading monomials, each below bound."""
+def groebner_oracle(field, variables, relations, bound):
+    """(exponent tuples outside the Groebner leading monomials, each below
+    bound; the least d with every monomial of degree d in I)."""
     gens = sympy.symbols(" ".join(variables), seq=True)
     names = dict(zip(variables, gens))
     polys = [sympy.sympify(r.replace("^", "**"), locals=names) for r in relations]
     options = {"modulus": field.char} if field.char else {}
     basis = sympy.groebner(polys, *reversed(gens), order="grevlex", **options)
     leads = [tuple(reversed(p.monoms(order="grevlex")[0])) for p in basis.polys]
-    return {
+    standard = {
         e
         for e in itertools.product(range(bound), repeat=len(variables))
         if not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)
     }
+    # A monomial lies in I iff it reduces to 0 modulo the Groebner basis.
+    nilpotency = next(
+        d
+        for d in itertools.count()
+        if all(basis.contains(sympy.Mul(*m)) for m in itertools.combinations_with_replacement(gens, d))
+    )
+    return standard, nilpotency
 
 
 def assert_matches_groebner(field, variables, relations, bound):
     R = build_algebra(PolynomialPresentation(field, variables, relations))
-    expected = groebner_standard_monomials(field, variables, relations, bound)
+    expected, nilpotency = groebner_oracle(field, variables, relations, bound)
     assert set(R.basis_exponents) == expected
     assert R.dim == len(expected)
+    assert R.nilpotency_index == nilpotency
     return R
 
 

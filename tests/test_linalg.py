@@ -684,8 +684,8 @@ def dense_row_reduce(field, rows, ncols, pivot_limit=None, echelon=False):
 
     The first len(pivots) rows are the nonzero rows of the reduced echelon
     form; any remaining rows are zero in the first `pivot_limit` columns (they
-    can be nonzero beyond it, which is exactly what solve() needs for its
-    consistency test).  With echelon, only the rows below each pivot are
+    can be nonzero beyond it, which is the consistency test solve() is held
+    to).  With echelon, only the rows below each pivot are
     cleared, which leaves a row echelon form without back substitution.
     """
     if pivot_limit is None:
@@ -757,63 +757,79 @@ def test_sparse_core_matches_the_dense_oracle(data):
     field = data.draw(fields)
     nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
     rows = data.draw(mostly_zero_rows(field, nrows, ncols))
-    limit = data.draw(st.one_of(st.none(), st.integers(0, ncols)))
     echelon = data.draw(st.booleans())
     # The core takes dense rows and {column: scalar} rows alike, and changes neither.
     as_dicts = data.draw(st.booleans())
     given_rows = [{j: x for j, x in enumerate(r) if x} for r in rows] if as_dicts else rows
     before = [dict(r) if type(r) is dict else list(r) for r in given_rows]
-    red, pivots = _row_reduce(field, given_rows, ncols, pivot_limit=limit, echelon=echelon)
+    red, pivots = _row_reduce(field, given_rows, ncols, echelon=echelon)
     assert given_rows == before
-    oracle, oracle_pivots = dense_row_reduce(field, rows, ncols, pivot_limit=limit, echelon=echelon)
+    oracle, oracle_pivots = dense_row_reduce(field, rows, ncols, echelon=echelon)
 
+    # Only the pivot rows come back, in column order.
     assert pivots == oracle_pivots
-    assert len(red) == len(oracle) == nrows
+    assert len(red) == len(pivots)
     assert_sparse_rows(field, red, ncols)
     red = dense_rows(red, ncols)
     assert_exact(field, red)
-    left, k = (ncols if limit is None else limit), len(pivots)
     for row, c in zip(red, pivots):
         assert row[c] == 1 and not any(row[:c])
-    # Then the rows zero left of the limit, nonzero ones before zero ones.
-    assert all(not any(row[:left]) for row in red[k:])
-    nonzero = [any(row) for row in red[k:]]
-    assert nonzero == sorted(nonzero, reverse=True)
     assert oracle_span(field, red, ncols) == oracle_span(field, rows, ncols)
-    assert oracle_span(field, red[k:], ncols) == oracle_span(field, oracle[k:], ncols)
-    if echelon:
-        return
-    if left == ncols:
-        assert red == oracle
-    # Left of the limit the reduced rows are equal; beyond it they can differ
-    # only by the span of the rows that are zero left of it.
-    leftover = oracle_span(field, oracle[k:], ncols)
-    for row, expected in zip(red[:k], oracle[:k]):
-        assert row[:left] == expected[:left]
-        diff = field.canonical([a - b for a, b in zip(row, expected)])
-        assert oracle_span(field, leftover + [diff], ncols) == leftover
+    if not echelon:
+        assert red == oracle[: len(pivots)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
 @pytest.mark.parametrize(
-    "rows, ncols, limit, pivots, leftover",
+    "rows, ncols, pivots",
     [
-        ([], 0, None, [], 0),
-        ([], 3, 2, [], 0),
-        ([[], []], 0, None, [], 0),
-        ([[0, 0, 0], [0, 0, 0]], 3, None, [], 0),
-        ([[1, 1, 0], [1, 1, 1], [0, 0, 0]], 3, 2, [0], 1),
-        ([[0, 1, 1], [0, 1, 0], [1, 0, 0]], 3, 3, [0, 1, 2], 0),
+        ([], 0, []),
+        ([], 3, []),
+        ([[], []], 0, []),
+        ([[0, 0, 0], [0, 0, 0]], 3, []),
+        ([[1, 1, 0], [1, 1, 1], [0, 0, 0]], 3, [0, 2]),
+        ([[0, 1, 1], [0, 1, 0], [1, 0, 0]], 3, [0, 1, 2]),
     ],
     ids=["empty", "no-rows", "no-columns", "zero", "inconsistent", "permuted"],
 )
-def test_sparse_core_keeps_every_row(field, rows, ncols, limit, pivots, leftover):
-    red, got = _row_reduce(field, [vec(field, r) for r in rows], ncols, pivot_limit=limit)
-    assert got == pivots and len(red) == len(rows)
+def test_sparse_core_keeps_every_row(field, rows, ncols, pivots):
+    # Zero and dependent rows leave no row behind, yet every input row lies
+    # in the span of the pivot rows.  Read as [m | rhs], rhs the last column,
+    # the system is inconsistent exactly when that column is a pivot.
+    red, got = _row_reduce(field, [vec(field, r) for r in rows], ncols)
+    assert got == pivots and len(red) == len(pivots)
     assert_sparse_rows(field, red, ncols)
-    red = dense_rows(red, ncols)
-    zero_rows = len(rows) - len(pivots) - leftover
-    assert [any(row) for row in red[len(pivots) :]] == [True] * leftover + [False] * zero_rows
+    assert oracle_span(field, dense_rows(red, ncols), ncols) == oracle_span(field, rows, ncols)
+    if ncols:
+        m = mat(field, [r[:-1] for r in rows], ncols=ncols - 1)
+        rhs = mat(field, [r[-1:] for r in rows], ncols=1)
+        assert (solve(m, rhs) is None) == (pivots[-1:] == [ncols - 1])
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_solve_matches_the_dense_oracle(data):
+    # The oracle stops pivoting at m's last column; rows then nonzero beyond
+    # it make the system inconsistent, and else its pivot rows hold the
+    # pivot-first solution.  A right side drawn as m @ y is always solvable.
+    field = data.draw(fields)
+    nrows, ncols, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)), data.draw(st.integers(0, 3))
+    m_rows = data.draw(mostly_zero_rows(field, nrows, ncols))
+    m = Matrix(field, m_rows, ncols=ncols)
+    if solvable := data.draw(st.booleans()):
+        rhs = m @ Matrix(field, data.draw(mostly_zero_rows(field, ncols, k)), ncols=k)
+    else:
+        rhs = Matrix(field, data.draw(mostly_zero_rows(field, nrows, k)), ncols=k)
+    x = solve(m, rhs)
+    oracle, pivots = dense_row_reduce(field, [r + s for r, s in zip(m.rows, rhs.rows)], ncols + k, pivot_limit=ncols)
+    if any(any(row) for row in oracle[len(pivots) :]):
+        assert x is None and not solvable
+    else:
+        expected = [[0] * k for _ in range(ncols)]
+        for row, c in zip(oracle, pivots):
+            expected[c] = row[ncols:]
+        assert x == Matrix(field, expected, ncols=k)
+        assert m @ x == rhs
 
 
 @given(st.data())

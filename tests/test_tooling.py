@@ -1,6 +1,9 @@
-"""The repository's pytest configuration, run on a test outside the suite."""
+"""The repository's pytest configuration, run on a test outside the suite,
+and the README's examples, run as written."""
 
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -40,3 +43,35 @@ def test_importing_the_package_leaves_the_process_pool_out():
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def readme_block(heading, fence):
+    """The first code block opened by `fence` after the README's `heading` line."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = text[text.index("\n%s\n" % heading) :]
+    start = after.index("\n%s\n" % fence) + len(fence) + 2
+    return after[start : after.index("\n```\n", start)]
+
+
+def test_readme_command_lines_exit_zero(tmp_path, monkeypatch, capsys):
+    # The ring and module the command lines name: the tour's Q[x,y]/(x^2, xy, y^2).
+    (tmp_path / "fat.ring").write_text("[algebra]\nfield = Q\nvariables = x, y\nrelations = x^2, x*y, y^2\n")
+    (tmp_path / "mod.mod").write_text("[module]\ngenerators = 2\npresentation = x, 0 ; y, x\n")
+    monkeypatch.chdir(tmp_path)
+    from tracelab.cli import main
+
+    lines = readme_block("## Command line", "```").splitlines()
+    assert len(lines) == 12 and all(line.startswith("tracelab ") for line in lines)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+
+
+def test_readme_library_tour_states_its_values():
+    # Each line commented "# N: ..." is an expression whose value is N.
+    tour = readme_block("## Library tour", "```python")
+    namespace = {}
+    exec(tour, namespace)
+    stated = [line.split("#") for line in tour.splitlines() if re.search(r"#\s*\d+:", line)]
+    assert len(stated) == 2
+    for expression, comment in stated:
+        assert eval(expression, namespace) == int(comment.split(":")[0]), expression
