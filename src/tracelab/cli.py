@@ -442,7 +442,7 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(canonical_json({"error": "OSError", "message": str(exc)}))
         return 2
-    # A verify worker died.  Looked up only when an error gets here: cli never imports the pool's module.
+    # A verify worker died.  Looked up only when an error gets here: cli never imports concurrent.futures.
     except getattr(sys.modules.get("concurrent.futures.process"), "BrokenProcessPool", ()) as exc:
         sys.stderr.write(canonical_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2

@@ -17,6 +17,7 @@ canonical subspaces, enough to reconstruct the instance exactly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -222,7 +223,7 @@ class _Recorder:
 
 
 def _merged(suite, parts):
-    """One suite's result from its per-algebra results, in catalog order and timed where they ran."""
+    """One suite's result from its parts (per algebra, in catalog order), timed where they ran."""
     failures = tuple(f for p in parts for f in p.failures)
     return SuiteResult(suite, sum(p.checks for p in parts), failures, sum(p.elapsed for p in parts))
 
@@ -558,50 +559,52 @@ def suite_section1(spec, trace_fn=trace):
 # -- section 2: the ring case and the semigroup model ---------------------------------
 
 
-def suite_section2(spec):
+def _section2_on(spec, aspec):
     rec = _Recorder("section2")
-    for aspec in spec.algebras:
-        algebra = _built(aspec)
-        if not algebra.field.is_finite:
+    algebra = _built(aspec)
+    if not algebra.field.is_finite or algebra.field.order ** algebra.dim > 64:
+        return rec.result()  # the exhaustive-endomorphism part is for small rings over F_p
+    reg = regular_module(algebra)
+    base = {"algebra": aspec.to_json()}
+    try:
+        all_ideals = enumerate_submodules(reg, cap=spec.submodule_cap)
+    except EnumerationCapExceeded:
+        return rec.result()
+
+    commutative = all(has_commutative_endomorphisms(i) for i in all_ideals)
+    rec.check(
+        "qf_iff_commutative_endomorphisms",
+        dict(base, ideals=len(all_ideals)),
+        (socle(reg).dim != 0 and commutative) == is_quasi_frobenius(algebra),
+    )
+
+    # Isomorphic good Artinian ideals coincide: unit multiples of an
+    # ideal are the only monomial-free isomorphisms available here, and
+    # indeed u*I = I.
+    units = [v for v in _element_samples(algebra, spec, "s2") if v[0]]
+    for i in all_ideals:
+        if not (trace(i, reg).carrier == i.carrier):
             continue
-        reg = regular_module(algebra)
-        base = {"algebra": aspec.to_json()}
-        if algebra.field.order ** algebra.dim > 64:
-            continue  # the exhaustive-endomorphism part is for small rings
-        try:
-            all_ideals = enumerate_submodules(reg, cap=spec.submodule_cap)
-        except EnumerationCapExceeded:
+        inst = dict(base, ideal=_ideal_desc(algebra, i))
+        for u in units:
+            scaled = i.carrier.image(reg.element_action(u))  # uI is an ideal
+            rec.equal("isomorphic_good_ideals_equal", inst, scaled, i.carrier)
+
+    # Every nonzero ideal inside the socle has the whole socle as trace.
+    soc = socle(reg)
+    for inner in enumerate_submodules(soc.as_module(), cap=spec.submodule_cap):
+        if inner.dim == 0:
             continue
+        vecs = [soc.carrier.vector(row) for row in inner.carrier.rows]
+        lifted = Submodule(reg, Subspace.from_vectors(algebra.field, reg.dim, vecs), check=False)
+        inst = dict(base, ideal=_ideal_desc(algebra, lifted))
+        rec.equal("ideal_inside_socle_has_socle_trace", inst, trace(lifted, reg).carrier, soc.carrier)
+    return rec.result()
 
-        commutative = all(has_commutative_endomorphisms(i) for i in all_ideals)
-        rec.check(
-            "qf_iff_commutative_endomorphisms",
-            dict(base, ideals=len(all_ideals)),
-            (socle(reg).dim != 0 and commutative) == is_quasi_frobenius(algebra),
-        )
 
-        # Isomorphic good Artinian ideals coincide: unit multiples of an
-        # ideal are the only monomial-free isomorphisms available here, and
-        # indeed u*I = I.
-        units = [v for v in _element_samples(algebra, spec, "s2") if v[0]]
-        for i in all_ideals:
-            if not (trace(i, reg).carrier == i.carrier):
-                continue
-            inst = dict(base, ideal=_ideal_desc(algebra, i))
-            for u in units:
-                scaled = i.carrier.image(reg.element_action(u))  # uI is an ideal
-                rec.equal("isomorphic_good_ideals_equal", inst, scaled, i.carrier)
-
-        # Every nonzero ideal inside the socle has the whole socle as trace.
-        soc = socle(reg)
-        for inner in enumerate_submodules(soc.as_module(), cap=spec.submodule_cap):
-            if inner.dim == 0:
-                continue
-            vecs = [soc.carrier.vector(row) for row in inner.carrier.rows]
-            lifted = Submodule(reg, Subspace.from_vectors(algebra.field, reg.dim, vecs), check=False)
-            inst = dict(base, ideal=_ideal_desc(algebra, lifted))
-            rec.equal("ideal_inside_socle_has_socle_trace", inst, trace(lifted, reg).carrier, soc.carrier)
-
+def suite_section2(spec):
+    parts = [_section2_on(spec, aspec) for aspec in spec.algebras]
+    rec = _Recorder("section2")
     for gens in spec.semigroups:
         s = make(gens)
         base = {"semigroup": list(gens)}
@@ -661,7 +664,7 @@ def suite_section2(spec):
         if is_dvr(s):
             rec.check("dvr_maximal_ideal_ext_nonzero", base, ext1_dim(m, s) == 1)
         rec.check("semigroup_itself_ext_zero", base, ext1_dim(svs, s) == 0)
-    return rec.result()
+    return _merged("section2", parts + [rec.result()])
 
 
 # -- section 3: duality ------------------------------------------------------------------
@@ -914,20 +917,64 @@ def corrupted_trace(ideal_sub, module):
     )
 
 
-_ON_ALGEBRA = {"section1": _section1_on, "section3": _section3_on}
-_forked = {}  # a pool worker's job, set by its initializer; the spec came by fork (see AlgebraSpec)
+_ON_ALGEBRA = {"section1": _section1_on, "section3": _section3_on, "section2": _section2_on}
 
 
-def _adopt(job):
-    """A pool worker's initializer: its job, and a frozen inherited heap that its collector skips."""
-    _forked["job"] = job
-    gc.freeze()
-
-
-def _algebra_job(index, job=None):
-    """A job's per-algebra suites on one algebra, in order: later ones reuse the memo."""
-    spec, names = job or _forked["job"]
-    return [_ON_ALGEBRA[name](spec, spec.algebras[index]) for name in names]
+def _run_jobs(fn, jobs, workers, meanwhile):
+    """({job: fn(job)}, meanwhile()), the jobs taken in the given order.  With workers > 1, forked
+    workers pull the jobs as 4-byte tokens from one pipe while meanwhile() runs here, and each sends
+    back one pickled {job: result or exception}.  A job's exception is raised here, the first in job
+    order; a worker that dies is BrokenProcessPool.  No thread is started, and on any exception every
+    worker is killed and reaped."""
+    if workers == 1:
+        return {job: fn(job) for job in jobs}, meanwhile()
+    import pickle  # here, not at the top: the one-process run and the CLI's start-up skip them
+    import signal
+    fds, pids = list(os.pipe()), []  # the job pipe's two ends, then each worker's result pipe
+    try:
+        for _ in range(workers):
+            fds.extend(os.pipe())
+            if not (pid := os.fork()):
+                try:
+                    os.close(fds[1])  # else the job pipe never reads as closed
+                    gc.freeze()  # the inherited heap: this worker's collector never walks it
+                    done = {}
+                    while token := os.read(fds[0], 4):  # a pipe never splits a token of one write
+                        job = int.from_bytes(token, "little")
+                        try:
+                            done[job] = fn(job)
+                        except Exception as exc:
+                            done[job] = exc
+                    with open(fds[-1], "wb") as out:
+                        pickle.dump(done, out)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(fds.pop())
+        os.write(fds[1], b"".join(job.to_bytes(4, "little") for job in jobs))
+        os.close(fds.pop(1))
+        extra, done = meanwhile(), {}
+        for pid, fd in list(zip(pids, fds[1:])):
+            payload = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code or not payload:
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool("a verify worker died (exit code %d)" % code)
+            done.update(pickle.loads(payload))
+        if errors := [done[job] for job in jobs if isinstance(done[job], Exception)]:
+            raise errors[0]
+        return done, extra
+    except BaseException:
+        for pid in pids:  # stop the running jobs too
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _worker_count(jobs):
@@ -939,29 +986,22 @@ def _worker_count(jobs):
 
 
 def run_suites(spec, suites=("section1", "section2", "section3")):
-    """Run the requested suites; deterministic for a fixed spec.  Sections 1 and 3 run one job
-    per algebra, largest first, on forked workers (one per usable CPU) that inherit the algebras
-    built here; section 2 runs here meanwhile.  Results merge in catalog order."""
+    """Run the requested suites; deterministic for a fixed spec.  Each algebra is one job, running
+    its sections in order with section 2 last, so each reuses what the earlier ones memoised.  The
+    jobs run largest first on forked workers (one per usable CPU) that inherit the algebras built
+    here; section 2's semigroup part runs here meanwhile.  Results merge in catalog order."""
     for name in suites:
         if name not in ("section1", "section2", "section3"):
             raise ValueError("unknown suite %r" % name)
-    names = tuple(name for name in suites if name in _ON_ALGEBRA)
-    jobs = sorted(range(len(spec.algebras) if names else 0), key=lambda i: -_built(spec.algebras[i]).dim)
-    if (workers := _worker_count(len(jobs))) == 1:
-        per_algebra = [_algebra_job(index, (spec, names)) for index in jobs]
-        section2 = "section2" in suites and suite_section2(spec)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        with ProcessPoolExecutor(workers, get_context("fork"), _adopt, initargs=((spec, names),)) as pool:
-            try:
-                pending = pool.map(_algebra_job, jobs)  # forks every worker before section 2 starts
-                section2 = "section2" in suites and suite_section2(spec)
-                per_algebra = list(pending)
-            except BaseException:
-                for process in pool._processes.values():  # stop the running jobs too
-                    process.terminate()
-                raise
-    done = dict(zip(jobs, per_algebra))
-    merged = iter([_merged(name, [done[i][k] for i in sorted(done)]) for k, name in enumerate(names)])
-    return [section2 if name == "section2" else next(merged) for name in suites]
+    names = sorted(dict.fromkeys(suites), key=lambda name: name == "section2")
+    jobs = sorted(range(len(spec.algebras)), key=lambda i: -_built(spec.algebras[i]).dim)
+    done, semigroups = _run_jobs(
+        lambda index: [_ON_ALGEBRA[name](spec, spec.algebras[index]) for name in names],
+        jobs,
+        _worker_count(len(jobs)),
+        lambda: "section2" in suites and suite_section2(dataclasses.replace(spec, algebras=())),
+    )
+    parts = {name: [done[i][k] for i in sorted(done)] for k, name in enumerate(names)}
+    if semigroups:
+        parts["section2"].append(semigroups)
+    return [_merged(name, parts[name]) for name in suites]

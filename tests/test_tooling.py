@@ -33,8 +33,9 @@ def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
 
 
 def test_importing_the_package_leaves_the_process_pool_out():
-    # run_suites imports its pool when it starts one: multiprocessing and
-    # concurrent.futures would add some 18 ms to every interpreter start.
+    # multiprocessing and concurrent.futures would add some 18 ms to every
+    # interpreter start; only a verify worker that dies loads the latter,
+    # for BrokenProcessPool.
     code = (
         "import sys; sys.path.insert(0, %r); import tracelab, tracelab.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
@@ -43,6 +44,25 @@ def test_importing_the_package_leaves_the_process_pool_out():
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+POOLED_VERIFY = """
+import contextlib, io, sys
+sys.path.insert(0, %r)
+from tracelab import cli, verifier
+verifier._worker_count = lambda jobs: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--suite", "all"])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+def test_a_pooled_verify_leaves_the_process_pool_out():
+    # Its two workers are plain forks pulling jobs from one pipe.
+    code = POOLED_VERIFY % str(ROOT / "src")
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n"
 
 
 def readme_block(heading, fence):

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import json
-import multiprocessing
 import os
 import pickle
 import signal
@@ -13,7 +12,7 @@ import pytest
 
 from tracelab import cli, verifier
 from tracelab.artin import annihilator, ideal_from_elements, ideal_times_module, torsion_submodule
-from tracelab.errors import ParseError
+from tracelab.errors import EnumerationCapExceeded, ParseError
 from tracelab.homological import cotrace, trace
 from tracelab.verifier import (
     AlgebraSpec,
@@ -92,6 +91,12 @@ def test_unknown_suite_rejected():
         run_suites(SMALL, suites=("section9",))
 
 
+def _assert_no_child():
+    """This process has no child at all, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _on_both_routes(monkeypatch, spec, suites=("section1", "section2", "section3")):
     """run_suites' JSON, or the exception it raised, with the per-algebra jobs
     in this process and then over two forked workers; no worker outlives a
@@ -103,7 +108,7 @@ def _on_both_routes(monkeypatch, spec, suites=("section1", "section2", "section3
             outcomes.append([r.to_json() for r in run_suites(spec, suites)])
         except Exception as exc:
             outcomes.append((type(exc), str(exc)))
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
     return outcomes
 
 
@@ -145,6 +150,21 @@ def test_an_algebra_that_fails_to_build_raises_alike_on_both_routes(monkeypatch)
         assert pooled == in_process
 
 
+def test_a_jobs_error_crosses_the_pipe_intact(monkeypatch):
+    # Jobs run largest algebra first, f2_dual last: q_jet3's error is the
+    # first in job order though f2_dual comes first in the catalog.
+    errors = {"f2_dual": EnumerationCapExceeded("cap hit on f2_dual"), "q_jet3": ParseError("bad q_jet3")}
+    section1_on = verifier._section1_on
+
+    def failing_section1_on(spec, aspec):
+        if aspec.name in errors:
+            raise errors[aspec.name]
+        return section1_on(spec, aspec)
+
+    monkeypatch.setitem(verifier._ON_ALGEBRA, "section1", failing_section1_on)
+    assert _on_both_routes(monkeypatch, SMALL) == [(ParseError, "bad q_jet3")] * 2
+
+
 def test_a_dead_worker_raises_and_leaves_no_process(monkeypatch):
     def section3_on(spec, aspec):
         os._exit(3)
@@ -153,7 +173,7 @@ def test_a_dead_worker_raises_and_leaves_no_process(monkeypatch):
     monkeypatch.setitem(verifier._ON_ALGEBRA, "section3", section3_on)
     with pytest.raises(BrokenProcessPool):
         run_suites(SMALL, ("section1", "section3"))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capsys):
@@ -166,7 +186,7 @@ def test_a_dead_worker_is_a_json_error_from_the_cli(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == "BrokenProcessPool"
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_job_order_never_reaches_the_report(monkeypatch):
@@ -183,18 +203,39 @@ def test_job_order_never_reaches_the_report(monkeypatch):
 
 
 def test_section2_runs_beside_the_workers_and_fails_cleanly(monkeypatch):
-    seen = []
+    # Section 2's algebra checks run in the jobs; its semigroup part runs
+    # here while the workers exist, and its error stops them.
+    fork, forked, seen = os.fork, [], []
+
+    def counted_fork():
+        forked.append(fork())
+        return forked[-1]
 
     def section2(spec):
-        seen.append(len(multiprocessing.active_children()))
+        seen.append((spec.algebras, sum(os.kill(pid, 0) is None for pid in forked)))
         raise RuntimeError("section 2 failed")
 
     monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(verifier, "suite_section2", section2)
     with pytest.raises(RuntimeError, match="section 2 failed"):
         run_suites(SMALL)
-    assert seen == [2]
-    assert multiprocessing.active_children() == []
+    assert seen == [((), 2)]
+    _assert_no_child()
+
+
+def test_each_job_runs_section2_last(monkeypatch):
+    # Section 2's algebra checks then find what sections 1 and 3 memoised.
+    calls = []
+
+    def recorded(name, on):
+        return lambda spec, aspec: calls.append(name) or on(spec, aspec)
+
+    for name, on in list(verifier._ON_ALGEBRA.items()):
+        monkeypatch.setitem(verifier._ON_ALGEBRA, name, recorded(name, on))
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 1)
+    run_suites(SMALL, ("section2", "section3", "section1"))
+    assert calls == ["section3", "section1", "section2"] * len(SMALL.algebras)
 
 
 def test_workers_freeze_their_heap_and_leave_the_callers_collector(monkeypatch):
@@ -228,7 +269,7 @@ def test_an_alarm_leaves_no_worker_behind(monkeypatch):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_section3_handles_redundant_relations():
