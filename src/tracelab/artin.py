@@ -15,7 +15,7 @@ span_submodule eliminates the orbits once, the cyclic submodules are orbit
 spans found with a Nakayama skip, and every submodule is a sum of cyclic
 ones (enumerate_submodules).  All values are immutable after construction
 and all operations are pure.  Module reps are interned per algebra by their
-actions (ArtinAlgebra.module), and submodules compare by (module, carrier):
+actions (ArtinAlgebra.module) and carriers by their basis (linalg.Subspace):
 equal modules are one object and equal submodules one memo key, so what is
 memoised on a module, or keyed by an ideal, is computed once for all copies.
 """
@@ -54,9 +54,9 @@ def _memoised(owner):
 
     Results live in the owner's lazily created `_memo` dict, keyed by the
     function and its other arguments (keywords included), so a result is
-    freed with the object it describes.  Keys hold arguments by value:
-    module reps are interned (ArtinAlgebra.module), so identity is their
-    equality, and a Submodule compares by its module and carrier, so an
+    freed with the object it describes.  Reps and carriers are interned
+    (ArtinAlgebra.module, linalg.Subspace), so keys compare them by
+    identity, and a Submodule compares by its module and carrier, so an
     ideal rebuilt elsewhere finds the same entry.  A Submodule's entries
     live on its module, keyed by its carrier.  The owner is left out of its
     own keys: an entry whose result does not point back at it makes no
@@ -390,7 +390,7 @@ def build_algebra(presentation):
     top = 0
     while True:
         order, rows = _relation_multiples(field, relations, nvars, top, cut=True)
-        red, pivots = _row_reduce(field, rows, len(order))
+        red, pivots = _row_reduce(field, rows)
         h = len(order) - len(pivots)
         if h > presentation.dim_cap:
             raise DimensionCapExceeded(
@@ -491,10 +491,10 @@ def _spans_degree(field, order, rows, degree):
     every combination of degree <= `degree`, so only they are fully reduced,
     re-indexed from the first such column: no entry lies left of a pivot.
     """
-    red, pivots = _row_reduce(field, rows, len(order), echelon=True)
+    red, pivots = _row_reduce(field, rows, echelon=True)
     first = next(j for j, e in enumerate(order) if sum(e) <= degree)
     low = [{j - first: x for j, x in row.items()} for row, c in zip(red, pivots) if c >= first]
-    return _has_degree(order[first:], *_row_reduce(field, low, len(order) - first), degree)
+    return _has_degree(order[first:], *_row_reduce(field, low), degree)
 
 
 def _has_degree(order, red, pivots, degree):
@@ -573,13 +573,13 @@ class ModuleRep:
 class Submodule:
     """An action-closed subspace of a ModuleRep.
 
-    Equal when the module is the same (interned) rep and the carriers are
-    equal, so an ideal built twice is one key in every memo.  It has no memo
+    Equal when the module and the carrier are the same objects: both are
+    interned, so an ideal built twice is one key in every memo.  It has no memo
     of its own: its restriction, quotient and generators are memoised on
     its module, keyed by its carrier, so they are computed once per value.
     """
 
-    __slots__ = ("module", "carrier", "_hash")
+    __slots__ = ("module", "carrier")
 
     def __init__(self, module, carrier, check=True):
         if carrier.ambient_dim != module.dim:
@@ -596,12 +596,10 @@ class Submodule:
     def __eq__(self, other):
         if not isinstance(other, Submodule):
             return NotImplemented
-        return self is other or (self.module is other.module and self.carrier == other.carrier)
+        return self.module is other.module and self.carrier is other.carrier
 
     def __hash__(self):
-        if not hasattr(self, "_hash"):
-            self._hash = hash((self.module, self.carrier))
-        return self._hash
+        return hash((self.module, self.carrier))
 
     @_memoised("self")
     def as_module(self):
@@ -787,7 +785,7 @@ def submodule_generators(sub):
     on the same g_i.  Every action of I goes through them: r = sum_i s_i g_i
     gives r x = sum_i s_i (g_i x)."""
     module, mu = sub.module, sub.carrier._images(sub.module.actions)
-    pivots = set(_row_reduce(module.algebra.field, mu, module.dim, echelon=True)[1])
+    pivots = set(_row_reduce(module.algebra.field, mu, echelon=True)[1])
     return tuple(u for u, p in zip(sub.carrier.rows, sub.carrier.pivots) if p not in pivots)
 
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q and the prime fields F_2, F_3, F_5.
 
 Every higher-level equality in this package (equality of submodules, traces,
-torsion subspaces, ...) reduces to structural equality of canonical subspace
-bases computed here, so all arithmetic is exact.  Over Q a scalar is a plain
+torsion subspaces, ...) reduces to equality of canonical subspace bases
+computed here, so all arithmetic is exact.  Over Q a scalar is a plain
 int when integral and a fractions.Fraction otherwise; over F_p it is a plain
 int in [0, p).  Each field owns one normalising hook, `canonical(row)`
 (x % p over F_p; an integral Fraction to its int over Q), applied to every
@@ -20,9 +20,9 @@ keyed by leading column, then back substitution; it returns the pivot rows
 and nothing else.  Vectors that only feed an elimination (orbits, images,
 Macaulay rows) are built as such dicts, and pivot rows come out as dicts,
 made dense only where they are stored: a Subspace holds its reduced row
-echelon basis, a form unique per subspace, so structural equality of
-Subspace values decides equality of subspaces.  Internal spans pass
-from_vectors(check=False), skipping the scalar check.
+echelon basis, a form unique per subspace, and is interned on it, so equal
+subspaces are one object and identity decides equality of subspaces.
+Internal spans pass from_vectors(check=False), skipping the scalar check.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
+import weakref
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FieldNotFinite, TraceLabError
@@ -325,7 +326,7 @@ def _transposed(rows, ncols):
     return tuple(zip(*rows)) if rows else ((),) * ncols
 
 
-def _row_reduce(field, rows, ncols, echelon=False):
+def _row_reduce(field, rows, echelon=False):
     """(pivot dict rows in column order, pivot column list) by sparse Gauss-Jordan elimination.
 
     Rows go in dense or as dicts {column: nonzero canonical scalar}.  Each is
@@ -384,13 +385,13 @@ def _dense(row, ncols, zero):
 
 def reduce(m):
     """Unique reduced row echelon form of a matrix; rank = pivot count."""
-    red, _ = _row_reduce(m.field, m.rows, m.ncols)
+    red, _ = _row_reduce(m.field, m.rows)
     zero_rows = ((m.field.zero,) * m.ncols,) * (m.nrows - len(red))
     return Matrix._of(m.field, tuple(_dense(row, m.ncols, m.field.zero) for row in red) + zero_rows, m.ncols)
 
 
 def rank(m):
-    _, pivots = _row_reduce(m.field, m.rows, m.ncols)
+    _, pivots = _row_reduce(m.field, m.rows)
     return len(pivots)
 
 
@@ -406,7 +407,7 @@ def solve(m, rhs):
         raise DimensionMismatch("rhs has %d rows, matrix has %d" % (rhs.nrows, m.nrows))
     field = m.field
     aug = [r + s for r, s in zip(m.rows, rhs.rows)]
-    red, pivots = _row_reduce(field, aug, m.ncols + rhs.ncols)
+    red, pivots = _row_reduce(field, aug)
     if pivots and pivots[-1] >= m.ncols:
         return None
     out = [(field.zero,) * rhs.ncols] * m.ncols
@@ -421,25 +422,34 @@ class Subspace:
     rows are the nonzero rows of the reduced row echelon form of any spanning
     set (pivot columns strictly increasing, pivot entries 1, pivot columns
     zero in the other rows), and they are the basis vectors.  That form is
-    unique, so `a == b` iff the subspaces are equal; this is the equality
-    every submodule comparison bottoms out in.  `basis` is the n x dim matrix
-    with those vectors as columns, built on each access.
+    unique, and __new__ interns it in one weak table keyed by (field,
+    ambient_dim, rows): equal subspaces are one object, so `a == b` iff
+    `a is b`, and the projection is built once per value.  `basis` is the
+    n x dim matrix with those vectors as columns, built on each access.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_hash", "_projection")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_projection", "__weakref__")
+    _interned = weakref.WeakValueDictionary()
 
-    def __init__(self, field, ambient_dim, rows, pivots):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = tuple(pivots)
+    def __new__(cls, field, ambient_dim, rows, pivots):
+        key = (field, ambient_dim, rows)
+        space = cls._interned.get(key)
+        if space is None:
+            space = cls._interned[key] = object.__new__(cls)
+            space.field, space.ambient_dim, space.rows, space.pivots = field, ambient_dim, rows, tuple(pivots)
+        return space
+
+    def __reduce__(self):
+        """Pickle and copy call __new__ and restore no slots, so they return the interned
+        object and leave its projection as it is."""
+        return Subspace, (self.field, self.ambient_dim, self.rows, self.pivots)
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors, check=True):
         """Canonical subspace spanned by the given length-n vectors; check=False
         trusts them to be length-n rows of canonical scalars already."""
         vectors = _scalar_rows(field, vectors, ambient_dim) if check else vectors
-        red, pivots = _row_reduce(field, vectors, ambient_dim)
+        red, pivots = _row_reduce(field, vectors)
         rows = tuple(_dense(row, ambient_dim, field.zero) for row in red)
         return cls(field, ambient_dim, rows, pivots)
 
@@ -522,7 +532,7 @@ class Subspace:
     def projection(self):
         """The (n-dim) x n matrix of k^n -> k^n / self in that basis: it kills
         the subspace, and its non-pivot columns are the identity.  Built on
-        first use and kept, as the hash is."""
+        first use and kept, so once per subspace value."""
         if not hasattr(self, "_projection"):
             field, n = self.field, self.ambient_dim
             proj = []
@@ -561,17 +571,6 @@ class Subspace:
                 % (self.ambient_dim, other.ambient_dim)
             )
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        same_field = self.field is other.field or self.field == other.field
-        return self is other or (self.ambient_dim == other.ambient_dim and same_field and self.rows == other.rows)
-
-    def __hash__(self):
-        if not hasattr(self, "_hash"):
-            self._hash = hash((self.field, self.ambient_dim, self.rows))
-        return self._hash
-
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
@@ -587,7 +586,7 @@ def kernel(m):
     """
     field, n = m.field, m.ncols
     last = n - 1
-    red, pivots = _row_reduce(field, [r[::-1] for r in m.rows], n)
+    red, pivots = _row_reduce(field, [r[::-1] for r in m.rows])
     pivset = set(pivots)
     free = [f for f in range(n) if last - f not in pivset]
     z, o = field.zero, field.one

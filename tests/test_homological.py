@@ -778,13 +778,21 @@ def test_functors_never_row_reduce_the_dense_hom_space(monkeypatch, field):
     rep = ideal.as_module()
     image_rep = ideal_times_module(ideal, reg).as_module()
     widths = []
-    row_reduce = tracelab.linalg._row_reduce
+    row_reduce, from_vectors = tracelab.linalg._row_reduce, Subspace.from_vectors.__func__
 
-    def recording(field, rows, ncols, *args, **kwargs):
-        widths.append(ncols)
-        return row_reduce(field, rows, ncols, *args, **kwargs)
+    def recording(field, rows, *args, **kwargs):
+        # A dense row gives its width; from_vectors, the one caller in linalg
+        # that hands over {column: scalar} rows, records its ambient_dim.
+        rows = list(rows)
+        widths.extend(len(row) for row in rows if type(row) is not dict)
+        return row_reduce(field, rows, *args, **kwargs)
+
+    def recording_span(cls, field, ambient_dim, *args, **kwargs):
+        widths.append(ambient_dim)
+        return from_vectors(cls, field, ambient_dim, *args, **kwargs)
 
     monkeypatch.setattr(tracelab.linalg, "_row_reduce", recording)
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(recording_span))
     trace(ideal, reg)
     ext1(ideal, reg)
     tor1(reg, ideal)

@@ -1,7 +1,11 @@
 """Exact linear algebra: frozen examples plus property tests."""
 
+import copy
 import functools
+import gc
 import operator
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,7 +26,14 @@ from tracelab.linalg import (
     solve,
     vstack,
 )
-from tracelab.artin import PolynomialPresentation, build_algebra, ideal_from_elements, module_from_presentation, regular_module
+from tracelab.artin import (
+    PolynomialPresentation,
+    build_algebra,
+    ideal_from_elements,
+    module_from_presentation,
+    regular_module,
+    span_submodule,
+)
 from test_homological import kron
 
 
@@ -148,6 +159,64 @@ def test_projection_kills_the_subspace_and_is_the_identity_off_the_pivots():
     assert u.nonpivots() == [1, 2]
     assert u._on_lifts(proj) == Matrix.identity(QQ, 2)
     assert proj @ u.basis == Matrix.zeros(QQ, 2, 1)
+
+
+# -- one Subspace per value ------------------------------------------------------
+
+
+def test_one_value_reached_by_three_routes_is_one_object():
+    # The ideal (x) of Q[x]/(x^3) is span(x, x^2) in the basis 1, x, x^2.
+    reg = regular_module(build_algebra(PolynomialPresentation("Q", ["x"], ["x^3"])))
+    carrier = span_submodule(reg, [[0, 1, 0]]).carrier
+    assert carrier is Subspace.from_vectors(QQ, 3, [[0, 2, 3], [0, 0, Fraction(-1, 2)]])
+    assert carrier is kernel(mat(QQ, [[5, 0, 0]]))
+    assert carrier.rows == ((0, 1, 0), (0, 0, 1)) and carrier.pivots == (1, 2)
+    for field in (QQ, GF(2)):
+        assert Subspace.full(field, 4) is Subspace.from_vectors(field, 4, Matrix.identity(field, 4).rows)
+
+
+def test_equal_rows_over_different_fields_are_different_objects():
+    spaces = [Subspace.from_vectors(field, 2, [[1, 1]]) for field in (GF(2), GF(3), QQ)]
+    assert [s.rows for s in spaces] == [((1, 1),)] * 3
+    assert len(set(map(id, spaces))) == 3
+    assert [s.field for s in spaces] == [GF(2), GF(3), QQ]
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_pickle_and_copy_return_the_interned_object(copier):
+    space = Subspace.from_vectors(QQ, 3, [[1, Fraction(1, 2), 0]])
+    proj = space.projection()
+    assert copier(space) is space
+    assert space.projection() is proj
+
+
+def test_an_unreferenced_subspace_leaves_the_table_without_the_collector():
+    # Reference counting alone frees it: the table holds its values weakly.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(Subspace._interned)
+        space = Subspace.from_vectors(QQ, 13, [[Fraction(1, 9973)] + [2] * 12])
+        ref = weakref.ref(space)
+        assert len(Subspace._interned) == before + 1
+        del space
+        assert ref() is None
+        assert len(Subspace._interned) == before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_equal_carriers_share_one_projection():
+    field = GF(3)
+    spanned = Subspace.from_vectors(field, 4, [[1, 2, 0, 1], [2, 1, 0, 1]])
+    solved = kernel(mat(field, [[0, 0, 1, 0], [1, 1, 0, 0]]))
+    assert spanned is solved
+    assert spanned.projection() is solved.projection()
 
 
 def test_subspace_enumeration_count():
@@ -492,7 +561,7 @@ def two_elimination_kernel(m):
     """The kernel as it was computed before: the free-column vectors of the
     reduced form of m, put through a second elimination."""
     field = m.field
-    red, pivots = _row_reduce(field, m.rows, m.ncols)
+    red, pivots = _row_reduce(field, m.rows)
     red = dense_rows(red, m.ncols)
     pivset = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivset]
@@ -762,7 +831,7 @@ def test_sparse_core_matches_the_dense_oracle(data):
     as_dicts = data.draw(st.booleans())
     given_rows = [{j: x for j, x in enumerate(r) if x} for r in rows] if as_dicts else rows
     before = [dict(r) if type(r) is dict else list(r) for r in given_rows]
-    red, pivots = _row_reduce(field, given_rows, ncols, echelon=echelon)
+    red, pivots = _row_reduce(field, given_rows, echelon=echelon)
     assert given_rows == before
     oracle, oracle_pivots = dense_row_reduce(field, rows, ncols, echelon=echelon)
 
@@ -796,7 +865,7 @@ def test_sparse_core_keeps_every_row(field, rows, ncols, pivots):
     # Zero and dependent rows leave no row behind, yet every input row lies
     # in the span of the pivot rows.  Read as [m | rhs], rhs the last column,
     # the system is inconsistent exactly when that column is a pivot.
-    red, got = _row_reduce(field, [vec(field, r) for r in rows], ncols)
+    red, got = _row_reduce(field, [vec(field, r) for r in rows])
     assert got == pivots and len(red) == len(pivots)
     assert_sparse_rows(field, red, ncols)
     assert oracle_span(field, dense_rows(red, ncols), ncols) == oracle_span(field, rows, ncols)
