@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .artin import (
     ENUMERATION_CAP,
@@ -107,6 +107,7 @@ class HomModule:
         """The dim N x dim M matrix of the map with each given value tuple."""
         return self.cover.maps(self.target, tuples)
 
+    @_memoised("self")
     def _in_power(self):  # `values` as a submodule of N^v
         return Submodule(power_module(self.target, len(self.cover.generators)), self.values, check=False)
 
@@ -241,8 +242,7 @@ def ann_in_dual(dual, sub):
 # -- canonical maps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomothetyMap:
+class HomothetyMap(NamedTuple):
     """The canonical map M -> Hom(I, IM), x |-> (r |-> r x)."""
 
     matrix: Matrix
@@ -286,8 +286,7 @@ def homothety_map(ideal, module):
     return HomothetyMap(matrix, rank(matrix) == hom.dim, hom, image)
 
 
-@dataclass(frozen=True)
-class ColonHomMap:
+class ColonHomMap(NamedTuple):
     """The map (Y :_X I) -> Hom(I, Y), u |-> (r |-> r u)."""
 
     matrix: Matrix
@@ -318,8 +317,7 @@ def colon_to_hom(sub, ideal):
 # -- tensor products ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorProduct:
+class TensorProduct(NamedTuple):
     """M tensor_R N as a quotient of N^v, v the generator count of M.
 
     With M = R^v / K, M tensor N = N^v / (K tensor N): the relations are
@@ -369,8 +367,7 @@ def _evaluation(module, ideal, generators, tp):
     return tp.relations.carrier._on_lifts(full)
 
 
-@dataclass(frozen=True)
-class TensorEvalMap:
+class TensorEvalMap(NamedTuple):
     """The canonical map (M/M[I]) tensor_R I -> M, x o r |-> r x."""
 
     matrix: Matrix
@@ -518,8 +515,7 @@ def has_commutative_endomorphisms(ideal):
     return all(f @ g == g @ f for f, g in itertools.combinations(gens, 2))
 
 
-@dataclass(frozen=True)
-class PredicateVerdict:
+class PredicateVerdict(NamedTuple):
     """Outcome of an all-ideals predicate along with its evidence level.
 
     evidence is "exhaustive" (all cyclic ideals of a finite ring were

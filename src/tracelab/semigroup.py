@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyGenerators, IdealNotIntegral, InternalCheckError, InvalidArgument, NotCoFinite
 
@@ -357,8 +357,7 @@ def ext1_dim(e, sgroup):
     return (inv.bits(inv.base, svs.conductor) & ~svs.bits(inv.base, svs.conductor)).bit_count()
 
 
-@dataclass(frozen=True)
-class SemigroupReport:
+class SemigroupReport(NamedTuple):
     """Everything the stable-trace theorem asserts about one semigroup."""
 
     generators: tuple

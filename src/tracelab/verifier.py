@@ -18,7 +18,6 @@ canonical subspaces, enough to reconstruct the instance exactly.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import itertools
 import os
@@ -26,8 +25,8 @@ import random
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .artin import (
     PolynomialPresentation,
@@ -94,19 +93,18 @@ from .semigroup import (
 from .textio import parse_sections, presentation_from_section
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
     """A reconstructible algebra description (echoed into failure reports).
 
-    `_built` memoises its algebra on it, freed with the spec.  A spec holding
-    its algebra does not pickle: `run_suites` hands it to workers by fork.
+    `_built` memoises its algebra on it, freed with the spec; specs compare
+    by identity.  A spec holding its algebra does not pickle: `run_suites`
+    hands it to workers by fork.
     """
 
-    name: str
-    field: str
-    variables: tuple
-    relations: tuple
-    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("name", "field", "variables", "relations", "_memo")
+
+    def __init__(self, name, field, variables, relations):
+        self.name, self.field, self.variables, self.relations = name, field, variables, relations
 
     def to_json(self):
         return {
@@ -117,8 +115,7 @@ class AlgebraSpec:
         }
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     """What to run the suites on; identical specs give identical streams."""
 
     algebras: tuple
@@ -143,8 +140,7 @@ class InstanceSpec:
         }
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     check: str
     instance: dict
     left: dict | None = None
@@ -162,8 +158,7 @@ class Failure:
         return out
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     checks: int
     failures: tuple
@@ -999,7 +994,7 @@ def run_suites(spec, suites=("section1", "section2", "section3")):
         lambda index: [_ON_ALGEBRA[name](spec, spec.algebras[index]) for name in names],
         jobs,
         _worker_count(len(jobs)),
-        lambda: "section2" in suites and suite_section2(dataclasses.replace(spec, algebras=())),
+        lambda: "section2" in suites and suite_section2(spec._replace(algebras=())),
     )
     parts = {name: [done[i][k] for i in sorted(done)] for k, name in enumerate(names)}
     if semigroups:

@@ -35,15 +35,19 @@ def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
 def test_importing_the_package_leaves_the_process_pool_out():
     # multiprocessing and concurrent.futures would add some 18 ms to every
     # interpreter start; only a verify worker that dies loads the latter,
-    # for BrokenProcessPool.
+    # for BrokenProcessPool.  dataclasses would add some 12 ms more, with
+    # inspect, ast, dis and tokenize; the records are NamedTuples instead.
+    # Those two are read off the modules the import adds, so that one a
+    # site hook loaded first does not count.
     code = (
-        "import sys; sys.path.insert(0, %r); import tracelab, tracelab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        "import sys; sys.path.insert(0, %r); before = set(sys.modules); import tracelab, tracelab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))); "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
         % str(ROOT / "src")
     )
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\n[]\n"
 
 
 POOLED_VERIFY = """

@@ -1,6 +1,5 @@
 """Suite harness: passing catalogs, the mutation self-test, determinism."""
 
-import dataclasses
 import gc
 import json
 import os
@@ -16,6 +15,7 @@ from tracelab.errors import EnumerationCapExceeded, ParseError
 from tracelab.homological import cotrace, trace
 from tracelab.verifier import (
     AlgebraSpec,
+    Failure,
     InstanceSpec,
     SuiteResult,
     _built,
@@ -60,6 +60,31 @@ def test_suite_results_serialize_without_elapsed():
     result = suite_section2(SMALL)
     payload = result.to_json()
     assert set(payload) == {"suite", "checks", "passed", "failures"}
+
+
+def test_a_result_with_a_failure_crosses_a_pickle():
+    # What a verify worker sends back through its result pipe.
+    failure = Failure("trace", {"algebra": SMALL.algebras[0].to_json()}, {"ambient_dim": 2, "dim": 1}, None, "x")
+    result = SuiteResult("section1", 7, (failure,), 0.25)
+    back = pickle.loads(pickle.dumps(result))
+    assert back == result and type(back.failures[0]) is Failure
+    assert back.to_json() == result.to_json() and not back.passed
+
+
+def test_record_defaults():
+    spec = InstanceSpec(algebras=(), semigroups=())
+    defaults = (spec.seed, spec.duality_samples, spec.colon_route_samples, spec.random_modules)
+    assert defaults + (spec.sampled_ideals, spec.submodule_cap) == (20260810, 100, 10, 3, 6, 4096)
+    failure = Failure("check", {})
+    assert (failure.left, failure.right, failure.note) == (None, None, "")
+    assert failure.to_json() == {"check": "check", "instance": {}}
+
+
+def test_built_memoises_the_algebra_on_its_spec():
+    aspec = AlgebraSpec("f2_dual", "F2", ("x",), ("x^2",))
+    algebra = _built(aspec)
+    assert _built(aspec) is algebra
+    assert list(aspec._memo.values()) == [algebra]
 
 
 def test_mutation_is_caught_with_witness():
@@ -132,7 +157,7 @@ def test_failures_with_witnesses_cross_from_the_workers(monkeypatch):
 def test_workers_take_a_spec_whose_memo_is_filled(monkeypatch):
     # Jobs are algebra indices and the spec reaches the workers by fork: a
     # spec holding its built algebras does not pickle.
-    spec = dataclasses.replace(SMALL, algebras=tuple(dataclasses.replace(a) for a in SMALL.algebras))
+    spec = SMALL._replace(algebras=tuple(AlgebraSpec(a.name, a.field, a.variables, a.relations) for a in SMALL.algebras))
     for aspec in spec.algebras:
         _built(aspec)
     with pytest.raises(pickle.PicklingError):
@@ -143,7 +168,7 @@ def test_workers_take_a_spec_whose_memo_is_filled(monkeypatch):
 
 def test_an_algebra_that_fails_to_build_raises_alike_on_both_routes(monkeypatch):
     bad = AlgebraSpec("bad", "F2", ("x",), ("x^2 +",))
-    spec = dataclasses.replace(SMALL, algebras=SMALL.algebras[:2] + (bad,) + SMALL.algebras[2:])
+    spec = SMALL._replace(algebras=SMALL.algebras[:2] + (bad,) + SMALL.algebras[2:])
     for suites in (("section1", "section3"), ("section3",)):
         in_process, pooled = _on_both_routes(monkeypatch, spec, suites)
         assert in_process[0] is ParseError
@@ -196,7 +221,7 @@ def test_job_order_never_reaches_the_report(monkeypatch):
     by_dim = sorted(SMALL.algebras, key=lambda a: _built(a).dim)
     assert [_built(a).dim for a in by_dim] == [2, 3, 3]
     for algebras in (by_dim, by_dim[::-1]):
-        spec = dataclasses.replace(SMALL, algebras=tuple(algebras))
+        spec = SMALL._replace(algebras=tuple(algebras))
         in_order = [suite_section1(spec, trace_fn=corrupted_trace).to_json(), suite_section3(spec).to_json()]
         assert len({f["instance"]["algebra"]["name"] for f in in_order[0]["failures"]}) == 3
         assert _on_both_routes(monkeypatch, spec, ("section1", "section3")) == [in_order] * 2
@@ -288,7 +313,7 @@ def test_sampled_qf_check_needs_no_witness(seed):
     # No sampled ideal of q_fat is a witness at these seeds; a sampled verdict
     # cannot prove excellence, so section1 must not report a failure.
     spec = default_catalog(seed=seed)
-    spec = dataclasses.replace(spec, algebras=tuple(a for a in spec.algebras if a.name == "q_fat"))
+    spec = spec._replace(algebras=tuple(a for a in spec.algebras if a.name == "q_fat"))
     result = suite_section1(spec)
     assert result.passed, result.failures[:2]
 
