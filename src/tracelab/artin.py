@@ -66,8 +66,8 @@ def _memoised(owner):
     submodules (socle, torsion_submodule, ideal_times_module, trace,
     cotrace, the enumerations, and annihilator when the module is R),
     as_module of M's full submodule, which is M, and hom_module(M, M),
-    whose target is M: a HomModule holds its source's FreeCover, not the
-    source, and a DualModule holds only its rep.  Exceptions are not
+    whose key holds M as the target: Hom itself is a Subspace and holds no
+    module, and a DualModule holds only its rep.  Exceptions are not
     memoised.
     """
 

@@ -17,17 +17,18 @@ Hom and tensor products start from a free presentation R^v -> M of the
 source (ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism
 spaces between modules over finite dimensional algebras", Experimental
 Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
-constrained by the syzygies, and Hom(M, N) is kept in those generator
-coordinates, a subspace of N^v: the trace is the span of the values, and
-Ext1 and the maps x |-> (r |-> r x) read their coordinates from the values
-g_i x.  Syzygies and Hom find their generators in R^v and N^v, and Hom's own
-rep is built only for Ext1.  M tensor N is N^v modulo the syzygies acting on
-N.  Dense dim N x dim M matrices of maps are built in one place,
-FreeCover.maps, from their values on the generators, and only where the maps
-themselves are needed: the cotrace's joint kernel, commutativity of
-endomorphisms, and ModuleRep.element_action, multiplication by r being the
-map with values r g_i.  Only HomModule.dense_space, for the verifier's
-deliberately broken trace, works in a space of size dim M * dim N.
+constrained by the syzygies, and hom_module(M, N) is the subspace of N^v
+those tuples span: the trace is the span of the values, and Ext1 and the
+maps x |-> (r |-> r x) read their coordinates from the values g_i x.
+Syzygies and Hom find their generators in R^v and N^v; Hom is made a
+submodule of N^v only for its generators and for Ext1, which alone builds
+its rep.  M tensor N is N^v modulo the syzygies acting on N.  Dense
+dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
+their values on the generators, and only where the maps themselves are
+needed: the cotrace's joint kernel, commutativity of endomorphisms, and
+ModuleRep.element_action, multiplication by r being the map with values
+r g_i.  Only dense_hom_space, for the verifier's deliberately broken trace,
+works in a space of size dim M * dim N.
 
 Matlis duality is plain transposition: for an Artinian local k-algebra with
 residue field k the k-linear dual of R is the injective hull of k, so
@@ -75,68 +76,6 @@ SAMPLED_IDEALS = 24  # seeded random cyclic ideals in a sampled verdict, besides
 # -- Hom ------------------------------------------------------------------------
 
 
-class HomModule:
-    """Hom_R(M, N) in generator coordinates, with its R-structure.
-
-    A map f: M -> N is fixed by its values n_i = f(g_i) on the generators
-    g_1..g_v of the source's free cover, `cover`, and (n_1..n_v) in N^v
-    gives a map exactly when sum_i z_i n_i = 0 for every syzygy z.  `values`
-    is that solution space, a canonical subspace of N^v with block i holding
-    n_i, so Hom is solved for and held with v * dim N coordinates.  x_j acts
-    on f through its values, (x_j f)(g_i) = x_j n_i, so `values` is a
-    submodule of N^v; the coordinates of a map are those of its values in
-    `values`.
-
-    All else is built on demand: rep (for Ext1) on first access, generator
-    maps from generators read in N^v, and the dense dim N x dim M matrices
-    in maps() and dense_space() (the intertwiner space).
-    """
-
-    __slots__ = ("cover", "target", "values", "_memo")
-
-    def __init__(self, cover, target, values):
-        self.cover = cover
-        self.target = target
-        self.values = values
-
-    @property
-    def dim(self):
-        return self.values.dim
-
-    def maps(self, tuples):
-        """The dim N x dim M matrix of the map with each given value tuple."""
-        return self.cover.maps(self.target, tuples)
-
-    @_memoised("self")
-    def _in_power(self):  # `values` as a submodule of N^v
-        return Submodule(power_module(self.target, len(self.cover.generators)), self.values, check=False)
-
-    @property
-    @_memoised("self")
-    def rep(self):
-        """Hom as an R-module, in the coordinates of `values`."""
-        return self._in_power().as_module()
-
-    def generator_maps(self):
-        """The maps of minimal generators of Hom as an R-module.
-
-        A map f = sum_j r_j f_j kills m, or commutes with maps, when the f_j
-        do, so these suffice for joint kernels and for commutativity.
-        """
-        return self.maps(submodule_generators(self._in_power()))
-
-    def dense_space(self):
-        """The maps of the basis, flattened row-major, as the canonical
-        subspace of k^(dim N * dim M): the intertwiner space."""
-        maps = self.maps(self.values.rows)
-        vecs = [tuple(x for row in f.rows for x in row) for f in maps]
-        field = self.target.algebra.field
-        return Subspace.from_vectors(field, self.target.dim * self.cover.matrix.nrows, vecs, check=False)
-
-    def __repr__(self):
-        return "HomModule(dim %d into %r)" % (self.dim, self.target)
-
-
 def _syzygy_actions(cover, module):
     """For each syzygy z of the cover, the actions [z_1, ..., z_v] on module."""
     return [[module.element_action(zi) for zi in z] for z in cover.syzygies]
@@ -144,16 +83,45 @@ def _syzygy_actions(cover, module):
 
 @_memoised("source")
 def hom_module(source, target):
-    """Hom_R(source, target) as a HomModule."""
+    """Hom_R(M, N) = Hom_R(source, target) in generator coordinates.
+
+    A map f: M -> N is fixed by its values n_i = f(g_i) on the generators
+    g_1..g_v of the source's free cover, and (n_1..n_v) in N^v gives a map
+    exactly when sum_i z_i n_i = 0 for every syzygy z.  The result is that
+    solution space, the canonical Subspace of k^(v * dim N) with block i
+    holding n_i, so Hom is solved for and held with v * dim N coordinates.
+    x_j acts on f through its values, (x_j f)(g_i) = x_j n_i, so it is a
+    submodule of N^v (_hom_in_power); the coordinates of a map are those of
+    its values in it.
+    """
     if source.algebra is not target.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
-    field = source.algebra.field
     cover = source.free_cover()
-    v, dN = len(cover.generators), target.dim
     rows = []
     for blocks in _syzygy_actions(cover, target):
         rows.extend(hstack(blocks).rows)
-    return HomModule(cover, target, kernel(Matrix._of(field, tuple(rows), v * dN)))
+    return kernel(Matrix._of(source.algebra.field, tuple(rows), len(cover.generators) * target.dim))
+
+
+def _hom_in_power(source, target):
+    """Hom(M, N) as a submodule of N^v: for its generators and for its rep."""
+    power = power_module(target, len(source.free_cover().generators))
+    return Submodule(power, hom_module(source, target), check=False)
+
+
+def generator_maps(source, target):
+    """The matrices of minimal generators of Hom(M, N) as an R-module.  A map
+    f = sum_j r_j f_j kills m, or commutes with maps, when the f_j do, so
+    these suffice for joint kernels and for commutativity."""
+    return source.free_cover().maps(target, submodule_generators(_hom_in_power(source, target)))
+
+
+def dense_hom_space(source, target):
+    """The maps of Hom(M, N)'s basis, flattened row-major, as the canonical
+    subspace of k^(dim N * dim M): the intertwiner space."""
+    maps = source.free_cover().maps(target, hom_module(source, target).rows)
+    vecs = [tuple(x for row in f.rows for x in row) for f in maps]
+    return Subspace.from_vectors(target.algebra.field, target.dim * source.dim, vecs, check=False)
 
 
 # -- trace and cotrace -----------------------------------------------------------
@@ -172,7 +140,7 @@ def trace(ideal, module):
     ideal_rep = ideal.as_module()
     hom = hom_module(ideal_rep, module)
     d = module.dim
-    vecs = [n[i : i + d] for n in hom.values.rows for i in range(0, len(n), d)]
+    vecs = [n[i : i + d] for n in hom.rows for i in range(0, len(n), d)]
     result = Submodule(module, Subspace.from_vectors(field, d, vecs, check=False), check=False)
     lower = ideal_times_module(ideal, module)
     upper = torsion_submodule(module, annihilator(ideal_rep))
@@ -190,9 +158,11 @@ def cotrace(ideal, module):
     _require_ideal(ideal, module.algebra)
     ideal_rep = ideal.as_module()
     dual_ideal = matlis_dual(ideal_rep).rep
-    hom = hom_module(module, dual_ideal)
     # Hom = 0 (I = 0 or M = 0): all of M, as _joint_kernel says too, before any generator map is built.
-    result = module.full_submodule() if hom.dim == 0 else _joint_kernel(module, hom.generator_maps())
+    if hom_module(module, dual_ideal).dim == 0:
+        result = module.full_submodule()
+    else:
+        result = _joint_kernel(module, generator_maps(module, dual_ideal))
     lower = ideal_times_module(annihilator(ideal_rep), module)
     upper = torsion_submodule(module, ideal)
     if not result.carrier.contains(lower.carrier) or not upper.carrier.contains(result.carrier):
@@ -243,11 +213,13 @@ def ann_in_dual(dual, sub):
 
 
 class HomothetyMap(NamedTuple):
-    """The canonical map M -> Hom(I, IM), x |-> (r |-> r x)."""
+    """The canonical map M -> Hom(I, IM), x |-> (r |-> r x).  matrix has a
+    column per basis vector of M, in the coordinates of hom, the Subspace
+    hom_module(I, IM) of (IM)^v; image is IM in M."""
 
     matrix: Matrix
     surjective: bool
-    hom: HomModule
+    hom: Subspace
     image: Submodule
 
 
@@ -256,7 +228,7 @@ def _multiplication_coords(hom, ideal, module, vectors, target=None):
 
     The map's values on the ideal's generators g_i (its cover generators)
     are the g_i x in module, read in the coordinates of its submodule target
-    when given.  A tuple outside hom.values breaks a syzygy, so it is no
+    when given.  A tuple outside hom breaks a syzygy, so it is no
     homomorphism.
     """
     ops = [module.element_action(g) for g in submodule_generators(ideal)]
@@ -267,7 +239,7 @@ def _multiplication_coords(hom, ideal, module, vectors, target=None):
             images = [target.carrier.coords_of(y) for y in images]
             if None in images:
                 raise InternalCheckError("I x escaped the target of the hom")
-        coords = hom.values.coords_of([e for y in images for e in y])
+        coords = hom.coords_of([e for y in images for e in y])
         if coords is None:
             raise InternalCheckError("r |-> r x is not a homomorphism on the generators")
         rows.append(coords)
@@ -287,13 +259,15 @@ def homothety_map(ideal, module):
 
 
 class ColonHomMap(NamedTuple):
-    """The map (Y :_X I) -> Hom(I, Y), u |-> (r |-> r u)."""
+    """The map (Y :_X I) -> Hom(I, Y), u |-> (r |-> r u).  matrix has a
+    column per basis vector of domain, in the coordinates of hom, the
+    Subspace hom_module(I, Y) of Y^v."""
 
     matrix: Matrix
     injective: bool
     surjective: bool
     domain: Submodule
-    hom: HomModule
+    hom: Subspace
 
 
 def colon_to_hom(sub, ideal):
@@ -403,7 +377,8 @@ def ext1(ideal, module):
     hom = hom_module(ideal_rep, module)
     identity = Matrix.identity(field, module.dim).rows
     restriction = _multiplication_coords(hom, ideal, module, identity)
-    image = Submodule(hom.rep, Subspace.from_vectors(field, hom.dim, restriction, check=False), check=False)
+    hom_rep = _hom_in_power(ideal_rep, module).as_module()
+    image = Submodule(hom_rep, Subspace.from_vectors(field, hom.dim, restriction, check=False), check=False)
     rep, _ = image.quotient()
     if is_cyclic_ideal(ideal):
         upper = torsion_submodule(module, annihilator(ideal_rep))
@@ -511,7 +486,7 @@ def is_quasi_frobenius(algebra):
 def has_commutative_endomorphisms(ideal):
     """Whether End_R(I) is commutative, tested on R-module generators."""
     rep = ideal.as_module()
-    gens = hom_module(rep, rep).generator_maps()
+    gens = generator_maps(rep, rep)
     return all(f @ g == g @ f for f, g in itertools.combinations(gens, 2))
 
 

@@ -56,6 +56,7 @@ from .homological import (
     ann_in_dual,
     coexcellence_verdict,
     cotrace,
+    dense_hom_space,
     embed_into_injective,
     excellence_verdict,
     ext1,
@@ -903,7 +904,7 @@ def corrupted_trace(ideal_sub, module):
     rep = ideal_sub.as_module()
     d = rep.dim
     vecs = []
-    for flat in hom_module(rep, module).dense_space().rows[:-1]:
+    for flat in dense_hom_space(rep, module).rows[:-1]:
         vecs.extend(flat[j::d] for j in range(d))
     return Submodule(
         module,

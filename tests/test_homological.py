@@ -30,11 +30,13 @@ from tracelab.artin import (
 )
 from tracelab.errors import ExtNotVanishing, FieldNotFinite
 from tracelab.homological import (
+    _hom_in_power,
     _multiplication_coords,
     ann_in_dual,
     coexcellence_verdict,
     colon_to_hom,
     cotrace,
+    dense_hom_space,
     embed_into_injective,
     excellence_verdict,
     ext1,
@@ -163,10 +165,10 @@ def test_hom_dimension_matches_brute_force(fat_point_f2, qf_ring_f2):
 
 def test_hom_rep_action_is_postcomposition(qf_ring_f2):
     S = regular_module(qf_ring_f2)
-    hom = hom_module(S, S)
-    assert hom.rep.dim == 2
+    hom = _hom_in_power(S, S).as_module()
+    assert hom.dim == hom_module(S, S).dim == 2
     # x acts nilpotently on End(R) for R = k[x]/(x^2)
-    act = hom.rep.actions[0]
+    act = hom.actions[0]
     assert not any(map(any, (act @ act).rows))
 
 
@@ -669,10 +671,9 @@ def test_hom_actions_match_the_matrix_restriction():
         for M in modules:
             v = len(M.free_cover().generators)
             for N in modules:
-                hom = hom_module(M, N)
-                values = hom.values
+                values = hom_module(M, N)
                 expected = [matrix_coords(values, a @ values.basis) for a in power_module(N, v).actions]
-                assert list(hom.rep.actions) == expected
+                assert list(_hom_in_power(M, N).as_module().actions) == expected
 
 
 def test_hom_space_equals_intertwiner_kernel():
@@ -681,7 +682,7 @@ def test_hom_space_equals_intertwiner_kernel():
         fields.add(algebra.field.name)
         for M in modules:
             for N in modules:
-                assert hom_module(M, N).dense_space() == intertwiner_space(M, N)
+                assert dense_hom_space(M, N) == intertwiner_space(M, N)
     assert fields == {"F2", "F3", "Q"}
 
 
@@ -701,18 +702,19 @@ def annihilator_by_operators(module):
     return kernel(Matrix(algebra.field, rows, ncols=algebra.dim))
 
 
-def dense_multiplication_coords(hom, ideal, module, vectors, target=None):
+def dense_multiplication_coords(source, target, ideal, module, vectors, sub=None):
     """Coordinates of r |-> r x, for each x in vectors, in the canonical dense
-    basis of hom: the dim N x dim I matrix of the map, flattened."""
+    basis of Hom(source, target): the dim N x dim I matrix of the map,
+    flattened.  The images are read in the coordinates of sub when given."""
     field = module.algebra.field
-    space = hom.dense_space()
+    space = dense_hom_space(source, target)
     ops = [module.element_action(g) for g in ideal.carrier.rows]
     cols = []
     for x in vectors:
         images = [op.apply(x) for op in ops]
-        if target is not None:
-            images = [target.carrier.coords_of(y) for y in images]
-        t = Matrix.from_cols(field, images, nrows=hom.target.dim)
+        if sub is not None:
+            images = [sub.carrier.coords_of(y) for y in images]
+        t = Matrix.from_cols(field, images, nrows=target.dim)
         coords = space.coords_of(tuple(e for row in t.rows for e in row))
         assert coords is not None
         cols.append(coords)
@@ -733,8 +735,8 @@ def test_trace_from_values_equals_span_of_dense_maps():
         for ideal in differential_ideals(algebra):
             rep = ideal.as_module()
             for M in modules:
-                hom = hom_module(rep, M)
-                cols = [c for f in hom.maps(hom.values.rows) for c in f.cols()]
+                maps = rep.free_cover().maps(M, hom_module(rep, M).rows)
+                cols = [c for f in maps for c in f.cols()]
                 assert trace(ideal, M).carrier == Subspace.from_vectors(algebra.field, M.dim, cols)
 
 
@@ -754,16 +756,19 @@ def test_multiplication_maps_agree_with_the_dense_route():
             for M in modules:
                 basis = Matrix.identity(algebra.field, M.dim).rows
                 homothety = homothety_map(ideal, M)
-                dense = dense_multiplication_coords(homothety.hom, ideal, M, basis, target=homothety.image)
+                image = homothety.image.as_module()
+                assert homothety.hom is hom_module(rep, image)
+                dense = dense_multiplication_coords(rep, image, ideal, M, basis, sub=homothety.image)
                 assert_same_rank_and_kernel(homothety.matrix, dense)
                 hom = hom_module(rep, M)
                 rows = _multiplication_coords(hom, ideal, M, basis)
                 restriction = Matrix.from_cols(algebra.field, rows, nrows=hom.dim)
-                assert_same_rank_and_kernel(restriction, dense_multiplication_coords(hom, ideal, M, basis))
+                assert_same_rank_and_kernel(restriction, dense_multiplication_coords(rep, M, ideal, M, basis))
                 for sub in (M.full_submodule(), ideal_times_module(algebra.max_ideal(), M)):
                     alpha = colon_to_hom(sub, ideal)
+                    assert alpha.hom is hom_module(rep, sub.as_module())
                     dense = dense_multiplication_coords(
-                        alpha.hom, ideal, M, alpha.domain.carrier.rows, target=sub
+                        rep, sub.as_module(), ideal, M, alpha.domain.carrier.rows, sub=sub
                     )
                     assert_same_rank_and_kernel(alpha.matrix, dense)
 

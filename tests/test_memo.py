@@ -31,7 +31,7 @@ from tracelab.artin import (
 )
 from tracelab.cli import main
 from tracelab.errors import AlgebraMismatch, EnumerationCapExceeded, NotSubmodule, ParseError
-from tracelab.homological import HomModule, cotrace, ext1, hom_module, matlis_dual, tensor_product, trace
+from tracelab.homological import _hom_in_power, cotrace, ext1, hom_module, matlis_dual, tensor_product, trace
 from tracelab.linalg import Matrix, Subspace
 from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
 
@@ -143,14 +143,24 @@ def test_equal_submodules_restrict_and_quotient_once():
 
 
 def test_a_trace_builds_no_hom_rep_and_ext1_builds_one():
+    # Hom(I, N) is held as its values, a subspace of N^v: the trace builds
+    # neither N^v nor Hom as a submodule of it, and Ext1 builds the latter
+    # once, for Hom's rep.
     R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
     ideal, dual = ideal_from_elements(R, ["x", "y"]), matlis_dual(regular_module(R)).rep
-    with body_runs(HomModule.rep.fget) as reps:
+    v = len(ideal.as_module().free_cover().generators)
+    with (
+        body_runs(_hom_in_power) as in_power,
+        body_runs(artin.power_module, lambda args: args["module"]) as powers,
+    ):
         trace(ideal, dual)
-        assert reps == []
+        assert in_power == []
+        assert not any(module is dual for module in powers)
+        assert hom_module(ideal.as_module(), dual).ambient_dim == v * dual.dim
         assert ext1(ideal, dual).dim == 0  # dual(R) is injective
+        assert len(in_power) == 1
         assert ext1(ideal, dual) is ext1(ideal, dual)
-    assert len(reps) == 1
+    assert len(in_power) == 1
 
 
 def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys, monkeypatch):
@@ -218,7 +228,7 @@ def test_every_rep_with_the_actions_of_r_is_r():
     R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
     reg = regular_module(R)
     routes = [
-        hom_module(reg, reg).rep,
+        _hom_in_power(reg, reg).as_module(),
         free_module(R, 1),
         matlis_dual(matlis_dual(reg).rep).rep,
         reg.full_submodule().as_module(),
@@ -245,9 +255,10 @@ def test_verify_section1_computes_few_hom_spaces(monkeypatch, capsys):
     # the catalog seed ran 1,149 Hom bodies with labelled reps and
     # identity-keyed ideals, 771 once both compare by value, and 727 once
     # every rep with R's actions is R.  The bound is 727 plus 5%.
+    monkeypatch.setattr(verifier, "_worker_count", lambda jobs: 1)  # the Hom bodies run here
     bodies = []
-    built = homological.HomModule  # constructed once per hom_module body
-    monkeypatch.setattr(homological, "HomModule", lambda *a: bodies.append(a) or built(*a))
+    body = homological.kernel  # called once per hom_module body
+    monkeypatch.setattr(homological, "kernel", lambda *a: bodies.append(a) or body(*a))
     assert main(["verify", "--suite", "1", "--seed", "20260810"]) == 0
     assert '"passed": true' in capsys.readouterr().out
     assert len(bodies) <= 763, len(bodies)

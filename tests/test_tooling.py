@@ -100,6 +100,6 @@ def test_readme_library_tour_states_its_values():
     namespace = {}
     exec(tour, namespace)
     stated = [line.split("#") for line in tour.splitlines() if re.search(r"#\s*\d+:", line)]
-    assert len(stated) == 2
+    assert len(stated) == 3
     for expression, comment in stated:
         assert eval(expression, namespace) == int(comment.split(":")[0]), expression
