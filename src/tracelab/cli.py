@@ -5,8 +5,9 @@ tool version, and a result payload.  JSON is canonical: sorted keys, exact
 rationals as "p/q" strings, value sets as {"below_conductor": [...],
 "conductor": c}.  Exit codes: 0 success (even when a predicate is false),
 1 only for `verify` runs that find a counterexample, 2 for input errors,
-usage errors included, and for a `verify` worker that died (BrokenProcessPool),
-each with a JSON {"error", "message"} on stderr.
+usage errors included, for a `verify` worker that died (BrokenProcessPool),
+for a report that cannot be written and for an interrupt (Ctrl-C), each with
+a JSON {"error", "message"} on stderr, except a closed pipe, which ends quietly.
 
 One table, `_COMMANDS`, drives the CLI.  Each command names its payload
 builder, its help text and the inputs it reads after its --ring algebra:
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -431,31 +433,41 @@ def main(argv=None):
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     fn, _, reads = _COMMANDS[args.command]
-    parts = []
+    parts, out = [], None
     try:
         payload = fn(args, parts) if reads is None else fn(*_load(args, reads, parts))
+        report = {
+            "command": args.command,
+            "fingerprint": _fingerprint(parts),
+            "version": __version__,
+            "result": payload,
+        }
+        out = sys.stdout
+        if args.format == "json":
+            out.writelines(_json_pieces(report))  # in pieces: no second copy of a large report
+        else:
+            _render_text(report, out)
+        out.flush()  # a small report's write fails here, not in the interpreter's flush at exit
     except TraceLabError as exc:
         sys.stderr.write(
             canonical_json({"error": type(exc).__name__, "message": str(exc)})
         )
         return 2
     except OSError as exc:
-        sys.stderr.write(canonical_json({"error": "OSError", "message": str(exc)}))
+        if out is not None:  # the report's unwritten rest goes to os.devnull, so the exit flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe: the reader wanted no more
+            sys.stderr.write(canonical_json({"error": "OSError", "message": str(exc)}))
+        return 2
+    except KeyboardInterrupt:  # run_suites has killed and reaped its workers by now
+        sys.stderr.write(canonical_json({"error": "Interrupted", "message": "interrupted"}))
         return 2
     # A verify worker died.  Looked up only when an error gets here: cli never imports concurrent.futures.
     except getattr(sys.modules.get("concurrent.futures.process"), "BrokenProcessPool", ()) as exc:
         sys.stderr.write(canonical_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
-    report = {
-        "command": args.command,
-        "fingerprint": _fingerprint(parts),
-        "version": __version__,
-        "result": payload,
-    }
-    if args.format == "json":
-        sys.stdout.writelines(_json_pieces(report))  # in pieces: no second copy of a large report
-    else:
-        _render_text(report, sys.stdout)
     if args.command == "verify" and not payload["passed"]:
         return 1
     return 0

@@ -18,11 +18,12 @@ source (ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism
 spaces between modules over finite dimensional algebras", Experimental
 Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
 constrained by the syzygies, and hom_module(M, N) is the subspace of N^v
-those tuples span: the trace is the span of the values, and Ext1 and the
-maps x |-> (r |-> r x) read their coordinates from the values g_i x.
-Syzygies and Hom find their generators in R^v and N^v; Hom is made a
-submodule of N^v only for its generators and for Ext1, which alone builds
-its rep.  M tensor N is N^v modulo the syzygies acting on N.  Dense
+those tuples span: the trace is the span of the values, and the maps
+x |-> (r |-> r x) read their coordinates from the values g_i x.  Syzygies
+and Hom find their generators in R^v and N^v; Hom is made a submodule of
+N^v only for its generators.  M tensor N is N^v modulo the syzygies acting
+on N.  Ext1(R/I, M) and Tor1(M, R/I) are counted from dim Hom(I, M) and
+dim M tensor I by the exact sequences of 0 -> I -> R -> R/I -> 0.  Dense
 dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
 their values on the generators, and only where the maps themselves are
 needed: the cotrace's joint kernel, commutativity of endomorphisms, and
@@ -104,7 +105,7 @@ def hom_module(source, target):
 
 
 def _hom_in_power(source, target):
-    """Hom(M, N) as a submodule of N^v: for its generators and for its rep."""
+    """Hom(M, N) as a submodule of N^v, for its generators."""
     power = power_module(target, len(source.free_cover().generators))
     return Submodule(power, hom_module(source, target), check=False)
 
@@ -223,22 +224,19 @@ class HomothetyMap(NamedTuple):
     image: Submodule
 
 
-def _multiplication_coords(hom, ideal, module, vectors, target=None):
-    """Coordinates in hom = Hom(I, -) of r |-> r x, one row per x in vectors.
+def _multiplication_coords(hom, ideal, module, vectors, target):
+    """Coordinates in hom = Hom(I, target) of r |-> r x, one row per x in vectors.
 
     The map's values on the ideal's generators g_i (its cover generators)
-    are the g_i x in module, read in the coordinates of its submodule target
-    when given.  A tuple outside hom breaks a syzygy, so it is no
-    homomorphism.
+    are the g_i x in module, read in the coordinates of its submodule
+    target.  A tuple outside hom breaks a syzygy, so it is no homomorphism.
     """
     ops = [module.element_action(g) for g in submodule_generators(ideal)]
     rows = []
     for x in vectors:
-        images = [op.apply(x) for op in ops]
-        if target is not None:
-            images = [target.carrier.coords_of(y) for y in images]
-            if None in images:
-                raise InternalCheckError("I x escaped the target of the hom")
+        images = [target.carrier.coords_of(op.apply(x)) for op in ops]
+        if None in images:
+            raise InternalCheckError("I x escaped the target of the hom")
         coords = hom.coords_of([e for y in images for e in y])
         if coords is None:
             raise InternalCheckError("r |-> r x is not a homomorphism on the generators")
@@ -365,46 +363,47 @@ def tensor_eval(module, ideal):
 # -- Ext1 and Tor1 -----------------------------------------------------------------
 
 
+class Dimension(NamedTuple):
+    """A functor's value known by its dimension over k, all that its readers read."""
+
+    dim: int
+
+
 @_memoised("module")
 def ext1(ideal, module):
-    """Ext1(R/I, M): the cokernel of Hom(R, M) -> Hom(I, M).
-
-    For cyclic I the dimension is checked against dim M[Ann I] - dim IM.
-    """
+    """Ext1(R/I, M) by its dimension.  Hom(-, M) on 0 -> I -> R -> R/I -> 0 gives
+    0 -> M[I] -> M -> Hom(I, M) -> Ext1(R/I, M) -> Ext1(R, M) = 0, as Hom(R/I, M) = M[I],
+    so it is dim Hom(I, M) - dim M + dim M[I].  For cyclic I it is checked against
+    dim M[Ann I] - dim IM."""
     _require_ideal(ideal, module.algebra)
-    field = module.algebra.field
     ideal_rep = ideal.as_module()
-    hom = hom_module(ideal_rep, module)
-    identity = Matrix.identity(field, module.dim).rows
-    restriction = _multiplication_coords(hom, ideal, module, identity)
-    hom_rep = _hom_in_power(ideal_rep, module).as_module()
-    image = Submodule(hom_rep, Subspace.from_vectors(field, hom.dim, restriction, check=False), check=False)
-    rep, _ = image.quotient()
+    hom = hom_module(ideal_rep, module).dim
+    dim = hom - module.dim + torsion_submodule(module, ideal).dim
+    if not 0 <= dim <= hom:
+        raise InternalCheckError("Ext1 dimension outside [0, dim Hom(I, M)]")
     if is_cyclic_ideal(ideal):
-        upper = torsion_submodule(module, annihilator(ideal_rep))
-        lower = ideal_times_module(ideal, module)
-        if rep.dim != upper.dim - lower.dim:
+        upper, lower = torsion_submodule(module, annihilator(ideal_rep)), ideal_times_module(ideal, module)
+        if dim != upper.dim - lower.dim:
             raise InternalCheckError("cyclic Ext1 dimension disagrees with M[Ann I]/IM")
-    return rep
+    return Dimension(dim)
 
 
 @_memoised("module")
 def tor1(module, ideal):
-    """Tor1(M, R/I): the kernel of M tensor_R I -> M.
-
-    For cyclic I the dimension is checked against dim M[I] - dim Ann(I)M.
-    """
+    """Tor1(M, R/I) by its dimension.  M tensor - on 0 -> I -> R -> R/I -> 0 gives
+    0 = Tor1(M, R) -> Tor1(M, R/I) -> M tensor I -> M, whose image is IM, so it is
+    dim (M tensor I) - dim IM.  For cyclic I it is checked against dim M[I] - dim Ann(I)M."""
     _require_ideal(ideal, module.algebra)
     ideal_rep = ideal.as_module()
-    tp = tensor_product(module, ideal_rep)
-    evaluation = _evaluation(module, ideal, module.free_cover().generators, tp)
-    rep = _joint_kernel(tp.rep, [evaluation]).as_module()
+    tensor = tensor_product(module, ideal_rep).dim
+    dim = tensor - ideal_times_module(ideal, module).dim
+    if not 0 <= dim <= tensor:
+        raise InternalCheckError("Tor1 dimension outside [0, dim M tensor I]")
     if is_cyclic_ideal(ideal):
-        upper = torsion_submodule(module, ideal)
-        lower = ideal_times_module(annihilator(ideal_rep), module)
-        if rep.dim != upper.dim - lower.dim:
+        upper, lower = torsion_submodule(module, ideal), ideal_times_module(annihilator(ideal_rep), module)
+        if dim != upper.dim - lower.dim:
             raise InternalCheckError("cyclic Tor1 dimension disagrees with M[I]/Ann(I)M")
-    return rep
+    return Dimension(dim)
 
 
 def is_cyclic_ideal(ideal):

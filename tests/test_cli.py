@@ -6,8 +6,12 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pathlib
 import random
 import shlex
+import signal
+import subprocess
 import sys
 import time
 
@@ -545,6 +549,83 @@ def test_verify_small_suite(capsys):
     report = run_json(capsys, "verify", "--suite", "2", "--seed", "7")
     assert report["result"]["passed"] is True
     assert report["result"]["suites"][0]["suite"] == "section2"
+
+
+# -- a report that cannot be written, and an interrupt ---------------------------
+
+# The CLI in a fresh interpreter; `prelude` runs first, after the import.
+CLI_PROCESS = """
+import sys
+sys.path.insert(0, %r)
+from tracelab import cli, verifier
+{prelude}
+raise SystemExit(cli.main())
+""" % str(pathlib.Path(__file__).resolve().parent.parent / "src")
+LARGE_REPORT = ["semigroup-report", "--gens", "61,67", "--max-power", "63"]  # 1.5 MB
+
+
+def cli_process(argv, prelude="", **kwargs):
+    code = CLI_PROCESS.format(prelude=prelude)
+    return subprocess.Popen([sys.executable, "-I", "-B", "-c", code, *argv], stderr=subprocess.PIPE, **kwargs)
+
+
+def test_a_report_into_a_closed_pipe_exits_2_quietly():
+    # A small report fails only at its flush; the reader of a large one,
+    # like `| head -c 10`, leaves after 10 bytes.  Either way the rest of the
+    # report is dropped: no traceback, no error, exit 2.
+    read, write = os.pipe()
+    os.close(read)
+    small = cli_process(["semigroup-report", "--gens", "3,4"], stdout=write)
+    os.close(write)
+    large = cli_process(LARGE_REPORT, stdout=subprocess.PIPE)
+    assert len(large.stdout.read(10)) == 10
+    large.stdout.close()
+    for proc in (small, large):
+        assert proc.wait(timeout=120) == 2
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["semigroup-report", "--gens", "3,4"], LARGE_REPORT], ids=["small", "large"])
+def test_a_report_onto_a_full_device_exits_2_with_a_json_error(argv):
+    with open("/dev/full", "wb") as full:
+        proc = cli_process(argv, stdout=full)
+        err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert json.loads(err) == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+
+
+def test_an_interrupted_pooled_verify_exits_2_and_leaves_no_worker(tmp_path):
+    # Each of two workers records its pid and then blocks in its first job,
+    # so the interrupt lands while both run.
+    prelude = (
+        "import os, time\n"
+        "verifier._worker_count = lambda jobs: 2\n"
+        "def blocked(spec, algebra):\n"
+        "    open(os.path.join(%r, str(os.getpid())), 'w').close()\n"
+        "    time.sleep(120)\n"
+        "verifier._ON_ALGEBRA['section1'] = blocked\n" % str(tmp_path)
+    )
+    proc = cli_process(["verify", "--suite", "all"], prelude, stdout=subprocess.PIPE, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and out == b""
+        assert json.loads(err) == {"error": "Interrupted", "message": "interrupted"}
+        for pid in workers:  # killed and reaped before the CLI returned
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    except BaseException:  # a failed run leaves no blocked CLI or worker behind
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+        raise
 
 
 # -- fuzzing the exit-code contract --------------------------------------------

@@ -3,18 +3,22 @@
 The brute-force oracles enumerate *all* linear maps over F_2 and filter the
 module homomorphisms by definition, fully independent of the free-cover
 solver they check.  The differential tests compare Hom and tensor products
-against the dim M * dim N intertwiner system and Kronecker quotient, and the
-functors that read Hom in generator coordinates against the dense maps.
+against the dim M * dim N intertwiner system and Kronecker quotient, the
+functors that read Hom in generator coordinates against the dense maps, and
+the counted Ext1 and Tor1 against the cokernel and kernel that define them.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tracelab.linalg
 from tracelab.artin import (
     PolynomialPresentation,
+    Submodule,
+    _joint_kernel,
     annihilator,
     build_algebra,
     colon,
@@ -30,6 +34,7 @@ from tracelab.artin import (
 )
 from tracelab.errors import ExtNotVanishing, FieldNotFinite
 from tracelab.homological import (
+    _evaluation,
     _hom_in_power,
     _multiplication_coords,
     ann_in_dual,
@@ -395,13 +400,14 @@ def test_tor1_of_residue_field(fat_point):
 
 
 def test_ext1_and_tor1_with_equal_actions_are_one_module(fat_point):
-    # Both are k with zero action, and a rep is its actions: one object.
+    # Both are k with zero action; each is known by its dimension, so they
+    # are equal values.
     reg = regular_module(fat_point)
     k = module_from_presentation(fat_point, [["x", "y"]])
     ix = ideal_from_elements(fat_point, ["x"])
     e, t = ext1(ix, reg), tor1(k, ix)
-    assert e.dim == t.dim == 1
-    assert e is t
+    assert e == t
+    assert e.dim == 1
 
 
 def test_tor1_matches_ext1_of_dual(fat_point, qf_ring):
@@ -414,6 +420,52 @@ def test_tor1_matches_ext1_of_dual(fat_point, qf_ring):
         ideal = ideal_from_elements(R, gens)
         dual = matlis_dual(M).rep
         assert tor1(M, ideal).dim == ext1(ideal, dual).dim
+
+
+# -- Ext1 and Tor1 against their definitions -----------------------------------
+
+
+def ext1_by_cokernel(ideal, module):
+    """dim Ext1(R/I, M) by definition: the cokernel of the restriction
+    Hom(R, M) = M -> Hom(I, M), x |-> (r |-> r x), over Hom's rep in M^v.
+    _multiplication_coords raises if some r |-> r x is no homomorphism."""
+    field = module.algebra.field
+    rep = ideal.as_module()
+    hom = hom_module(rep, module)
+    identity = Matrix.identity(field, module.dim).rows
+    restriction = _multiplication_coords(hom, ideal, module, identity, module.full_submodule())
+    image = Submodule(_hom_in_power(rep, module).as_module(), Subspace.from_vectors(field, hom.dim, restriction))
+    return image.quotient()[0].dim
+
+
+def tor1_by_kernel(module, ideal):
+    """dim Tor1(M, R/I) by definition: the kernel of the evaluation M tensor I -> M."""
+    tp = tensor_product(module, ideal.as_module())
+    return _joint_kernel(tp.rep, [_evaluation(module, ideal, module.free_cover().generators, tp)]).dim
+
+
+@st.composite
+def functor_inputs(draw):
+    """(I, M): a catalog algebra, M presented by a random matrix of up to two
+    generators and relations (or its Matlis dual), and I with one or two
+    random generators in m.  Ring elements are drawn as {exponents: coefficient}."""
+    algebra = _built(draw(st.sampled_from(default_catalog().algebras)))
+    monomial = st.tuples(*[st.integers(0, 2)] * len(algebra.variables))
+    element = st.dictionaries(monomial.filter(any), st.sampled_from([1, -1, 2]), max_size=3)
+    n, relations = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    module = module_from_presentation(algebra, [[draw(element) for _ in range(relations)] for _ in range(n)])
+    if draw(st.booleans()):
+        module = matlis_dual(module).rep
+    gens = draw(st.lists(element, min_size=1, max_size=2))
+    return ideal_from_elements(algebra, [algebra.element_from_poly(g) for g in gens]), module
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(functor_inputs())
+def test_counted_ext1_and_tor1_equal_their_definitions(inputs):
+    ideal, module = inputs
+    assert ext1(ideal, module).dim == ext1_by_cokernel(ideal, module)
+    assert tor1(module, ideal).dim == tor1_by_kernel(module, ideal)
 
 
 def test_is_cyclic_ideal(fat_point):
@@ -761,7 +813,7 @@ def test_multiplication_maps_agree_with_the_dense_route():
                 dense = dense_multiplication_coords(rep, image, ideal, M, basis, sub=homothety.image)
                 assert_same_rank_and_kernel(homothety.matrix, dense)
                 hom = hom_module(rep, M)
-                rows = _multiplication_coords(hom, ideal, M, basis)
+                rows = _multiplication_coords(hom, ideal, M, basis, M.full_submodule())
                 restriction = Matrix.from_cols(algebra.field, rows, nrows=hom.dim)
                 assert_same_rank_and_kernel(restriction, dense_multiplication_coords(rep, M, ideal, M, basis))
                 for sub in (M.full_submodule(), ideal_times_module(algebra.max_ideal(), M)):

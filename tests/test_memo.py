@@ -142,10 +142,10 @@ def test_equal_submodules_restrict_and_quotient_once():
     assert len(restricted) == len(quotients) == 1
 
 
-def test_a_trace_builds_no_hom_rep_and_ext1_builds_one():
+def test_neither_a_trace_nor_ext1_builds_a_hom_rep():
     # Hom(I, N) is held as its values, a subspace of N^v: the trace builds
-    # neither N^v nor Hom as a submodule of it, and Ext1 builds the latter
-    # once, for Hom's rep.
+    # neither N^v nor Hom as a submodule of it, and Ext1 reads only its
+    # dimension.
     R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
     ideal, dual = ideal_from_elements(R, ["x", "y"]), matlis_dual(regular_module(R)).rep
     v = len(ideal.as_module().free_cover().generators)
@@ -158,9 +158,8 @@ def test_a_trace_builds_no_hom_rep_and_ext1_builds_one():
         assert not any(module is dual for module in powers)
         assert hom_module(ideal.as_module(), dual).ambient_dim == v * dual.dim
         assert ext1(ideal, dual).dim == 0  # dual(R) is injective
-        assert len(in_power) == 1
         assert ext1(ideal, dual) is ext1(ideal, dual)
-    assert len(in_power) == 1
+    assert in_power == []
 
 
 def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys, monkeypatch):
@@ -185,15 +184,17 @@ def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys, 
 
 
 def test_one_zero_action_rep_from_four_routes():
-    # k with zero action arises as the ideal (x), as Ext1(R/(x), R), as
-    # Tor1(k, R/(x)) and as the cokernel presenting R/m; reps carry no name,
-    # so it is one object.
+    # k with zero action arises as the ideals (x) and (y), as the Matlis dual
+    # of k and as the cokernel presenting R/m; reps carry no name, so it is
+    # one object.  Ext1(R/(x), R) and Tor1(k, R/(x)) are k as well, and are
+    # returned as their dimension.
     R = algebra("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
-    ix = ideal_from_elements(R, ["x"])
+    ix, iy = ideal_from_elements(R, ["x"]), ideal_from_elements(R, ["y"])
     k = module_from_presentation(R, [["x", "y"]])
-    routes = [ix.as_module(), homological.ext1(ix, regular_module(R)), homological.tor1(k, ix), k]
+    routes = [ix.as_module(), iy.as_module(), matlis_dual(k).rep, k]
     assert [rep.dim for rep in routes] == [1] * 4
     assert all(rep is k for rep in routes)
+    assert homological.ext1(ix, regular_module(R)).dim == homological.tor1(k, ix).dim == 1
 
 
 def test_an_unreferenced_module_leaves_the_intern_table():

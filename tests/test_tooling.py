@@ -1,5 +1,6 @@
 """The repository's pytest configuration, run on a test outside the suite,
-and the README's examples, run as written."""
+the README's examples, run as written, and the benchmark's oracle on what
+the library returns."""
 
 import pathlib
 import re
@@ -103,3 +104,24 @@ def test_readme_library_tour_states_its_values():
     assert len(stated) == 3
     for expression, comment in stated:
         assert eval(expression, namespace) == int(comment.split(":")[0]), expression
+
+
+def test_the_benchmark_oracle_reads_what_the_library_returns(tmp_path, monkeypatch):
+    # perfbench's functor ladder reads its library ops' outputs (.carrier of
+    # a trace, .dim of Ext1 and Tor1).  A return type it cannot read fails
+    # here, not first in a benchmark run.  perfbench itself is only imported.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ladder = workloads.FunctorLadder(7, tmp_path / "rings")
+    try:
+        for op in ladder.ops:
+            try:
+                op.output = op.fn()
+            except Exception as exc:  # recorded as the benchmark records it
+                op.error = "%s: %s" % (type(exc).__name__, exc)
+        ladder.check()
+    finally:
+        ladder.cleanup()
+    assert len(ladder.ops) == 66
+    assert [(op.name, op.error) for op in ladder.ops if op.error is not None] == []
