@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     ResidueFieldError,
 )
-from .linalg import FIELDS, Matrix, Subspace, _row_reduce, _scalar_rows, _sparse, kernel, solve, vstack
+from .linalg import FIELDS, Matrix, Subspace, _dense, _row_reduce, _scalar_rows, _sparse, kernel, solve, vstack
 
 ENUMERATION_CAP = 10 ** 6
 MONOMIAL_CEILING = 1000  # columns of any one elimination in build_algebra
@@ -65,10 +65,10 @@ def _memoised(owner):
     regular_module and max_ideal (R points at its algebra), a module's own
     submodules (socle, torsion_submodule, ideal_times_module, trace,
     cotrace, the enumerations, and annihilator when the module is R),
-    as_module of M's full submodule, which is M, and hom_module(M, M),
-    whose key holds M as the target: Hom itself is a Subspace and holds no
-    module, and a DualModule holds only its rep.  Exceptions are not
-    memoised.
+    as_module of M's full submodule, which is M, and hom_module(M, M) and
+    generator_maps(M, M), whose keys hold M as the target: Hom itself is a
+    Subspace, the generator maps are matrices, and a DualModule holds only
+    its rep.  Exceptions are not memoised.
     """
 
     def decorate(fn):
@@ -547,10 +547,25 @@ class ModuleRep:
 
     @_memoised("self")
     def _element_action(self, r):
-        """Multiplication by r is the module map with values r g_i on the
-        cover generators g_i, and r g_i is the cover matrix (columns b_s g_i)
-        applied to r placed in block i."""
-        cover, z = self.free_cover(), (self.algebra.field.zero,) * self.algebra.dim
+        """Multiplication by r.  A linear form, with terms only at the unit and
+        at degree-1 monomials x_v (monomial steps (v, 0)), acts as
+        r_0 I + sum_s r_s actions[v_s], summed over the actions' column
+        supports with no free cover.  Otherwise it is the module map with
+        values r g_i on the cover generators g_i, and r g_i is the cover
+        matrix (columns b_s g_i) applied to r placed in block i."""
+        field, n = self.algebra.field, self.dim
+        terms = [(self.algebra.monomial_steps[s - 1], c) for s, c in enumerate(r) if s and c]
+        if all(base == 0 for (_, base), _ in terms):
+            if not r[0] and len(terms) == 1 and terms[0][1] == 1:
+                return self.actions[terms[0][0][0]]
+            rows = [{i: r[0]} if r[0] else {} for i in range(n)]
+            for (var, _), c in terms:
+                for j, support in enumerate(self.actions[var]._columns()):
+                    for i, a in support:
+                        rows[i][j] = rows[i].get(j, 0) + c * a
+            rows = [_dense(dict(zip(row, field.canonical(row.values()))), n, field.zero) for row in rows]
+            return Matrix._of(field, tuple(rows), n)
+        cover, z = self.free_cover(), (field.zero,) * self.algebra.dim
         v = len(cover.generators)
         values = tuple(x for i in range(v) for x in cover.matrix.apply(z * i + r + z * (v - 1 - i)))
         return cover.maps(self, [values])[0]

@@ -27,9 +27,10 @@ dim M tensor I by the exact sequences of 0 -> I -> R -> R/I -> 0.  Dense
 dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
 their values on the generators, and only where the maps themselves are
 needed: the cotrace's joint kernel, commutativity of endomorphisms, and
-ModuleRep.element_action, multiplication by r being the map with values
-r g_i.  Only dense_hom_space, for the verifier's deliberately broken trace,
-works in a space of size dim M * dim N.
+ModuleRep.element_action for an r with a term of degree >= 2,
+multiplication by r being the map with values r g_i (a linear form acts
+through the action matrices).  Only dense_hom_space, for the verifier's
+deliberately broken trace, works in a space of size dim M * dim N.
 
 Matlis duality is plain transposition: for an Artinian local k-algebra with
 residue field k the k-linear dual of R is the injective hull of k, so
@@ -44,7 +45,6 @@ from typing import NamedTuple
 
 from .artin import (
     ENUMERATION_CAP,
-    ModuleRep,
     Submodule,
     _joint_kernel,
     _memoised,
@@ -69,7 +69,7 @@ from .errors import (
     FieldNotFinite,
     InternalCheckError,
 )
-from .linalg import Matrix, Subspace, _dense, hstack, kernel, rank, vstack
+from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
 
 SAMPLED_IDEALS = 24  # seeded random cyclic ideals in a sampled verdict, besides 0, m and R
 
@@ -110,11 +110,13 @@ def _hom_in_power(source, target):
     return Submodule(power, hom_module(source, target), check=False)
 
 
+@_memoised("source")
 def generator_maps(source, target):
     """The matrices of minimal generators of Hom(M, N) as an R-module.  A map
     f = sum_j r_j f_j kills m, or commutes with maps, when the f_j do, so
-    these suffice for joint kernels and for commutativity."""
-    return source.free_cover().maps(target, submodule_generators(_hom_in_power(source, target)))
+    these suffice for joint kernels and for commutativity.  The tuple holds
+    no module, so its memo entry keeps no N^v alive."""
+    return tuple(source.free_cover().maps(target, submodule_generators(_hom_in_power(source, target))))
 
 
 def dense_hom_space(source, target):
@@ -295,16 +297,16 @@ class TensorProduct(NamedTuple):
     With M = R^v / K, M tensor N = N^v / (K tensor N): the relations are
     spanned by (z_1 n, ..., z_v n) over the syzygies z of M's free cover and
     the basis vectors n of N.  relations is that submodule of N^v, block i
-    holding the coefficient of the generator g_i, and rep is the quotient,
-    with the standard vectors at the relations' non-pivot columns as basis.
+    holding the coefficient of the generator g_i; the tensor product is the
+    quotient by it (relations.quotient() builds its rep), of dimension
+    dim N^v - dim relations.
     """
 
-    rep: ModuleRep
     relations: Submodule
 
     @property
     def dim(self):
-        return self.rep.dim
+        return self.relations.module.dim - self.relations.dim
 
 
 @_memoised("left")
@@ -318,29 +320,12 @@ def tensor_product(left, right):
     vecs = []
     for blocks in _syzygy_actions(cover, right):
         vecs.extend(vstack(blocks).cols())
-    relations = Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False)
-    return TensorProduct(relations.quotient()[0], relations)
-
-
-def _evaluation(module, ideal, generators, tp):
-    """Matrix of the evaluation tp -> M induced by (n_1..n_v) |-> sum_i n_i g_i.
-
-    The g_i are the left factor's cover generators as vectors of M, and I^v
-    is in the N^v coordinates of tp, so block i is the k-basis rows of I
-    under the orbit matrix of g_i (column s is b_s g_i).  The map on I^v
-    must kill the tensor relations exactly; that is checked here.  On tp it
-    is the map on the lifts of tp's basis vectors.
-    """
-    field = module.algebra.field
-    orbits = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) for g in generators]
-    full = Matrix.from_cols(field, [o.apply(row) for o in orbits for row in ideal.carrier.rows], nrows=module.dim)
-    if any(any(full.apply(row)) for row in tp.relations.carrier.rows):
-        raise InternalCheckError("tensor evaluation does not kill the tensor relations")
-    return tp.relations.carrier._on_lifts(full)
+    return TensorProduct(Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False))
 
 
 class TensorEvalMap(NamedTuple):
-    """The canonical map (M/M[I]) tensor_R I -> M, x o r |-> r x."""
+    """The canonical map (M/M[I]) tensor_R I -> M, x o r |-> r x.  tensor is
+    that product built as I tensor (M/M[I])."""
 
     matrix: Matrix
     injective: bool
@@ -348,16 +333,26 @@ class TensorEvalMap(NamedTuple):
 
 
 def tensor_eval(module, ideal):
-    """Matrix of (M/M[I]) tensor_R I -> M with injectivity flag."""
+    """Matrix of (M/M[I]) tensor_R I -> M with injectivity flag.
+
+    The product is built as I tensor (M/M[I]), (M/M[I])^w modulo I's
+    syzygies, w the generator count of I: those are memoised on I's rep and
+    shared with Hom(I, -), and M/M[I] needs none.  Block j of the map on
+    (M/M[I])^w is multiplication by the generator g_j on the lifts of M/M[I]
+    (the standard vectors at the non-pivots of M[I], which g_j kills).  It
+    must kill the tensor relations exactly; that is checked.  On the tensor
+    product it is the map on the lifts of its basis vectors.
+    """
     _require_ideal(ideal, module.algebra)
     torsion = torsion_submodule(module, ideal)
-    quotient_rep, _ = torsion.quotient()
-    tp = tensor_product(quotient_rep, ideal.as_module())
-    # A generator of M/M[I] lifts to M with its coordinates at the non-pivots of M[I].
-    keep, zero = torsion.carrier.nonpivots(), module.algebra.field.zero
-    lifts = [_dense(dict(zip(keep, g)), module.dim, zero) for g in quotient_rep.free_cover().generators]
-    matrix = _evaluation(module, ideal, lifts, tp)
-    return TensorEvalMap(matrix, rank(matrix) == tp.rep.dim, tp)
+    tp = tensor_product(ideal.as_module(), torsion.quotient()[0])
+    keep = torsion.carrier.nonpivots()
+    ops = [module.element_action(g).cols() for g in submodule_generators(ideal)]
+    full = Matrix.from_cols(module.algebra.field, [cols[q] for cols in ops for q in keep], nrows=module.dim)
+    if any(any(full.apply(row)) for row in tp.relations.carrier.rows):
+        raise InternalCheckError("tensor evaluation does not kill the tensor relations")
+    matrix = tp.relations.carrier._on_lifts(full)
+    return TensorEvalMap(matrix, rank(matrix) == tp.dim, tp)
 
 
 # -- Ext1 and Tor1 -----------------------------------------------------------------

@@ -508,9 +508,10 @@ class Subspace:
         return coords if self.vector(coords) == vec else None
 
     def contains(self, other):
-        """Whether other is a subspace of self (same ambient space)."""
+        """Whether other is a subspace of self (same ambient space).  Equal
+        subspaces are one object, so self contains itself with no row rebuilt."""
         self._check_ambient(other)
-        return all(self.coords_of(c) is not None for c in other.rows)
+        return other is self or all(self.coords_of(c) is not None for c in other.rows)
 
     def sum(self, other):
         self._check_ambient(other)

@@ -34,7 +34,6 @@ from tracelab.artin import (
 )
 from tracelab.errors import ExtNotVanishing, FieldNotFinite
 from tracelab.homological import (
-    _evaluation,
     _hom_in_power,
     _multiplication_coords,
     ann_in_dual,
@@ -61,7 +60,7 @@ from tracelab.homological import (
     trace_via_colon,
 )
 from tracelab.cli import main as cli_main
-from tracelab.linalg import GF, QQ, Matrix, Subspace, _scalar_rows, kernel, rank
+from tracelab.linalg import GF, QQ, Matrix, Subspace, _dense, _scalar_rows, kernel, rank
 from tracelab.verifier import _built, default_catalog, module_pool
 
 
@@ -438,10 +437,27 @@ def ext1_by_cokernel(ideal, module):
     return image.quotient()[0].dim
 
 
+def _evaluation(module, ideal, generators, tp):
+    """Matrix of the evaluation tp -> M induced by (n_1..n_v) |-> sum_i n_i g_i.
+
+    The g_i are the left factor's cover generators as vectors of M, and I^v
+    is in the N^v coordinates of tp, so block i is the k-basis rows of I
+    under the orbit matrix of g_i (column s is b_s g_i).  The map on I^v
+    must kill the tensor relations exactly; that is checked here.  On tp it
+    is the map on the lifts of tp's basis vectors.
+    """
+    field = module.algebra.field
+    orbits = [Matrix.from_cols(field, module.orbit(g), nrows=module.dim) for g in generators]
+    full = Matrix.from_cols(field, [o.apply(row) for o in orbits for row in ideal.carrier.rows], nrows=module.dim)
+    assert not any(any(full.apply(row)) for row in tp.relations.carrier.rows)
+    return tp.relations.carrier._on_lifts(full)
+
+
 def tor1_by_kernel(module, ideal):
     """dim Tor1(M, R/I) by definition: the kernel of the evaluation M tensor I -> M."""
     tp = tensor_product(module, ideal.as_module())
-    return _joint_kernel(tp.rep, [_evaluation(module, ideal, module.free_cover().generators, tp)]).dim
+    rep = tp.relations.quotient()[0]
+    return _joint_kernel(rep, [_evaluation(module, ideal, module.free_cover().generators, tp)]).dim
 
 
 @st.composite
@@ -466,6 +482,82 @@ def test_counted_ext1_and_tor1_equal_their_definitions(inputs):
     ideal, module = inputs
     assert ext1(ideal, module).dim == ext1_by_cokernel(ideal, module)
     assert tor1(module, ideal).dim == tor1_by_kernel(module, ideal)
+
+
+# -- the primitives' short routes against the general ones -----------------------
+
+
+def element_action_by_cover(module, r):
+    """Multiplication by r as the module map with values r g_i on the cover
+    generators g_i, r g_i being the cover matrix applied to r in block i."""
+    cover, z = module.free_cover(), (module.algebra.field.zero,) * module.algebra.dim
+    v = len(cover.generators)
+    values = tuple(x for i in range(v) for x in cover.matrix.apply(z * i + r + z * (v - 1 - i)))
+    return cover.maps(module, [values])[0]
+
+
+@st.composite
+def acted_on(draw):
+    """(M, r) over a catalog algebra: M is R, dual(R), R^2, the zero module
+    or a random presentation or its dual, and r has a random constant and
+    linear part and, half the time, terms of degree 2 to 4."""
+    algebra = _built(draw(st.sampled_from(default_catalog().algebras)))
+    n, coeff = len(algebra.variables), st.sampled_from([0, 1, -1, 2])
+    reg = regular_module(algebra)
+    kind = draw(st.sampled_from(["R", "dual", "R^2", "zero", "presented", "dual presented"]))
+    if kind in ("R", "dual"):
+        module = reg
+    elif kind == "R^2":
+        module = free_module(algebra, 2)
+    elif kind == "zero":
+        module = module_from_presentation(algebra, [["1"]])
+    else:
+        entry = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n).filter(any), coeff, max_size=2)
+        rows, relations = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        module = module_from_presentation(algebra, [[draw(entry) for _ in range(relations)] for _ in range(rows)])
+    if kind.startswith("dual"):
+        module = matlis_dual(module).rep
+    poly = {(0,) * n: draw(coeff)}
+    poly.update({tuple(int(j == i) for j in range(n)): draw(coeff) for i in range(n)})
+    if draw(st.booleans()):
+        higher = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) >= 2)
+        poly.update(draw(st.dictionaries(higher, coeff.filter(bool), min_size=1, max_size=2)))
+    return module, algebra.element_from_poly(poly)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(acted_on())
+def test_an_element_acts_as_its_map_on_the_cover_generators(inputs):
+    module, r = inputs
+    assert module.element_action(r) == element_action_by_cover(module, r)
+
+
+def tensor_eval_by_quotient_cover(module, ideal):
+    """(injective, dim) of (M/M[I]) tensor I -> M built as M/M[I] tensor I:
+    the cover generators of M/M[I], lifted to M, feed _evaluation."""
+    torsion = torsion_submodule(module, ideal)
+    quotient = torsion.quotient()[0]
+    tp = tensor_product(quotient, ideal.as_module())
+    keep = torsion.carrier.nonpivots()
+    lifts = [_dense(dict(zip(keep, g)), module.dim, 0) for g in quotient.free_cover().generators]
+    return rank(_evaluation(module, ideal, lifts, tp)) == tp.dim, tp.dim
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(functor_inputs())
+def test_tensor_eval_with_the_ideal_on_the_left_equals_the_quotient_route(inputs):
+    ideal, module = inputs
+    got = tensor_eval(module, ideal)
+    assert (got.injective, got.tensor.dim) == tensor_eval_by_quotient_cover(module, ideal)
+    assert (got.matrix.nrows, got.matrix.ncols) == (module.dim, got.tensor.dim)
+
+
+def test_containment_between_different_ideals():
+    # (x) and (y) have one dimension and neither holds the other; (x^2) lies in (x).
+    R = algebra(QQ, ["x", "y"], ["x^3", "y^3"])
+    x, y, x2 = (ideal_from_elements(R, [g]).carrier for g in ("x", "y", "x^2"))
+    assert x.dim == y.dim and x.contains(x2) and not x2.contains(x)
+    assert not x.contains(y) and not y.contains(x)
 
 
 def test_is_cyclic_ideal(fat_point):
@@ -947,5 +1039,7 @@ def test_zero_module_and_zero_ideal_edge_cases(fat_point_f2, qf_ring):
         assert tor1(zero, R.max_ideal()).dim == 0
         assert ext1(zero_ideal, reg).dim == 0
         assert ext1(R.max_ideal(), zero).dim == 0
-        assert tensor_eval(zero, R.max_ideal()).injective
+        for M, I in ((zero, R.max_ideal()), (reg, zero_ideal)):
+            beta = tensor_eval(M, I)
+            assert beta.injective and (beta.matrix.nrows, beta.matrix.ncols) == (M.dim, 0)
         assert trace(zero_ideal, reg).dim == 0 and cotrace(zero_ideal, zero).dim == 0

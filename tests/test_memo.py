@@ -31,7 +31,16 @@ from tracelab.artin import (
 )
 from tracelab.cli import main
 from tracelab.errors import AlgebraMismatch, EnumerationCapExceeded, NotSubmodule, ParseError
-from tracelab.homological import _hom_in_power, cotrace, ext1, hom_module, matlis_dual, tensor_product, trace
+from tracelab.homological import (
+    _hom_in_power,
+    cotrace,
+    ext1,
+    generator_maps,
+    hom_module,
+    matlis_dual,
+    tensor_product,
+    trace,
+)
 from tracelab.linalg import Matrix, Subspace
 from tracelab.verifier import AlgebraSpec, InstanceSpec, run_suites
 
@@ -97,9 +106,9 @@ def test_an_ideal_with_memoised_generators_is_freed_without_the_collector():
 
 @pytest.mark.parametrize("field", ["F2", "F3", "Q"])
 def test_a_module_with_memoised_hom_and_dual_is_freed_without_the_collector(field):
-    # Hom out of M holds M's free cover, not M, and the dual holds only its
-    # own rep, so neither entry points back at M.  M's presenting R^2 is not
-    # kept, so nothing else holds M either.
+    # Hom out of M holds M's free cover, not M, its generator maps are bare
+    # matrices, and the dual holds only its own rep, so no entry points back
+    # at M.  M's presenting R^2 is not kept, so nothing else holds M either.
     R = algebra(field, ["x", "y"], ["x^3", "y^2"])
     reg = regular_module(R)
     gc.collect()
@@ -107,7 +116,8 @@ def test_a_module_with_memoised_hom_and_dual_is_freed_without_the_collector(fiel
     try:
         module = module_from_presentation(R, [["x", "0"], ["y", "x"]])
         assert hom_module(module, reg).dim > 0 and matlis_dual(module).rep.dim == module.dim
-        assert {"hom_module", "matlis_dual"} <= {key[0].__name__ for key in module._memo}
+        assert generator_maps(module, reg)
+        assert {"hom_module", "matlis_dual", "generator_maps"} <= {key[0].__name__ for key in module._memo}
         ref = weakref.ref(module)
         del module
         assert ref() is None
@@ -160,6 +170,40 @@ def test_neither_a_trace_nor_ext1_builds_a_hom_rep():
         assert ext1(ideal, dual).dim == 0  # dual(R) is injective
         assert ext1(ideal, dual) is ext1(ideal, dual)
     assert in_power == []
+
+
+def test_generator_maps_build_n_to_the_v_once():
+    # The maps are memoised on the source as a tuple of matrices, so a second
+    # call builds neither N^v nor Hom as a submodule of it.
+    R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
+    ideal, dual = ideal_from_elements(R, ["x", "y"]), matlis_dual(regular_module(R)).rep
+    rep = ideal.as_module()
+    with (
+        body_runs(_hom_in_power) as in_power,
+        body_runs(artin.power_module, lambda args: args["module"]) as powers,
+    ):
+        first = generator_maps(rep, dual)
+        assert generator_maps(rep, dual) is first
+    assert type(first) is tuple and all(type(f) is Matrix for f in first)
+    assert len(in_power) == 1 and [m for m in powers if m is dual] == [dual]
+
+
+def test_linear_forms_act_without_a_free_cover():
+    # 0, 1, the variables and other linear forms act through the action
+    # matrices, a variable as its own matrix, and no free cover is built.
+    R = algebra("F3", ["x", "y"], ["x^3", "y^2"])
+    module = module_from_presentation(R, [["x", "0"], ["y", "x"]])
+    for text in ("0", "1", "x", "y", "2*x", "1 + x + 2*y"):
+        assert module.element_action(R.parse_element(text)).nrows == module.dim
+    assert module.element_action(R.parse_element("y")) is module.actions[1]
+    assert "free_cover" not in {key[0].__name__ for key in module._memo}
+
+
+def test_a_subspace_contains_itself_with_no_row_rebuilt():
+    space = ideal_from_elements(algebra("F2", ["x", "y"], ["x^3", "y^2"]), ["x", "y"]).carrier
+    with body_runs(Subspace.coords_of) as rebuilt:
+        assert space.contains(space)
+    assert rebuilt == []
 
 
 def test_verify_section3_restricts_no_pair_twice_while_its_module_lives(capsys, monkeypatch):
