@@ -20,8 +20,8 @@ from tracelab.artin import (
 from tracelab.homological import (
     excellence_verdict,
     ext1,
-    homothety_map,
     is_good_ideal,
+    is_homothety_onto,
     is_ideal_excellent,
     is_quasi_frobenius,
     trace,
@@ -39,7 +39,7 @@ def show(name, algebra):
     print("   trace of (x) has dim", tr.dim, "while (x)R has dim", im.dim)
     print("   (x)-excellent:", is_ideal_excellent(ix, reg), "| (x) good:", is_good_ideal(ix))
     print("   Ext1(R/(x), R) dim:", ext1(ix, reg).dim,
-          "| homothety map onto:", homothety_map(ix, reg).surjective)
+          "| homothety map onto:", is_homothety_onto(ix, reg))
     verdict = excellence_verdict(reg)
     print("   excellent (%s over %d cyclic ideals): %s"
           % (verdict.evidence, verdict.tested, verdict.holds))

@@ -22,8 +22,8 @@ from tracelab.homological import (
     cotrace,
     embed_into_injective,
     ext1,
+    is_tensor_eval_injective,
     matlis_dual,
-    tensor_eval,
     tor1,
     trace,
     trace_via_colon,
@@ -49,7 +49,7 @@ for module, name in ((reg, "R"), (k, "k")):
 print("Ext1(R/(x), R) dim:", ext1(ix, reg).dim)
 print("Tor1(k, R/(x)) dim:", tor1(k, ix).dim)
 print("dual dimension law:", ext1(ix, matlis_dual(k).rep).dim == tor1(k, ix).dim)
-print("tensor evaluation injective on k?", tensor_eval(k, ix).injective)
+print("tensor evaluation injective on k?", is_tensor_eval_injective(k, ix))
 
 # A second, independent route to the trace: embed M into an injective X and
 # compute I(M :_X I).  Both routes must agree exactly.

@@ -29,20 +29,19 @@ from .artin import (
 from .homological import (
     ann_in_dual,
     coexcellence_verdict,
-    colon_to_hom,
     cotrace,
     embed_into_injective,
     excellence_verdict,
     ext1,
     has_commutative_endomorphisms,
     hom_module,
-    homothety_map,
     is_good_ideal,
+    is_homothety_onto,
     is_ideal_coexcellent,
     is_ideal_excellent,
     is_quasi_frobenius,
+    is_tensor_eval_injective,
     matlis_dual,
-    tensor_eval,
     tensor_product,
     tor1,
     trace,

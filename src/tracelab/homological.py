@@ -18,12 +18,16 @@ source (ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism
 spaces between modules over finite dimensional algebras", Experimental
 Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
 constrained by the syzygies, and hom_module(M, N) is the subspace of N^v
-those tuples span: the trace is the span of the values, and the maps
-x |-> (r |-> r x) read their coordinates from the values g_i x.  Syzygies
-and Hom find their generators in R^v and N^v; Hom is made a submodule of
-N^v only for its generators.  M tensor N is N^v modulo the syzygies acting
-on N.  Ext1(R/I, M) and Tor1(M, R/I) are counted from dim Hom(I, M) and
-dim M tensor I by the exact sequences of 0 -> I -> R -> R/I -> 0.  Dense
+those tuples span: the trace is the span of the values.  Syzygies and Hom
+find their generators in R^v and N^v; Hom is made a submodule of N^v only
+for its generators.  M tensor N is N^v modulo the syzygies acting on N.
+Ext1(R/I, M) and Tor1(M, R/I) are counted from dim Hom(I, M) and
+dim M tensor I by the exact sequences of 0 -> I -> R -> R/I -> 0.  So are
+the canonical maps whose surjectivity or injectivity, with (co)excellence,
+characterizes their vanishing:
+the homothety M -> Hom(I, IM) has kernel M[I], and the evaluation
+(M/M[I]) tensor I -> M has image IM, so each test is one equation between
+dimensions and no matrix of either map is built.  Dense
 dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
 their values on the generators, and only where the maps themselves are
 needed: the cotrace's joint kernel, commutativity of endomorphisms, and
@@ -215,77 +219,19 @@ def ann_in_dual(dual, sub):
 # -- canonical maps ----------------------------------------------------------------
 
 
-class HomothetyMap(NamedTuple):
-    """The canonical map M -> Hom(I, IM), x |-> (r |-> r x).  matrix has a
-    column per basis vector of M, in the coordinates of hom, the Subspace
-    hom_module(I, IM) of (IM)^v; image is IM in M."""
+def is_homothety_onto(ideal, module):
+    """Whether the homothety M -> Hom(I, IM), x |-> (r |-> r x), is onto.
 
-    matrix: Matrix
-    surjective: bool
-    hom: Subspace
-    image: Submodule
-
-
-def _multiplication_coords(hom, ideal, module, vectors, target):
-    """Coordinates in hom = Hom(I, target) of r |-> r x, one row per x in vectors.
-
-    The map's values on the ideal's generators g_i (its cover generators)
-    are the g_i x in module, read in the coordinates of its submodule
-    target.  A tuple outside hom breaks a syzygy, so it is no homomorphism.
+    Its kernel is M[I], so it embeds M/M[I] in Hom(I, IM) and is onto
+    exactly when dim M - dim M[I] = dim Hom(I, IM).  A larger left side
+    cannot embed; that is checked.
     """
-    ops = [module.element_action(g) for g in submodule_generators(ideal)]
-    rows = []
-    for x in vectors:
-        images = [target.carrier.coords_of(op.apply(x)) for op in ops]
-        if None in images:
-            raise InternalCheckError("I x escaped the target of the hom")
-        coords = hom.coords_of([e for y in images for e in y])
-        if coords is None:
-            raise InternalCheckError("r |-> r x is not a homomorphism on the generators")
-        rows.append(coords)
-    return rows
-
-
-def homothety_map(ideal, module):
-    """Matrix of x |-> (r |-> r x) from M to Hom(I, IM), with onto flag."""
     _require_ideal(ideal, module.algebra)
-    image = ideal_times_module(ideal, module)
-    hom = hom_module(ideal.as_module(), image.as_module())
-    field = module.algebra.field
-    identity = Matrix.identity(field, module.dim).rows
-    rows = _multiplication_coords(hom, ideal, module, identity, target=image)
-    matrix = Matrix.from_cols(field, rows, nrows=hom.dim)
-    return HomothetyMap(matrix, rank(matrix) == hom.dim, hom, image)
-
-
-class ColonHomMap(NamedTuple):
-    """The map (Y :_X I) -> Hom(I, Y), u |-> (r |-> r u).  matrix has a
-    column per basis vector of domain, in the coordinates of hom, the
-    Subspace hom_module(I, Y) of Y^v."""
-
-    matrix: Matrix
-    injective: bool
-    surjective: bool
-    domain: Submodule
-    hom: Subspace
-
-
-def colon_to_hom(sub, ideal):
-    """Matrix of u |-> (r |-> r u) on (Y :_X I), with injectivity and
-    surjectivity flags.  Its kernel equals (Y :_X I)[I]; asserted."""
-    ambient = sub.module
-    _require_ideal(ideal, ambient.algebra)
-    field = ambient.algebra.field
-    domain = colon_submodule(sub, ideal)
-    hom = hom_module(ideal.as_module(), sub.as_module())
-    rows = _multiplication_coords(hom, ideal, ambient, domain.carrier.rows, target=sub)
-    matrix = Matrix.from_cols(field, rows, nrows=hom.dim)
-    ker = kernel(matrix)
-    lifted = Subspace.from_vectors(field, ambient.dim, [domain.carrier.vector(c) for c in ker.rows])
-    expected = domain.carrier.intersect(torsion_submodule(ambient, ideal).carrier)
-    if lifted != expected:
-        raise InternalCheckError("kernel of the colon-to-hom map is not (Y :_X I)[I]")
-    return ColonHomMap(matrix, ker.dim == 0, rank(matrix) == hom.dim, domain, hom)
+    image = module.dim - torsion_submodule(module, ideal).dim
+    hom = hom_module(ideal.as_module(), ideal_times_module(ideal, module).as_module()).dim
+    if image > hom:
+        raise InternalCheckError("homothety image larger than Hom(I, IM)")
+    return image == hom
 
 
 # -- tensor products ----------------------------------------------------------------
@@ -323,36 +269,21 @@ def tensor_product(left, right):
     return TensorProduct(Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False))
 
 
-class TensorEvalMap(NamedTuple):
-    """The canonical map (M/M[I]) tensor_R I -> M, x o r |-> r x.  tensor is
-    that product built as I tensor (M/M[I])."""
+def is_tensor_eval_injective(module, ideal):
+    """Whether the evaluation (M/M[I]) tensor_R I -> M, x o r |-> r x, is injective.
 
-    matrix: Matrix
-    injective: bool
-    tensor: TensorProduct
-
-
-def tensor_eval(module, ideal):
-    """Matrix of (M/M[I]) tensor_R I -> M with injectivity flag.
-
-    The product is built as I tensor (M/M[I]), (M/M[I])^w modulo I's
-    syzygies, w the generator count of I: those are memoised on I's rep and
-    shared with Hom(I, -), and M/M[I] needs none.  Block j of the map on
-    (M/M[I])^w is multiplication by the generator g_j on the lifts of M/M[I]
-    (the standard vectors at the non-pivots of M[I], which g_j kills).  It
-    must kill the tensor relations exactly; that is checked.  On the tensor
-    product it is the map on the lifts of its basis vectors.
+    Its image is IM, so it is injective exactly when the tensor product has
+    dimension dim IM.  A smaller product cannot map onto IM; that is checked.
+    The product is built as I tensor (M/M[I]), so it reads the syzygies of I
+    that Hom(I, -) memoised on I's rep, and M/M[I] needs none.
     """
     _require_ideal(ideal, module.algebra)
-    torsion = torsion_submodule(module, ideal)
-    tp = tensor_product(ideal.as_module(), torsion.quotient()[0])
-    keep = torsion.carrier.nonpivots()
-    ops = [module.element_action(g).cols() for g in submodule_generators(ideal)]
-    full = Matrix.from_cols(module.algebra.field, [cols[q] for cols in ops for q in keep], nrows=module.dim)
-    if any(any(full.apply(row)) for row in tp.relations.carrier.rows):
-        raise InternalCheckError("tensor evaluation does not kill the tensor relations")
-    matrix = tp.relations.carrier._on_lifts(full)
-    return TensorEvalMap(matrix, rank(matrix) == tp.dim, tp)
+    quotient = torsion_submodule(module, ideal).quotient()[0]
+    tensor = tensor_product(ideal.as_module(), quotient).dim
+    image = ideal_times_module(ideal, module).dim
+    if tensor < image:
+        raise InternalCheckError("tensor evaluation product smaller than its image IM")
+    return tensor == image
 
 
 # -- Ext1 and Tor1 -----------------------------------------------------------------

@@ -62,13 +62,13 @@ from .homological import (
     ext1,
     has_commutative_endomorphisms,
     hom_module,
-    homothety_map,
     is_cyclic_ideal,
+    is_homothety_onto,
     is_ideal_coexcellent,
     is_ideal_excellent,
     is_quasi_frobenius,
+    is_tensor_eval_injective,
     matlis_dual,
-    tensor_eval,
     tensor_product,
     tor1,
     trace,
@@ -404,11 +404,9 @@ def _section1_on(spec, aspec, trace_fn=trace):
                 (tr.dim == 0) == (hom_dim == 0)
                 and (hom_dim == 0) == (ideal_sub.dim == 0 or module.dim == 0),
             )
-            onto = None
             if is_cyclic_ideal(ideal_sub):
                 rec.equal("cyclic_trace_is_annihilator_torsion", inst, tr.carrier, upper.carrier)
-                onto = homothety_map(ideal_sub, module).surjective
-                rec.check("cyclic_homothety_onto", inst, onto)
+                rec.check("cyclic_homothety_onto", inst, is_homothety_onto(ideal_sub, module))
                 rec.check(
                     "cyclic_ext1_dimension_formula",
                     inst,
@@ -420,7 +418,7 @@ def _section1_on(spec, aspec, trace_fn=trace):
                 (ext1(ideal_sub, module).dim == 0)
                 == (
                     is_ideal_excellent(ideal_sub, module)
-                    and (homothety_map(ideal_sub, module).surjective if onto is None else onto)
+                    and is_homothety_onto(ideal_sub, module)
                 ),
             )
 
@@ -737,13 +735,11 @@ def _section3_on(spec, aspec):
             and (tensor_product(module, ideal_rep).dim == 0)
             == (ideal_sub.dim == 0 or module.dim == 0),
         )
-        into = None
         if is_cyclic_ideal(ideal_sub):
             rec.equal(
                 "cyclic_cotrace_is_annihilator_image", inst, co.carrier, lower.carrier
             )
-            into = tensor_eval(module, ideal_sub).injective
-            rec.check("cyclic_tensor_eval_injective", inst, into)
+            rec.check("cyclic_tensor_eval_injective", inst, is_tensor_eval_injective(module, ideal_sub))
             rec.check(
                 "cyclic_tor1_dimension_formula",
                 inst,
@@ -755,7 +751,7 @@ def _section3_on(spec, aspec):
             (tor1(module, ideal_sub).dim == 0)
             == (
                 is_ideal_coexcellent(ideal_sub, module)
-                and (tensor_eval(module, ideal_sub).injective if into is None else into)
+                and is_tensor_eval_injective(module, ideal_sub)
             ),
         )
         rec.check(

@@ -34,12 +34,12 @@ from tracelab.homological import (
     excellence_verdict,
     ext1,
     has_commutative_endomorphisms,
-    homothety_map,
+    is_homothety_onto,
     is_ideal_coexcellent,
     is_ideal_excellent,
     is_quasi_frobenius,
+    is_tensor_eval_injective,
     matlis_dual,
-    tensor_eval,
     tor1,
     trace,
     trace_via_colon,
@@ -171,11 +171,11 @@ def test_ext1_tor1_vanishing_criteria_exhaustive_f2():
             for ideal_sub in ideals:
                 ok = ok and (ext1(ideal_sub, module).dim == 0) == (
                     is_ideal_excellent(ideal_sub, module)
-                    and homothety_map(ideal_sub, module).surjective
+                    and is_homothety_onto(ideal_sub, module)
                 )
                 ok = ok and (tor1(module, ideal_sub).dim == 0) == (
                     is_ideal_coexcellent(ideal_sub, module)
-                    and tensor_eval(module, ideal_sub).injective
+                    and is_tensor_eval_injective(module, ideal_sub)
                 )
                 count += 1
     _report("ext1_tor1_vanishing_criteria", ok, t0, detail=" instances=%d" % count)

@@ -30,15 +30,14 @@ from tracelab.artin import (
     power_module,
     regular_module,
     socle,
+    submodule_generators,
     torsion_submodule,
 )
 from tracelab.errors import ExtNotVanishing, FieldNotFinite
 from tracelab.homological import (
     _hom_in_power,
-    _multiplication_coords,
     ann_in_dual,
     coexcellence_verdict,
-    colon_to_hom,
     cotrace,
     dense_hom_space,
     embed_into_injective,
@@ -46,14 +45,14 @@ from tracelab.homological import (
     ext1,
     has_commutative_endomorphisms,
     hom_module,
-    homothety_map,
     is_cyclic_ideal,
     is_good_ideal,
+    is_homothety_onto,
     is_ideal_coexcellent,
     is_ideal_excellent,
     is_quasi_frobenius,
+    is_tensor_eval_injective,
     matlis_dual,
-    tensor_eval,
     tensor_product,
     tor1,
     trace,
@@ -305,14 +304,29 @@ def test_dual_exchanges_trace_and_cotrace(fat_point, qf_ring):
 def test_homothety_surjective_for_cyclic(qf_ring):
     reg = regular_module(qf_ring)
     ix = ideal_from_elements(qf_ring, ["x"])
-    assert homothety_map(ix, reg).surjective
+    assert is_homothety_onto(ix, reg)
 
 
 def test_homothety_for_unit_and_zero_ideal(fat_point):
     reg = regular_module(fat_point)
-    assert homothety_map(ideal_from_elements(fat_point, ["1"]), reg).surjective
-    zero_map = homothety_map(ideal_from_elements(fat_point, []), reg)
-    assert zero_map.surjective and zero_map.hom.dim == 0
+    assert is_homothety_onto(ideal_from_elements(fat_point, ["1"]), reg)
+    zero = ideal_from_elements(fat_point, [])
+    assert is_homothety_onto(zero, reg)
+    assert hom_module(zero.as_module(), ideal_times_module(zero, reg).as_module()).dim == 0
+
+
+def colon_to_hom_by_dense_maps(sub, ideal):
+    """(domain, matrix) of u |-> (r |-> r u) from (Y :_X I) to Hom(I, Y), with
+    a column per basis vector of the domain in the dense basis of Hom(I, Y).
+    Its kernel is checked to be (Y :_X I)[I], the colon lemma."""
+    ambient = sub.module
+    domain = colon(sub, ideal)
+    rows = domain.carrier.rows
+    matrix = dense_multiplication_coords(ideal.as_module(), sub.as_module(), ideal, ambient, rows, sub=sub)
+    lifted = [domain.carrier.vector(c) for c in kernel(matrix).rows]
+    expected = domain.carrier.intersect(torsion_submodule(ambient, ideal).carrier)
+    assert Subspace.from_vectors(ambient.algebra.field, ambient.dim, lifted) == expected
+    return domain, matrix
 
 
 def test_colon_to_hom_surjective_into_injective(fat_point):
@@ -320,18 +334,16 @@ def test_colon_to_hom_surjective_into_injective(fat_point):
     reg = regular_module(fat_point)
     X = matlis_dual(reg).rep
     ix = ideal_from_elements(fat_point, ["x"])
-    alpha = colon_to_hom(X.full_submodule(), ix)
-    assert alpha.surjective
+    _, matrix = colon_to_hom_by_dense_maps(X.full_submodule(), ix)
+    assert rank(matrix) == matrix.nrows
 
 
 def test_colon_to_hom_unit_ideal_is_identity_like(fat_point):
-    reg = regular_module(fat_point)
-    y = ideal_from_elements(fat_point, ["x"])  # Y = the line (x)
-    y_sub = y  # submodule of R
+    y = ideal_from_elements(fat_point, ["x"])  # Y = the line (x), a submodule of R
     full = ideal_from_elements(fat_point, ["1"])
-    alpha = colon_to_hom(y_sub, full)
-    assert alpha.injective and alpha.surjective
-    assert alpha.domain.carrier == y.carrier
+    domain, matrix = colon_to_hom_by_dense_maps(y, full)
+    assert kernel(matrix).dim == 0 and rank(matrix) == matrix.nrows
+    assert domain.carrier == y.carrier
 
 
 def test_tensor_with_ring(fat_point):
@@ -354,14 +366,15 @@ def test_tensor_with_zero(qf_ring):
 def test_tensor_eval_injective_for_cyclic(qf_ring):
     reg = regular_module(qf_ring)
     ix = ideal_from_elements(qf_ring, ["x"])
-    assert tensor_eval(reg, ix).injective
+    assert is_tensor_eval_injective(reg, ix)
 
 
 def test_tensor_eval_unit_and_zero(fat_point):
     reg = regular_module(fat_point)
-    assert tensor_eval(reg, ideal_from_elements(fat_point, ["1"])).injective
-    beta = tensor_eval(reg, ideal_from_elements(fat_point, []))
-    assert beta.injective and beta.tensor.dim == 0
+    assert is_tensor_eval_injective(reg, ideal_from_elements(fat_point, ["1"]))
+    zero = ideal_from_elements(fat_point, [])
+    assert is_tensor_eval_injective(reg, zero)
+    assert tensor_product(zero.as_module(), torsion_submodule(reg, zero).quotient()[0]).dim == 0
 
 
 # -- Ext1 and Tor1 -----------------------------------------------------------------
@@ -424,10 +437,28 @@ def test_tor1_matches_ext1_of_dual(fat_point, qf_ring):
 # -- Ext1 and Tor1 against their definitions -----------------------------------
 
 
+def _multiplication_coords(hom, ideal, module, vectors, target):
+    """Coordinates in hom = Hom(I, target) of r |-> r x, one row per x in vectors.
+
+    The map's values on the ideal's generators g_i (its cover generators)
+    are the g_i x in module, read in the coordinates of its submodule
+    target.  A tuple outside hom breaks a syzygy, so it is no homomorphism.
+    """
+    ops = [module.element_action(g) for g in submodule_generators(ideal)]
+    rows = []
+    for x in vectors:
+        images = [target.carrier.coords_of(op.apply(x)) for op in ops]
+        assert None not in images, "I x escaped the target of the hom"
+        coords = hom.coords_of([e for y in images for e in y])
+        assert coords is not None, "r |-> r x is not a homomorphism on the generators"
+        rows.append(coords)
+    return rows
+
+
 def ext1_by_cokernel(ideal, module):
     """dim Ext1(R/I, M) by definition: the cokernel of the restriction
     Hom(R, M) = M -> Hom(I, M), x |-> (r |-> r x), over Hom's rep in M^v.
-    _multiplication_coords raises if some r |-> r x is no homomorphism."""
+    _multiplication_coords fails if some r |-> r x is no homomorphism."""
     field = module.algebra.field
     rep = ideal.as_module()
     hom = hom_module(rep, module)
@@ -547,9 +578,25 @@ def tensor_eval_by_quotient_cover(module, ideal):
 @given(functor_inputs())
 def test_tensor_eval_with_the_ideal_on_the_left_equals_the_quotient_route(inputs):
     ideal, module = inputs
-    got = tensor_eval(module, ideal)
-    assert (got.injective, got.tensor.dim) == tensor_eval_by_quotient_cover(module, ideal)
-    assert (got.matrix.nrows, got.matrix.ncols) == (module.dim, got.tensor.dim)
+    tensor = tensor_product(ideal.as_module(), torsion_submodule(module, ideal).quotient()[0])
+    assert (is_tensor_eval_injective(module, ideal), tensor.dim) == tensor_eval_by_quotient_cover(module, ideal)
+
+
+def homothety_onto_by_dense_maps(ideal, module):
+    """Whether x |-> (r |-> r x) from M onto Hom(I, IM) is onto, by the rank of
+    its matrix in the dense basis of Hom(I, IM).  Its kernel is checked to be M[I]."""
+    image = ideal_times_module(ideal, module)
+    basis = Matrix.identity(module.algebra.field, module.dim).rows
+    dense = dense_multiplication_coords(ideal.as_module(), image.as_module(), ideal, module, basis, sub=image)
+    assert kernel(dense) == torsion_submodule(module, ideal).carrier
+    return rank(dense) == dense.nrows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(functor_inputs())
+def test_homothety_onto_equals_the_dense_route(inputs):
+    ideal, module = inputs
+    assert is_homothety_onto(ideal, module) == homothety_onto_by_dense_maps(ideal, module)
 
 
 def test_containment_between_different_ideals():
@@ -700,9 +747,9 @@ def test_colon_to_hom_kernel_formula_on_dual_numbers(qf_ring):
     # map on a torsion-heavy instance exercises it.
     reg = regular_module(qf_ring)
     ix = ideal_from_elements(qf_ring, ["x"])
-    alpha = colon_to_hom(ix, ix)  # Y = (x) inside X = R
-    assert not alpha.injective  # (R :_R (x))[x] = (x) != 0
-    assert alpha.domain.dim == 2  # (x) : (x) = R since x*m = 0
+    domain, matrix = colon_to_hom_by_dense_maps(ix, ix)  # Y = (x) inside X = R
+    assert kernel(matrix).dim != 0  # (R :_R (x))[x] = (x) != 0
+    assert domain.dim == 2  # (x) : (x) = R since x*m = 0
 
 
 # -- differential tests: free cover against the dim M * dim N routes ------------------
@@ -899,22 +946,22 @@ def test_multiplication_maps_agree_with_the_dense_route():
             rep = ideal.as_module()
             for M in modules:
                 basis = Matrix.identity(algebra.field, M.dim).rows
-                homothety = homothety_map(ideal, M)
-                image = homothety.image.as_module()
-                assert homothety.hom is hom_module(rep, image)
-                dense = dense_multiplication_coords(rep, image, ideal, M, basis, sub=homothety.image)
-                assert_same_rank_and_kernel(homothety.matrix, dense)
+                image = ideal_times_module(ideal, M)
+                hom = hom_module(rep, image.as_module())
+                rows = _multiplication_coords(hom, ideal, M, basis, image)
+                homothety = Matrix.from_cols(algebra.field, rows, nrows=hom.dim)
+                dense = dense_multiplication_coords(rep, image.as_module(), ideal, M, basis, sub=image)
+                assert_same_rank_and_kernel(homothety, dense)
+                assert is_homothety_onto(ideal, M) == (rank(dense) == dense.nrows)
                 hom = hom_module(rep, M)
                 rows = _multiplication_coords(hom, ideal, M, basis, M.full_submodule())
                 restriction = Matrix.from_cols(algebra.field, rows, nrows=hom.dim)
                 assert_same_rank_and_kernel(restriction, dense_multiplication_coords(rep, M, ideal, M, basis))
                 for sub in (M.full_submodule(), ideal_times_module(algebra.max_ideal(), M)):
-                    alpha = colon_to_hom(sub, ideal)
-                    assert alpha.hom is hom_module(rep, sub.as_module())
-                    dense = dense_multiplication_coords(
-                        rep, sub.as_module(), ideal, M, alpha.domain.carrier.rows, sub=sub
-                    )
-                    assert_same_rank_and_kernel(alpha.matrix, dense)
+                    domain, dense = colon_to_hom_by_dense_maps(sub, ideal)
+                    hom = hom_module(rep, sub.as_module())
+                    rows = _multiplication_coords(hom, ideal, M, domain.carrier.rows, sub)
+                    assert_same_rank_and_kernel(Matrix.from_cols(algebra.field, rows, nrows=hom.dim), dense)
 
 
 @pytest.mark.parametrize("field", [GF(2), QQ])
@@ -945,7 +992,8 @@ def test_functors_never_row_reduce_the_dense_hom_space(monkeypatch, field):
     trace(ideal, reg)
     ext1(ideal, reg)
     tor1(reg, ideal)
-    homothety_map(ideal, reg)
+    is_homothety_onto(ideal, reg)
+    is_tensor_eval_injective(reg, ideal)
     assert widths
     assert max(widths) < min(rep.dim * reg.dim, rep.dim * image_rep.dim)
 
@@ -1040,6 +1088,5 @@ def test_zero_module_and_zero_ideal_edge_cases(fat_point_f2, qf_ring):
         assert ext1(zero_ideal, reg).dim == 0
         assert ext1(R.max_ideal(), zero).dim == 0
         for M, I in ((zero, R.max_ideal()), (reg, zero_ideal)):
-            beta = tensor_eval(M, I)
-            assert beta.injective and (beta.matrix.nrows, beta.matrix.ncols) == (M.dim, 0)
+            assert is_tensor_eval_injective(M, I)
         assert trace(zero_ideal, reg).dim == 0 and cotrace(zero_ideal, zero).dim == 0
