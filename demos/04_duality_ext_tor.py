@@ -5,8 +5,9 @@ Over an Artinian local k-algebra with residue field k the Matlis dual is the
 k-linear dual with transposed action matrices.  The two central exchange
 identities say that dualizing turns the cotrace into the annihilator of the
 trace and vice versa; numerically these are exact subspace equalities.  The
-same machinery computes Ext1(R/I, M) as a Hom cokernel and Tor1(M, R/I) as
-a tensor kernel, and their dimensions match under duality.
+same machinery counts Ext1(R/I, M) from Hom(I, M) and Tor1(M, R/I) from
+M tensor I = Hom(M, dual I) by dimension, and their dimensions match under
+duality.
 """
 
 from tracelab.artin import (

@@ -65,10 +65,13 @@ def _memoised(owner):
     regular_module and max_ideal (R points at its algebra), a module's own
     submodules (socle, torsion_submodule, ideal_times_module, trace,
     cotrace, the enumerations, and annihilator when the module is R),
-    as_module of M's full submodule, which is M, and hom_module(M, M) and
-    generator_maps(M, M), whose keys hold M as the target: Hom itself is a
-    Subspace, the generator maps are matrices, and a DualModule holds only
-    its rep.  Exceptions are not memoised.
+    as_module of M's full submodule, which is M, hom_module(M, M),
+    generator_maps(M, M) and tensor_product(M, M), whose keys hold M as the
+    second argument, and a double dual: matlis_dual of dual(M) holds M, and
+    M's own matlis_dual entry holds dual(M).  Otherwise Hom itself is a
+    Subspace, the generator maps are matrices, a tensor product is its
+    dimension, and a DualModule holds only its rep.  Exceptions are not
+    memoised.
     """
 
     def decorate(fn):

@@ -13,21 +13,23 @@ call re-checks its sandwich inclusions exactly; higher-level identities
 (duality exchange, colon route, Ext/Tor criteria) are verified by the test
 suite and the verifier against these definitional routes.
 
-Hom and tensor products start from a free presentation R^v -> M of the
-source (ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism
-spaces between modules over finite dimensional algebras", Experimental
-Math. 12, 2003).  A map M -> N is its tuple of values on the v generators,
+Hom starts from a free presentation R^v -> M of the source
+(ModuleRep.free_cover, after Lux and Szoke, "Computing homomorphism spaces
+between modules over finite dimensional algebras", Experimental Math. 12,
+2003).  A map M -> N is its tuple of values on the v generators,
 constrained by the syzygies, and hom_module(M, N) is the subspace of N^v
 those tuples span: the trace is the span of the values.  Syzygies and Hom
 find their generators in R^v and N^v; Hom is made a submodule of N^v only
-for its generators.  M tensor N is N^v modulo the syzygies acting on N.
+for its generators.  Hom is the one construction: the tensor product is
+counted through it by duality, dim M tensor N = dim Hom(M, dual N).
 Ext1(R/I, M) and Tor1(M, R/I) are counted from dim Hom(I, M) and
 dim M tensor I by the exact sequences of 0 -> I -> R -> R/I -> 0.  So are
 the canonical maps whose surjectivity or injectivity, with (co)excellence,
 characterizes their vanishing:
 the homothety M -> Hom(I, IM) has kernel M[I], and the evaluation
 (M/M[I]) tensor I -> M has image IM, so each test is one equation between
-dimensions and no matrix of either map is built.  Dense
+dimensions and no matrix of either map is built; the evaluation's is the
+homothety's for dual(M).  Dense
 dim N x dim M matrices of maps are built in one place, FreeCover.maps, from
 their values on the generators, and only where the maps themselves are
 needed: the cotrace's joint kernel, commutativity of endomorphisms, and
@@ -73,17 +75,12 @@ from .errors import (
     FieldNotFinite,
     InternalCheckError,
 )
-from .linalg import Matrix, Subspace, hstack, kernel, rank, vstack
+from .linalg import Matrix, Subspace, hstack, kernel, rank
 
 SAMPLED_IDEALS = 24  # seeded random cyclic ideals in a sampled verdict, besides 0, m and R
 
 
 # -- Hom ------------------------------------------------------------------------
-
-
-def _syzygy_actions(cover, module):
-    """For each syzygy z of the cover, the actions [z_1, ..., z_v] on module."""
-    return [[module.element_action(zi) for zi in z] for z in cover.syzygies]
 
 
 @_memoised("source")
@@ -103,8 +100,8 @@ def hom_module(source, target):
         raise AlgebraMismatch("hom between modules over different algebras")
     cover = source.free_cover()
     rows = []
-    for blocks in _syzygy_actions(cover, target):
-        rows.extend(hstack(blocks).rows)
+    for z in cover.syzygies:
+        rows.extend(hstack([target.element_action(zi) for zi in z]).rows)
     return kernel(Matrix._of(source.algebra.field, tuple(rows), len(cover.generators) * target.dim))
 
 
@@ -237,62 +234,35 @@ def is_homothety_onto(ideal, module):
 # -- tensor products ----------------------------------------------------------------
 
 
-class TensorProduct(NamedTuple):
-    """M tensor_R N as a quotient of N^v, v the generator count of M.
+class Dimension(NamedTuple):
+    """A functor's value known by its dimension over k, all that its readers read."""
 
-    With M = R^v / K, M tensor N = N^v / (K tensor N): the relations are
-    spanned by (z_1 n, ..., z_v n) over the syzygies z of M's free cover and
-    the basis vectors n of N.  relations is that submodule of N^v, block i
-    holding the coefficient of the generator g_i; the tensor product is the
-    quotient by it (relations.quotient() builds its rep), of dimension
-    dim N^v - dim relations.
-    """
-
-    relations: Submodule
-
-    @property
-    def dim(self):
-        return self.relations.module.dim - self.relations.dim
+    dim: int
 
 
 @_memoised("left")
 def tensor_product(left, right):
-    """M tensor_R N: N^v modulo the syzygy relations of M's free cover."""
+    """M tensor_R N by its dimension.  With E = dual(R), Hom(M tensor N, E) =
+    Hom(M, Hom(N, E)) = Hom(M, dual N), and Matlis duality keeps dimensions, so
+    it is dim Hom(M, dual N)."""
     if left.algebra is not right.algebra:
         raise AlgebraMismatch("tensor product over different algebras")
-    field = left.algebra.field
-    cover = left.free_cover()
-    ambient = power_module(right, len(cover.generators))
-    vecs = []
-    for blocks in _syzygy_actions(cover, right):
-        vecs.extend(vstack(blocks).cols())
-    return TensorProduct(Submodule(ambient, Subspace.from_vectors(field, ambient.dim, vecs, check=False), check=False))
+    return Dimension(hom_module(left, matlis_dual(right).rep).dim)
 
 
 def is_tensor_eval_injective(module, ideal):
     """Whether the evaluation (M/M[I]) tensor_R I -> M, x o r |-> r x, is injective.
 
-    Its image is IM, so it is injective exactly when the tensor product has
-    dimension dim IM.  A smaller product cannot map onto IM; that is checked.
-    The product is built as I tensor (M/M[I]), so it reads the syzygies of I
-    that Hom(I, -) memoised on I's rep, and M/M[I] needs none.
+    Its image is IM, so it is injective exactly when dim (M/M[I]) tensor I =
+    dim IM.  With D = dual(M), dual(M/M[I]) = Ann_D(M[I]) = ID and D[I] =
+    Ann_D(IM), so this is dim Hom(I, ID) = dim D - dim D[I]: the homothety
+    D -> Hom(I, ID) is onto, with its range check.  M/M[I] is never built.
     """
     _require_ideal(ideal, module.algebra)
-    quotient = torsion_submodule(module, ideal).quotient()[0]
-    tensor = tensor_product(ideal.as_module(), quotient).dim
-    image = ideal_times_module(ideal, module).dim
-    if tensor < image:
-        raise InternalCheckError("tensor evaluation product smaller than its image IM")
-    return tensor == image
+    return is_homothety_onto(ideal, matlis_dual(module).rep)
 
 
 # -- Ext1 and Tor1 -----------------------------------------------------------------
-
-
-class Dimension(NamedTuple):
-    """A functor's value known by its dimension over k, all that its readers read."""
-
-    dim: int
 
 
 @_memoised("module")

@@ -4,12 +4,15 @@ The brute-force oracles enumerate *all* linear maps over F_2 and filter the
 module homomorphisms by definition, fully independent of the free-cover
 solver they check.  The differential tests compare Hom and tensor products
 against the dim M * dim N intertwiner system and Kronecker quotient, the
-functors that read Hom in generator coordinates against the dense maps, and
-the counted Ext1 and Tor1 against the cokernel and kernel that define them.
+tensor product counted through Hom(M, dual N) against the quotient of N^v by
+the syzygy relations, the functors that read Hom in generator coordinates
+against the dense maps, and the counted Ext1 and Tor1 against the cokernel
+and kernel that define them.
 """
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,7 +62,7 @@ from tracelab.homological import (
     trace_via_colon,
 )
 from tracelab.cli import main as cli_main
-from tracelab.linalg import GF, QQ, Matrix, Subspace, _dense, _scalar_rows, kernel, rank
+from tracelab.linalg import GF, QQ, Matrix, Subspace, _dense, _scalar_rows, kernel, rank, vstack
 from tracelab.verifier import _built, default_catalog, module_pool
 
 
@@ -377,6 +380,18 @@ def test_tensor_eval_unit_and_zero(fat_point):
     assert tensor_product(zero.as_module(), torsion_submodule(reg, zero).quotient()[0]).dim == 0
 
 
+def test_tensor_eval_is_the_homothety_of_the_dual(fat_point):
+    # I = m = k^2 in k[x,y]/(x,y)^2, E = dual(R), mE = k.  Evaluation:
+    # k tensor m has dim 2 = dim mR, but E/E[m] tensor m = k^2 tensor m has
+    # dim 4 > dim mE = 1.  Homothety: dim R/R[m] = 1 < dim Hom(m, m) = 4, but
+    # dim E/E[m] = 2 = dim Hom(m, mE).  So each holds on one side only.
+    reg = regular_module(fat_point)
+    dual = matlis_dual(reg).rep
+    m = fat_point.max_ideal()
+    assert is_tensor_eval_injective(reg, m) and not is_homothety_onto(m, reg)
+    assert not is_tensor_eval_injective(dual, m) and is_homothety_onto(m, dual)
+
+
 # -- Ext1 and Tor1 -----------------------------------------------------------------
 
 
@@ -468,6 +483,32 @@ def ext1_by_cokernel(ideal, module):
     return image.quotient()[0].dim
 
 
+class RelationTensor(NamedTuple):
+    """M tensor_R N as a quotient of N^v, v the generator count of M: relations
+    is the submodule of N^v divided by, block i holding the coefficient of the
+    generator g_i, and relations.quotient() builds the product's rep."""
+
+    relations: Submodule
+
+    @property
+    def dim(self):
+        return self.relations.module.dim - self.relations.dim
+
+
+def tensor_by_relations(left, right):
+    """M tensor_R N by generators and relations, the oracle for the dimension
+    tensor_product counts through Hom(M, dual N).  With M = R^v / K it is
+    N^v / (K tensor N): the relations are spanned by (z_1 n, ..., z_v n) over
+    the syzygies z of M's free cover and the basis vectors n of N."""
+    cover = left.free_cover()
+    ambient = power_module(right, len(cover.generators))
+    vecs = []
+    for z in cover.syzygies:
+        vecs.extend(vstack([right.element_action(zi) for zi in z]).cols())
+    carrier = Subspace.from_vectors(left.algebra.field, ambient.dim, vecs, check=False)
+    return RelationTensor(Submodule(ambient, carrier, check=False))
+
+
 def _evaluation(module, ideal, generators, tp):
     """Matrix of the evaluation tp -> M induced by (n_1..n_v) |-> sum_i n_i g_i.
 
@@ -486,7 +527,8 @@ def _evaluation(module, ideal, generators, tp):
 
 def tor1_by_kernel(module, ideal):
     """dim Tor1(M, R/I) by definition: the kernel of the evaluation M tensor I -> M."""
-    tp = tensor_product(module, ideal.as_module())
+    tp = tensor_by_relations(module, ideal.as_module())
+    assert tp.dim == tensor_product(module, ideal.as_module()).dim
     rep = tp.relations.quotient()[0]
     return _joint_kernel(rep, [_evaluation(module, ideal, module.free_cover().generators, tp)]).dim
 
@@ -568,7 +610,8 @@ def tensor_eval_by_quotient_cover(module, ideal):
     the cover generators of M/M[I], lifted to M, feed _evaluation."""
     torsion = torsion_submodule(module, ideal)
     quotient = torsion.quotient()[0]
-    tp = tensor_product(quotient, ideal.as_module())
+    tp = tensor_by_relations(quotient, ideal.as_module())
+    assert tp.dim == tensor_product(quotient, ideal.as_module()).dim
     keep = torsion.carrier.nonpivots()
     lifts = [_dense(dict(zip(keep, g)), module.dim, 0) for g in quotient.free_cover().generators]
     return rank(_evaluation(module, ideal, lifts, tp)) == tp.dim, tp.dim
@@ -580,6 +623,14 @@ def test_tensor_eval_with_the_ideal_on_the_left_equals_the_quotient_route(inputs
     ideal, module = inputs
     tensor = tensor_product(ideal.as_module(), torsion_submodule(module, ideal).quotient()[0])
     assert (is_tensor_eval_injective(module, ideal), tensor.dim) == tensor_eval_by_quotient_cover(module, ideal)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(functor_inputs())
+def test_tensor_through_the_dual_equals_the_relation_quotient(inputs):
+    ideal, module = inputs
+    for right in (ideal.as_module(), torsion_submodule(module, ideal).quotient()[0], matlis_dual(module).rep):
+        assert tensor_product(module, right).dim == tensor_by_relations(module, right).dim
 
 
 def homothety_onto_by_dense_maps(ideal, module):
