@@ -2,12 +2,16 @@
 """Building Artinian local algebras and poking at their module theory.
 
 An algebra comes from a polynomial presentation.  The builder proves the
-ideal primary to (x1..xn) before it returns: modulo m^(t+1) the relation
+ideal primary to (x1..xn) before it returns.  Every algebra below is
+monomial, so its basis is read off the staircase: the standard monomials,
+those no relation divides, each variable sending one to its successor or
+to 0, and m^D lies in I for D one past their top degree.  Any other
+presentation takes the general route: modulo m^(t+1) the relation
 multiples span every monomial of some degree t (so m^t lies in I near the
 origin, by Nakayama), and unreduced they span every monomial of degree D,
-the nilpotency index (so m^D lies in I).  The basis is the standard
-monomials, and the action matrices are re-checked exactly (commutation,
-relation vanishing).
+the nilpotency index (so m^D lies in I).  Either way the basis is the
+standard monomials, and the action matrices are re-checked exactly
+(commutation, relation vanishing).
 """
 
 from tracelab.artin import (

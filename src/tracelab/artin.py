@@ -312,18 +312,19 @@ class ArtinAlgebra:
 
     def element_from_poly(self, poly):
         """Coordinates of a polynomial's residue class."""
-        acc = [self.field.zero] * self.dim
+        acc = {}
         for exp, coeff in sorted(poly.items()):
-            vec = self.unit
+            vec = {0: self.field.one}
             for v, e in enumerate(exp):
                 # m is nilpotent, so a huge exponent reaches zero within dim steps.
                 for _ in range(e):
-                    if not any(vec):
+                    if not vec:
                         break
-                    vec = self.actions[v].apply(vec)
+                    vec = self.actions[v]._sparse_apply(vec)
             c = self.field.from_int(coeff)
-            acc = [a + c * x for a, x in zip(acc, vec)]
-        return tuple(self.field.canonical(acc))
+            for i, x in vec.items():
+                acc[i] = acc.get(i, 0) + c * x
+        return tuple(self.field.canonical(_dense(acc, self.dim, self.field.zero)))
 
     @_memoised("self")
     def parse_element(self, text):
@@ -355,18 +356,24 @@ class ArtinAlgebra:
 def build_algebra(presentation):
     """Construct the local algebra k[x1..xn]/I presented by relations.
 
-    Local step: for t = 0, 1, 2, ... (in steps that grow with t) the relation
-    multiples, cut at degree t, are row reduced inside the monomials of
-    degree <= t, high degree first; the non-pivot ("standard") monomials
-    number h = dim k[x]/(I + m^(t+1)) <= dim R.  Once the span holds every
-    monomial of degree t, m^t lies in I + m^(t+1), so by Nakayama it lies
-    in I localised at the origin, and the basis and the normal forms are
-    read from that elimination.  So is the nilpotency index D <= t of the
-    maximal ideal: the least degree whose monomials all have normal form 0.
-    Global step: the uncut multiples of degree <= B (B = D, 2D, 4D, ...)
-    must span every monomial of degree D, which shows m^D in I itself, so
-    k[x]/I is that local algebra.  Both steps stop at MONOMIAL_CEILING
-    monomials, so every input is decided in bounded time.
+    Monomial route, when every relation is one term: the standard monomials,
+    those no relation divides, are a basis, x_v sends each to its successor
+    or to 0, and D is one past their top degree (_staircase).  Every other
+    presentation, and each one whose walk stops, takes the Macaulay route,
+    which alone rejects.
+
+    Macaulay route, local step: for t = 0, 1, 2, ... (in steps that grow
+    with t) the relation multiples, cut at degree t, are row reduced inside
+    the monomials of degree <= t, high degree first; the non-pivot
+    ("standard") monomials number h = dim k[x]/(I + m^(t+1)) <= dim R.  Once
+    the span holds every monomial of degree t, m^t lies in I + m^(t+1), so
+    by Nakayama it lies in I localised at the origin, and the basis and the
+    normal forms are read from that elimination.  So is the nilpotency index
+    D <= t of the maximal ideal: the least degree whose monomials all have
+    normal form 0.  Global step: the uncut multiples of degree <= B (B = D,
+    2D, 4D, ...) must span every monomial of degree D, which shows m^D in I
+    itself, so k[x]/I is that local algebra.  Both steps stop at
+    MONOMIAL_CEILING monomials, so every input is decided in bounded time.
 
     Raises ResidueFieldError when a relation has a nonzero constant term,
     DimensionCapExceeded as soon as h exceeds dim_cap, and NotArtinian when
@@ -390,50 +397,54 @@ def build_algebra(presentation):
     over = (t for t in range(MONOMIAL_CEILING) if math.comb(t + nvars, nvars) > MONOMIAL_CEILING)
     top_cap = next(over, MONOMIAL_CEILING) - 1
 
-    top = 0
-    while True:
-        order, rows = _relation_multiples(field, relations, nvars, top, cut=True)
-        red, pivots = _row_reduce(field, rows)
-        h = len(order) - len(pivots)
-        if h > presentation.dim_cap:
-            raise DimensionCapExceeded(
-                "quotient dimension is at least %d, over the cap %d" % (h, presentation.dim_cap)
-            )
-        if _has_degree(order, red, pivots, top):
-            break
-        if top == top_cap:
-            raise NotArtinian(
-                "m^t is not in I + m^(t+1) at t = %d, the last degree within %d monomials: the "
-                "ideal is not Artinian at the origin, or its algebra is beyond that ceiling"
-                % (top_cap, MONOMIAL_CEILING)
-            )
-        # Steps of one up to t = 4, then of a quarter of t: a rejection at the
-        # ceiling costs a few eliminations near its size, not one per degree.
-        top = min(top + 1 + top // 4, top_cap)
-
-    pivset = set(pivots)
-    basis = sorted((e for j, e in enumerate(order) if j not in pivset), key=lambda e: (sum(e), e))
+    basis = _staircase(relations, nvars, presentation.dim_cap, top_cap)
+    red = pivots = ()  # the staircase has no pivots: its D is certified by construction
+    if basis is None:
+        top = 0
+        while True:
+            order, rows = _relation_multiples(field, relations, nvars, top, cut=True)
+            red, pivots = _row_reduce(field, rows)
+            h = len(order) - len(pivots)
+            if h > presentation.dim_cap:
+                raise DimensionCapExceeded(
+                    "quotient dimension is at least %d, over the cap %d" % (h, presentation.dim_cap)
+                )
+            if _has_degree(order, red, pivots, top):
+                break
+            if top == top_cap:
+                raise NotArtinian(
+                    "m^t is not in I + m^(t+1) at t = %d, the last degree within %d monomials: the "
+                    "ideal is not Artinian at the origin, or its algebra is beyond that ceiling"
+                    % (top_cap, MONOMIAL_CEILING)
+                )
+            # Steps of one up to t = 4, then of a quarter of t: a rejection at the
+            # ceiling costs a few eliminations near its size, not one per degree.
+            top = min(top + 1 + top // 4, top_cap)
+        pivset = set(pivots)
+        basis = [e for j, e in enumerate(order) if j not in pivset]
+    basis.sort(key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(basis)}
     dim = len(basis)
-    # A standard monomial is its basis vector; a pivot monomial is minus the
-    # standard part of its reduced row, because that row is zero in R.
-    normal = {e: [field.one if i == k else field.zero for i in range(dim)] for e, k in index.items()}
+    # A standard monomial is its basis vector, a pivot monomial minus the standard
+    # part of its reduced row (zero in R), and any other monomial is zero.
+    zero = [field.zero] * dim
+    normal = {e: zero[:k] + [field.one] + zero[k + 1 :] for e, k in index.items()}
     for row, c in zip(red, pivots):
-        vec = [field.zero] * dim
+        vec = zero[:]
         for j, x in row.items():
             if j != c:
                 vec[index[order[j]]] = -x
         normal[order[c]] = field.canonical(vec)
     actions = [
-        Matrix.from_cols(field, [normal[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in basis], nrows=dim)
+        Matrix.from_cols(field, [normal.get(e[:v] + (e[v] + 1,) + e[v + 1 :], zero) for e in basis], nrows=dim)
         for v in range(nvars)
     ]
     # m^d = 0 iff every monomial of degree d has normal form 0, and then all of
     # higher degree have too: D is one past the last degree with a nonzero
-    # normal form, and D <= top, since _has_degree held there.
+    # normal form, and on the Macaulay route D <= top, since _has_degree held there.
     nil = 1 + max(sum(e) for e, vec in normal.items() if any(vec))
     bound = nil
-    while not _spans_degree(field, *_relation_multiples(field, relations, nvars, bound, cut=False), nil):
+    while pivots and not _spans_degree(field, *_relation_multiples(field, relations, nvars, bound, cut=False), nil):
         if bound == top_cap:
             raise NotArtinian(
                 "m^%d lies in the ideal near the origin, but the relation multiples of degree "
@@ -445,14 +456,35 @@ def build_algebra(presentation):
 
     # Exact re-checks of what the certificate proves: the actions commute,
     # and then every relation vanishes on R iff it kills the unit.
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            if actions[i] @ actions[j] != actions[j] @ actions[i]:
-                raise InternalCheckError("the action matrices do not commute")
+    for a, b in itertools.combinations(actions, 2):
+        if any(a._sparse_apply(dict(v)) != b._sparse_apply(dict(u)) for u, v in zip(a._columns(), b._columns())):
+            raise InternalCheckError("the action matrices do not commute")
     for raw, rel in relations:
         if any(algebra.element_from_poly(rel)):
             raise InternalCheckError("relation %r does not vanish on the quotient" % raw)
     return algebra
+
+
+def _staircase(relations, nvars, dim_cap, top_cap):
+    """The standard monomials of a monomial ideal, walked up in degree; or None
+    when a relation has two terms, or the walk passes dim_cap monomials or
+    reaches degree top_cap, as it does when a variable has no pure power."""
+    if any(len(rel) > 1 for _, rel in relations):
+        return None
+    # e is standard, so a generator g divides its successor s = e + x_v only
+    # if g[v] = s[v]: only those generators are tested.
+    divisors = {}
+    for _, (g,) in relations:
+        for v, k in enumerate(g):
+            divisors.setdefault((v, k), []).append(g)
+    walk, level = [], {(0,) * nvars}
+    while level:
+        if sum(next(iter(level))) >= top_cap or len(walk) + len(level) > dim_cap:
+            return None
+        walk += level
+        steps = ((v, e[:v] + (e[v] + 1,) + e[v + 1 :]) for e in level for v in range(nvars))
+        level = {s for v, s in steps if not any(all(map(operator.le, g, s)) for g in divisors.get((v, s[v]), ()))}
+    return walk
 
 
 def _relation_multiples(field, relations, nvars, top, cut):

@@ -7,17 +7,35 @@ agree exactly, not only in number.  The nilpotency index must be the least
 d at which every monomial of degree d reduces to 0 modulo that basis.
 """
 
+import collections
+import contextlib
 import itertools
+import sys
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tracelab.artin import PolynomialPresentation, _monomials_up_to, _relation_multiples, build_algebra, parse_poly
-from tracelab.errors import DimensionCapExceeded, NotArtinian
+from tracelab import artin
+from tracelab.artin import (
+    PolynomialPresentation,
+    _monomials_up_to,
+    _relation_multiples,
+    build_algebra,
+    monomial_label,
+    parse_poly,
+)
+from tracelab.errors import DimensionCapExceeded, NotArtinian, TraceLabError
 from tracelab.linalg import GF, QQ
+from tracelab.verifier import default_catalog
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
+
+
+def macaulay_only():
+    """Within it, the staircase hands every presentation to the Macaulay route."""
+    return mock.patch.object(artin, "_staircase", return_value=None)
 
 
 def groebner_oracle(field, variables, relations, bound):
@@ -61,8 +79,11 @@ def assert_matches_groebner(field, variables, relations, bound):
     ],
 )
 def test_degree_falls_and_high_socle_degree_match_groebner(field, relations, dim):
-    R = assert_matches_groebner(field, ["x", "y"], relations, 15)
-    assert R.dim == dim
+    # (x^14, y^14) is monomial, so the Macaulay route is also run alone.
+    for route in (contextlib.nullcontext(), macaulay_only()):
+        with route:
+            R = assert_matches_groebner(field, ["x", "y"], relations, 15)
+        assert R.dim == dim
 
 
 @st.composite
@@ -85,10 +106,114 @@ def m_primary_presentations(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(field_name=st.sampled_from(sorted(FIELDS)), presentation=m_primary_presentations())
-def test_dimension_matches_groebner(field_name, presentation):
+@given(field_name=st.sampled_from(sorted(FIELDS)), presentation=m_primary_presentations(), alone=st.booleans())
+def test_dimension_matches_groebner(field_name, presentation, alone):
+    # Draws with no extra relation are monomial: alone, they test the Macaulay route.
     variables, relations, bound = presentation
-    assert_matches_groebner(FIELDS[field_name], variables, relations, bound)
+    with macaulay_only() if alone else contextlib.nullcontext():
+        assert_matches_groebner(FIELDS[field_name], variables, relations, bound)
+
+
+def build_outcome(presentation):
+    """The algebra's basis, action rows and nilpotency index, or the class
+    and message of the error the build raises."""
+    try:
+        R = build_algebra(presentation)
+    except TraceLabError as exc:
+        return type(exc), str(exc)
+    return R.basis_exponents, tuple(a.rows for a in R.actions), R.nilpotency_index
+
+
+@st.composite
+def monomial_presentations(draw):
+    """(field, variables, relations): monomials times 1, -1, 2, 3 or 5 (zero
+    when p divides it), a pure power of each variable but perhaps the last,
+    and repeated and redundant generators."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    nvars = draw(st.integers(1, 3))
+    variables = ["x", "y", "z"][:nvars]
+    gens = [(0,) * v + (draw(st.integers(1, 5)),) + (0,) * (nvars - v - 1) for v in range(nvars)]
+    gens = gens[: draw(st.sampled_from([nvars, nvars, nvars - 1]))]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 5)] * nvars).filter(any), max_size=3))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    coeff = st.sampled_from([1, -1, 2, 3, 5])
+    return field, variables, ["%d*%s" % (draw(coeff), monomial_label(g, variables)) for g in gens]
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentation=monomial_presentations(), cap=st.sampled_from(["0", "1", "dim - 1", "dim", "512"]))
+@example(presentation=(GF(2), ["x"], ["x"]), cap="0")
+@example(presentation=(GF(2), ["x"], ["x^1000"]), cap="dim")  # D past the ceiling
+@example(presentation=(GF(2), ["x", "y"], ["2*x^3", "x^2", "x^2", "x*y^2", "y^3"]), cap="dim - 1")
+def test_staircase_matches_the_macaulay_route(presentation, cap):
+    field, variables, relations = presentation
+    with macaulay_only():
+        # A rejected presentation takes "dim" as the ceiling, 1,000.
+        reference = build_outcome(PolynomialPresentation(field, variables, relations, dim_cap=1000))
+    dim = 1000 if len(reference) == 2 else len(reference[0])
+    dim_cap = {"0": 0, "1": 1, "dim - 1": dim - 1, "dim": dim, "512": 512}[cap]
+    presentation = PolynomialPresentation(field, variables, relations, dim_cap=dim_cap)
+    with macaulay_only():
+        expected = build_outcome(presentation)
+    assert build_outcome(presentation) == expected
+
+
+def walk_counts(presentation, most):
+    """(the message of the build's NotArtinian, how many successors the
+    staircase walk tested, how many generators it tested them against): the
+    walk tests a successor with one any() and a generator with one all().
+    A walk that tests more than `most` successors is failed at once."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls[arg.__name__] += 1
+            if calls["any"] > most:
+                raise AssertionError("the walk tested over %d successors" % most)
+
+    def profiled(*args):
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return walk(*args)
+        finally:
+            sys.setprofile(outer)
+
+    walk = artin._staircase
+    with mock.patch.object(artin, "_staircase", profiled), pytest.raises(NotArtinian) as info:
+        build_algebra(presentation)
+    return str(info.value), calls["any"], calls["all"]
+
+
+@pytest.mark.parametrize(
+    "variables, relations, dim_cap",
+    [
+        # Dim 50,000 under the cap: the walk stops at degree 43, the ceiling,
+        # after 946 monomials.
+        (["x", "y"], ["x^250", "y^200"], 100000),
+        # Dim 2^30: the walk stops at degree 2, and tests each successor only
+        # against the generators that can divide it, here at most x_i^2.
+        (["x%d" % i for i in range(30)], ["x%d^2" % i for i in range(30)], 512),
+    ],
+)
+def test_staircase_hands_over_within_the_ceiling(variables, relations, dim_cap):
+    presentation = PolynomialPresentation(GF(2), variables, relations, dim_cap=dim_cap)
+    message, successors, tests = walk_counts(presentation, most=len(variables) * 1000)
+    with macaulay_only(), pytest.raises(NotArtinian) as reference:
+        build_algebra(presentation)
+    assert message == str(reference.value)
+    assert tests <= successors
+
+
+def test_monomial_presentations_take_the_staircase():
+    algebras = default_catalog().algebras
+    assert len(algebras) == 19
+    with mock.patch.object(artin, "_relation_multiples", wraps=_relation_multiples) as macaulay:
+        for spec in algebras:
+            build_algebra(PolynomialPresentation(spec.field, spec.variables, spec.relations))
+        assert not macaulay.called
+        build_algebra(PolynomialPresentation(QQ, ["x", "y"], ["x^2 - y^3", "x*y"]))
+        assert macaulay.called
 
 
 def test_local_at_the_origin_but_not_globally_is_not_local():
